@@ -13,7 +13,9 @@ from . import __version__
 from .constructions import (
     CATALOG_HELP,
     DimensionCapError,
+    abelian,
     catalog,
+    dim_cap,
     full_graph,
     graded_power,
     grading_derivation,
@@ -135,8 +137,8 @@ def cmd_construct(args) -> int:
 def cmd_tower(args) -> int:
     g = load_source(args.src)
     try:
-        rep = derivation_tower(g, max_steps=args.max_steps)
-    except NonzeroCenterError as e:
+        rep = derivation_tower(g, max_steps=args.max_steps, dim_cap=dim_cap())
+    except (NonzeroCenterError, DimensionCapError) as e:
         raise UsageError(str(e)) from None
     doc = {
         "command": f"tower {args.src}",
@@ -182,8 +184,6 @@ def cmd_verify(args) -> int:
                 phi = DerHomomorphism.identity_on_der(ds)
                 rep = lemma3_check(ds.algebra, g, phi)
             else:
-                from .constructions import abelian
-
                 s = abelian(args.s_dim)
                 rep = lemma3_check(s, g, DerHomomorphism.zero(s, g))
         elif args.theorem == "prop2":

@@ -16,12 +16,19 @@ from .linalg import Matrix, Q, ZERO
 DEFAULT_DIM_CAP = 64
 
 
-def dim_cap() -> int:
-    return int(os.environ.get("LIE_DIM_CAP", DEFAULT_DIM_CAP))
-
-
 class DimensionCapError(ValueError):
-    """Raised when an iterated construction would exceed the dimension cap."""
+    """Raised when an iterated construction would exceed the dimension cap,
+    or when LIE_DIM_CAP is not an integer."""
+
+
+def dim_cap() -> int:
+    raw = os.environ.get("LIE_DIM_CAP")
+    if raw is None:
+        return DEFAULT_DIM_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise DimensionCapError(f"LIE_DIM_CAP must be an integer, not {raw!r}") from None
 
 
 class GraphEmbedding:

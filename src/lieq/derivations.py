@@ -19,6 +19,8 @@ from .linalg import (
     Subspace,
     ZERO,
     nullspace,
+    solve,
+    split_semisimple_check,
 )
 
 
@@ -172,8 +174,6 @@ def inner_preimage(ds: DerivationSpace, d: Matrix):
     if ds._ad_preimages is None:
         if g.center().dim != 0:
             raise NonzeroCenterError("inner preimage is not unique: center is nonzero")
-        from .linalg import solve
-
         cols = Matrix.from_columns(
             [g.ad_matrix(g.basis_element(i)).flatten() for i in range(g.dim)]
         )
@@ -362,8 +362,6 @@ def verify_torus(ds: "DerivationSpace | LieAlgebra", b_mats: Sequence[Matrix]) -
 
     Accepts either a DerivationSpace or the bare algebra.
     """
-    from .linalg import split_semisimple_check
-
     base = ds.base if isinstance(ds, DerivationSpace) else ds
     failures = []
     for k, b in enumerate(b_mats):
@@ -410,13 +408,14 @@ def diagonal_derivation_torus(g: LieAlgebra) -> list[Matrix]:
     """
     n = g.dim
     sys = SparseSystem(n)
-    for (i, j), v in g.table.items():
-        for k, c in enumerate(v):
-            if c:
-                row = {k: Q(1)}
-                row[i] = row.get(i, ZERO) - 1
-                row[j] = row.get(j, ZERO) - 1
-                sys.add_row(row)
+    for i, row_i in enumerate(g.sc):
+        for j, v in row_i.items():
+            if i < j:
+                for k in v:
+                    row = {k: 1}
+                    row[i] = row.get(i, 0) - 1
+                    row[j] = row.get(j, 0) - 1
+                    sys.add_row(row)
     sub = Subspace.from_vectors(n, sys.nullspace_basis())
     return [
         Matrix([[t[i] if i == j else ZERO for j in range(n)] for i in range(n)])

@@ -4,16 +4,22 @@ All arithmetic is over Q with arbitrary-precision integers.  gmpy2.mpq is
 used when available (it is API-compatible with fractions.Fraction and much
 faster); otherwise Fraction is the scalar type.  Scalars are always stored
 in lowest terms with positive denominator, so equality is exact.
+
+The sparse solver behind Der(g), the center and `nullspace` is the
+exception: `SparseSystem` clears each row's denominators and eliminates
+fraction-free over Z, keeping its pivot rows as primitive integer rows.
+Scalars reappear only in the nullspace basis it returns.
 """
 
 from __future__ import annotations
 
 import re
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 try:
     from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
+except ImportError:
     from fractions import Fraction as Q
 
 Scalar = Q
@@ -268,40 +274,66 @@ def _gcd(a: int, b: int) -> int:
 
 
 class SparseSystem:
-    """Incremental sparse homogeneous system  A x = 0  over Q.
+    """Incremental sparse homogeneous system  A x = 0  over Q, eliminated
+    fraction-free over Z.
 
-    Rows are fed one at a time as {col: value} dicts and reduced against the
-    pivot rows seen so far (forward echelon, no back-reduction).  Built for
+    Rows are fed one at a time as {col: value} dicts with rational values.
+    Each row is cleared of denominators once and reduced against the pivot
+    rows seen so far (forward echelon, no back-reduction), in the style of
+    Bareiss: r <- (a/g) r - (b/g) p with a, b the leads of the pivot row p and
+    of r and g = gcd(a, b); r is divided by its content before each step.  Every
+    step scales by a nonzero integer, so the lead columns, and hence the
+    nullspace basis, are those of Gaussian elimination over Q.  Pivot rows
+    are stored as primitive {col: int} dicts with a positive lead.  Built for
     the large Leibniz systems, whose rows are very sparse.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.pivot_rows: dict[int, dict[int, Scalar]] = {}
+        self.pivot_rows: dict[int, dict[int, int]] = {}
 
-    def add_row(self, row: dict[int, Scalar]) -> None:
-        row = {c: v for c, v in row.items() if v != 0}
+    def add_row(self, row: dict) -> None:
+        den = 1
+        for v in row.values():
+            den = lcm(den, int(v.denominator))
+        row = {
+            c: int(v.numerator) * (den // int(v.denominator))
+            for c, v in row.items()
+            if v
+        }
+        pivot_rows = self.pivot_rows
         while row:
+            g = gcd(*row.values())
+            if g != 1:
+                row = {c: v // g for c, v in row.items()}
             lead = min(row)
-            piv = self.pivot_rows.get(lead)
+            piv = pivot_rows.get(lead)
             if piv is None:
-                inv = ONE / row[lead]
-                self.pivot_rows[lead] = {c: v * inv for c, v in row.items()}
+                if row[lead] < 0:
+                    row = {c: -v for c, v in row.items()}
+                pivot_rows[lead] = row
                 return
-            f = row[lead]
+            a, b = piv[lead], row[lead]
+            g = gcd(a, b)
+            if g != 1:
+                a //= g
+                b //= g
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
             for c, v in piv.items():
-                nv = row.get(c, ZERO) - f * v
+                nv = row.get(c, 0) - b * v
                 if nv:
                     row[c] = nv
                 else:
-                    row.pop(c, None)
+                    del row[c]
 
     @property
     def rank(self) -> int:
         return len(self.pivot_rows)
 
     def nullspace_basis(self) -> list[tuple]:
-        """Basis of the solution space, one vector per free column."""
+        """Basis of the solution space, one vector per free column: 1 at its
+        free column, 0 at the other free columns."""
         free = [c for c in range(self.ncols) if c not in self.pivot_rows]
         pivot_cols = sorted(self.pivot_rows, reverse=True)
         basis = []
@@ -318,7 +350,7 @@ class SparseSystem:
                         if xc is not None:
                             s += v * xc
                 if s:
-                    x[pc] = -s
+                    x[pc] = -s / row[pc]
             basis.append(tuple(x.get(c, ZERO) for c in range(self.ncols)))
         return basis
 

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from lieq.cli import run_command
 from lieq.constructions import catalog, full_graph, heisenberg
 from lieq.fileio import AlgebraFileError, parse_algebra, serialize_algebra
 
@@ -142,6 +143,18 @@ class TestCommands:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["dims"] == [9, 10] and payload["stabilized"] is True
+
+    def test_tower_honours_dim_cap(self, monkeypatch, capsys):
+        # Der(f(h3)) has dim 10 > 9; test_tower covers the default cap
+        monkeypatch.setenv("LIE_DIM_CAP", "9")
+        assert run_command(["tower", "catalog:full-graph:heisenberg:1"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["dims"] == [9] and payload["budget_exceeded"] is True
+
+    def test_tower_rejects_malformed_dim_cap(self, monkeypatch, capsys):
+        monkeypatch.setenv("LIE_DIM_CAP", "abc")
+        assert run_command(["tower", "catalog:nonabelian2"]) == 1
+        assert "LIE_DIM_CAP must be an integer" in capsys.readouterr().err
 
     def test_reports_byte_identical(self):
         a = run_cli("verify", "prop2", "--N", "1")

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from lieq.linalg import (
     Matrix,
     Polynomial,
     Q,
+    SparseSystem,
     Subspace,
     minimal_polynomial,
     nullspace,
@@ -176,6 +178,86 @@ def test_rref_preserves_row_space(rows):
     r, piv = rref(m)
     assert Subspace.from_vectors(3, m.data) == Subspace.from_vectors(3, r.data)
     assert len(piv) == rank(m)
+
+
+@st.composite
+def sparse_systems(draw):
+    """A random sparse rational system: denominators, negative entries,
+    explicit zeros, and rational combinations of earlier rows (dependent
+    rows) inserted anywhere in the feed order."""
+    ncols = draw(st.integers(1, 8))
+    entry = st.builds(Q, st.integers(-7, 7), st.integers(1, 6))
+    rows = draw(
+        st.lists(
+            st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols),
+            max_size=8,
+        )
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows:
+            break
+        a = rows[draw(st.integers(0, len(rows) - 1))]
+        b = rows[draw(st.integers(0, len(rows) - 1))]
+        x, y = draw(entry), draw(entry)
+        combo = {c: x * a.get(c, 0) + y * b.get(c, 0) for c in set(a) | set(b)}
+        rows.insert(draw(st.integers(0, len(rows))), combo)
+    return ncols, rows
+
+
+def _solved(ncols, rows):
+    system = SparseSystem(ncols)
+    for row in rows:
+        system.add_row(dict(row))
+    dense = Matrix([[row.get(c, 0) for c in range(ncols)] for row in rows])
+    return system, dense
+
+
+class TestSparseSystem:
+    """SparseSystem against oracles that share no code with its elimination:
+    Bareiss rank, Gauss-Jordan pivots, and direct substitution.
+
+    A nullspace basis with 1 at its own free column and 0 at the other free
+    columns is unique for a given set of free columns, and the pivot columns
+    of any forward echelon form are those of the RREF.  So these properties
+    pin the basis down to the one that elimination over Q gives.
+    """
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(sparse_systems())
+    def test_rank_matches_bareiss(self, case):
+        system, dense = _solved(*case)
+        assert system.rank == rank_bareiss(dense)
+        if dense.rows:
+            assert sorted(system.pivot_rows) == list(rref(dense)[1])
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(sparse_systems())
+    def test_rows_annihilate_nullspace_basis(self, case):
+        ncols, rows = case
+        system, _ = _solved(ncols, rows)
+        basis = system.nullspace_basis()
+        assert len(basis) == ncols - system.rank
+        for x in basis:
+            for row in rows:
+                assert sum((v * x[c] for c, v in row.items()), Q(0)) == 0
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(sparse_systems())
+    def test_basis_is_identity_on_free_columns(self, case):
+        ncols, rows = case
+        system, _ = _solved(ncols, rows)
+        free = [c for c in range(ncols) if c not in system.pivot_rows]
+        for fc, x in zip(free, system.nullspace_basis()):
+            assert [x[c] for c in free] == [Q(1) if c == fc else Q(0) for c in free]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(sparse_systems())
+    def test_pivot_rows_primitive_integer(self, case):
+        system, _ = _solved(*case)
+        for lead, row in system.pivot_rows.items():
+            assert min(row) == lead and row[lead] > 0
+            assert all(type(v) is int and v != 0 for v in row.values())
+            assert gcd(*row.values()) == 1
 
 
 class TestPolynomial:
