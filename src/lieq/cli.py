@@ -67,8 +67,8 @@ def load_source(src: str) -> LieAlgebra:
     if src.startswith("catalog:"):
         try:
             return catalog(src.split(":", 1)[1])
-        except KeyError as e:
-            raise UsageError(str(e)) from None
+        except (KeyError, ValueError) as e:  # unknown name, count out of range
+            raise UsageError(f"{src}: {e.args[0]}") from None
     try:
         with open(src, "rb") as fh:
             return parse_algebra(fh.read())

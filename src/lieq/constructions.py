@@ -42,12 +42,6 @@ class GraphEmbedding:
         self.g_slot = g_slot
         self.phi = phi
 
-    def embed_s(self, s_coords) -> tuple:
-        out = [ZERO] * self.whole.dim
-        for k, c in zip(self.s_slot, s_coords):
-            out[k] = c
-        return tuple(out)
-
     def embed_g(self, g_coords) -> tuple:
         out = [ZERO] * self.whole.dim
         for k, c in zip(self.g_slot, g_coords):
@@ -71,24 +65,18 @@ def semidirect(s: LieAlgebra, g: LieAlgebra, phi: DerHomomorphism) -> GraphEmbed
         raise ValueError("homomorphism does not map s into Der(g)")
     p, n = s.dim, g.dim
     dim = p + n
-    table: dict[tuple[int, int], list] = {}
-
-    def put(i, j, vec):
-        if any(vec):
-            table[(i, j)] = vec
-
-    for i in range(p):
-        for j in range(i + 1, p):
-            sb = s.bracket_basis(i, j)
-            put(i, j, list(sb) + [ZERO] * n)
-    for i in range(p):
-        img = phi.images[i]
+    table: dict[tuple[int, int], dict] = {}
+    for i, row in enumerate(s.sc):
+        for j, v in row.items():
+            if i < j:
+                table[(i, j)] = v
+    for i, img in enumerate(phi.images):
         for j in range(n):
-            put(i, p + j, [ZERO] * p + list(img.column(j)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            gb = g.bracket_basis(i, j)
-            put(p + i, p + j, [ZERO] * p + list(gb))
+            table[(i, p + j)] = {p + k: c for k, c in enumerate(img.column(j)) if c}
+    for i, row in enumerate(g.sc):
+        for j, v in row.items():
+            if i < j:
+                table[(p + i, p + j)] = {p + k: c for k, c in v.items()}
     labels = tuple(f"s:{l}" for l in s.labels) + tuple(f"g:{l}" for l in g.labels)
     whole = LieAlgebra(dim, table, labels, check=True)
     return GraphEmbedding(whole, range(0, p), range(p, dim), phi)
@@ -99,7 +87,7 @@ def full_graph(g: LieAlgebra, ds: DerivationSpace | None = None) -> GraphEmbeddi
     unless a precomputed DerivationSpace for g is supplied."""
     if ds is None:
         ds = derivations(g)
-    elif ds.base is not g and ds.base.table != g.table:
+    elif ds.base is not g and ds.base.sc != g.sc:
         raise ValueError("derivation space does not belong to this algebra")
     phi = DerHomomorphism.identity_on_der(ds)
     return semidirect(ds.algebra, g, phi)
@@ -130,9 +118,7 @@ def heisenberg(N: int) -> LieAlgebra:
     if N < 1:
         raise ValueError("N must be >= 1")
     dim = 2 * N + 1
-    c = [ZERO] * dim
-    c[-1] = Q(1)
-    table = {(i, N + i): tuple(c) for i in range(N)}
+    table = {(i, N + i): {dim - 1: 1} for i in range(N)}
     labels = (
         tuple(f"x{i+1}" for i in range(N))
         + tuple(f"y{i+1}" for i in range(N))
@@ -163,25 +149,15 @@ def graded_power(g: LieAlgebra, n: int) -> GradedPower:
         raise ValueError("n must be >= 1")
     m = g.dim
     dim = n * m
-    table: dict[tuple[int, int], tuple] = {}
+    table: dict[tuple[int, int], dict] = {}
     for si in range(1, n + 1):
-        for sj in range(si, n + 1):
-            k = si + sj
-            if k > n:
-                continue
-            off_i, off_j, off_k = (si - 1) * m, (sj - 1) * m, (k - 1) * m
-            for a in range(m):
-                for b in range(m):
-                    i, j = off_i + a, off_j + b
-                    if i >= j:
-                        continue
-                    br = g.bracket_basis(a, b)
-                    if not any(br):
-                        continue
-                    vec = [ZERO] * dim
-                    for t, x in enumerate(br):
-                        vec[off_k + t] = x
-                    table[(i, j)] = tuple(vec)
+        for sj in range(si, n + 1 - si):
+            off_i, off_j, off_k = (si - 1) * m, (sj - 1) * m, (si + sj - 1) * m
+            for a, row in enumerate(g.sc):
+                for b, v in row.items():
+                    # within one slot only a < b is a pair i < j
+                    if si < sj or a < b:
+                        table[(off_i + a, off_j + b)] = {off_k + t: c for t, c in v.items()}
     labels = tuple(
         f"{lab}@{k}" for k in range(1, n + 1) for lab in g.labels
     )
@@ -209,7 +185,7 @@ def abelian(n: int) -> LieAlgebra:
 
 def nonabelian2() -> LieAlgebra:
     """The 2-dimensional algebra [x, y] = y (complete)."""
-    return LieAlgebra(2, {(0, 1): (ZERO, Q(1))}, ("x", "y"), check=True)
+    return LieAlgebra(2, {(0, 1): {1: 1}}, ("x", "y"), check=True)
 
 
 CATALOG_HELP = (

@@ -19,6 +19,7 @@ from .linalg import (
     Subspace,
     ZERO,
     nullspace,
+    refine_eigenspaces,
     solve,
     split_semisimple_check,
 )
@@ -148,7 +149,7 @@ def derivations(g: LieAlgebra) -> DerivationSpace:
             coords = space.coords_of(comm.flatten())
             if coords is None:
                 raise RuntimeError("Der(g) not closed under commutator")
-            table[(a, b)] = coords
+            table[(a, b)] = {k: c for k, c in enumerate(coords) if c}
     labels = tuple(f"D{a}" for a in range(d))
     algebra = LieAlgebra(d, table, labels, check=True)
 
@@ -390,8 +391,6 @@ def verify_torus(ds: "DerivationSpace | LieAlgebra", b_mats: Sequence[Matrix]) -
 
 
 def _simultaneous_eigendim(n: int, b_mats: Sequence[Matrix]) -> int:
-    from .weights import refine_eigenspaces
-
     try:
         parts = refine_eigenspaces(n, b_mats)
     except ValueError:

@@ -18,11 +18,12 @@ class AlgebraFileError(ValueError):
 
 
 def serialize_algebra(g: LieAlgebra) -> str:
-    brackets = []
-    for (i, j) in sorted(g.table):
-        v = g.table[(i, j)]
-        value = [[k, q_str(x)] for k, x in enumerate(v) if x]
-        brackets.append({"i": i, "j": j, "value": value})
+    brackets = [
+        {"i": i, "j": j, "value": [[k, q_str(c)] for k, c in g.sc[i][j].items()]}
+        for i in range(g.dim)
+        for j in sorted(g.sc[i])
+        if i < j
+    ]
     doc = {"dim": g.dim, "labels": list(g.labels), "brackets": brackets}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -48,6 +49,8 @@ def parse_algebra(text: str | bytes) -> LieAlgebra:
         not isinstance(labels, list) or len(labels) != dim
     ):
         raise AlgebraFileError("labels must list one name per basis vector")
+    if not isinstance(brackets, list):
+        raise AlgebraFileError("brackets must be a list of bracket records")
     table = {}
     for rec in brackets:
         try:
@@ -57,7 +60,11 @@ def parse_algebra(text: str | bytes) -> LieAlgebra:
             raise AlgebraFileError(f"malformed bracket record: {e}") from None
         if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < dim):
             raise AlgebraFileError(f"bracket indices ({i}, {j}) out of range or not i < j")
-        vec = [q_parse("0")] * dim
+        if not isinstance(value, list):
+            raise AlgebraFileError(
+                f"bracket value of ({i}, {j}) must be a list of [index, 'p/q'] pairs"
+            )
+        coords = {}
         for entry in value:
             try:
                 k, s = entry
@@ -66,12 +73,12 @@ def parse_algebra(text: str | bytes) -> LieAlgebra:
             if not (isinstance(k, int) and 0 <= k < dim):
                 raise AlgebraFileError(f"bracket value index {k} out of range")
             try:
-                vec[k] = q_parse(s)
+                coords[k] = q_parse(s)
             except (ValueError, ZeroDivisionError, TypeError):
                 raise AlgebraFileError(f"bad rational string {s!r}") from None
         if (i, j) in table:
             raise AlgebraFileError(f"duplicate bracket record for ({i}, {j})")
-        table[(i, j)] = tuple(vec)
+        table[(i, j)] = coords
     try:
         return LieAlgebra(dim, table, labels, check=True)
     except InvalidStructureError as e:

@@ -1,17 +1,13 @@
 """Structure-constant Lie algebras and their elementary invariants.
 
-A LieAlgebra is given by the brackets [e_i, e_j] for i < j; antisymmetry is
-therefore unbreakable by construction.  Two forms of the same constants are
-kept:
-
-- `table`, the public form: (i, j) with i < j -> dense coordinate tuple of
-  [e_i, e_j], nonzero brackets only.  File output, constructions and
-  comparisons read it.
-- `sc`, the sparse index in the style of a GAP structure-constant table:
-  sc[i][j] = {k: c_ij^k} for every nonzero bracket, in both index orders
-  (sc[j][i] holds the negated constants).  Brackets, ad matrices, the center
-  and the Jacobi check read it, so their cost follows the nonzero constants
-  and not dim^2 table entries per call.
+A LieAlgebra is given by the nonzero brackets [e_i, e_j] for i < j, each as a
+sparse coordinate map {k: c_ij^k}: the [index, "p/q"] pairs of the file
+format.  The constants are held once, in `sc`, a structure-constant table in
+the style of GAP (de Graaf, Lie Algebras: Theory and Algorithms, 2000):
+sc[i][j] = {k: c_ij^k} for every nonzero bracket, in both index orders, with
+sc[j][i] holding the negated constants.  Antisymmetry therefore holds by
+construction.  Every operation reads `sc`, so its cost follows the nonzero
+constants and not dim^2 table entries.
 
 The Jacobi identity is validated eagerly, so an invalid table is
 unrepresentable downstream.
@@ -21,7 +17,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .linalg import Matrix, Q, SparseSystem, Subspace, ZERO, as_q, q_str
+from .linalg import Matrix, Q, SparseSystem, Subspace, ZERO, as_q
 
 Element = tuple  # coordinate vector relative to the owning algebra's basis
 
@@ -41,31 +37,30 @@ class NotClosedError(ValueError):
 
 
 class ValidationReport:
-    __slots__ = ("antisymmetry_ok", "jacobi_failures")
+    __slots__ = ("jacobi_failures",)
 
-    def __init__(self, antisymmetry_ok: bool, jacobi_failures: list):
-        self.antisymmetry_ok = antisymmetry_ok
+    def __init__(self, jacobi_failures: list):
         self.jacobi_failures = jacobi_failures
 
     @property
     def ok(self) -> bool:
-        return self.antisymmetry_ok and not self.jacobi_failures
+        return not self.jacobi_failures
 
 
 class LieAlgebra:
     """Finite-dimensional Lie algebra over Q given by structure constants.
 
-    `table` maps (i, j) with i < j to the coordinate vector of [e_i, e_j];
-    missing pairs mean a zero bracket.  `sc` is the sparse index of the same
-    constants described in the module docstring.
+    `table` maps (i, j) with i < j to the coordinates {k: c} of [e_i, e_j];
+    missing pairs and zero coefficients mean zero.  The constructor keeps
+    them as the index `sc` described in the module docstring.
     """
 
-    __slots__ = ("dim", "labels", "table", "sc", "_zero")
+    __slots__ = ("dim", "labels", "sc", "_zero")
 
     def __init__(
         self,
         dim: int,
-        table: Mapping[tuple[int, int], Sequence],
+        table: Mapping[tuple[int, int], Mapping[int, object]],
         labels: Sequence[str] | None = None,
         check: bool = True,
     ):
@@ -74,22 +69,22 @@ class LieAlgebra:
         labels = tuple(labels)
         if len(labels) != dim:
             raise ValueError("label count != dimension")
-        norm: dict[tuple[int, int], tuple] = {}
         sc: list[dict[int, dict[int, Q]]] = [{} for _ in range(dim)]
         for (i, j), v in table.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bad bracket index pair ({i}, {j})")
-            vec = tuple(as_q(x) for x in v)
-            if len(vec) != dim:
-                raise ValueError("bracket value length != dimension")
-            nz = {k: c for k, c in enumerate(vec) if c}
+            nz = {}
+            for k in sorted(v):
+                if not 0 <= k < dim:
+                    raise ValueError(f"bracket coordinate {k} out of range")
+                c = as_q(v[k])
+                if c:
+                    nz[k] = c
             if nz:
-                norm[(i, j)] = vec
                 sc[i][j] = nz
                 sc[j][i] = {k: -c for k, c in nz.items()}
         self.dim = dim
         self.labels = labels
-        self.table = norm
         self.sc = sc
         self._zero = (ZERO,) * dim
         if check:
@@ -111,8 +106,6 @@ class LieAlgebra:
         v = self.sc[i].get(j)
         if v is None:
             return self._zero
-        if i < j:
-            return self.table[(i, j)]
         out = [ZERO] * self.dim
         for k, c in v.items():
             out[k] = c
@@ -183,7 +176,7 @@ class LieAlgebra:
                 for k in range(j + 1, n):
                     if any(self._jacobi_sum(i, j, k).values()):
                         failures.append((i, j, k))
-        return ValidationReport(True, failures)
+        return ValidationReport(failures)
 
     def center(self) -> Subspace:
         """{x : [x, y] = 0 for all y}: coordinate k of [x, e_j] is
@@ -246,21 +239,13 @@ class LieAlgebra:
                 coords = span.coords_of(br)
                 if coords is None:
                     raise NotClosedError(i, j, br)
-                table[(i, j)] = coords
+                table[(i, j)] = {k: c for k, c in enumerate(coords) if c}
         if labels is None:
             labels = tuple(f"v{i}" for i in range(d))
         return LieAlgebra(d, table, labels, check=True)
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, labels={list(self.labels)})"
-
-    def describe_element(self, x: Sequence) -> str:
-        terms = [
-            (f"{q_str(c)}*" if c != 1 else "") + self.labels[i]
-            for i, c in enumerate(x)
-            if c
-        ]
-        return " + ".join(terms) if terms else "0"
 
 
 class SeriesReport:

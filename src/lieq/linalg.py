@@ -1,4 +1,5 @@
-"""Exact rational linear algebra: matrices, RREF, nullspaces, canonical subspaces.
+"""Exact rational linear algebra: matrices, RREF, nullspaces, canonical subspaces,
+minimal polynomials and simultaneous eigenspaces of commuting matrices.
 
 All arithmetic is over Q with arbitrary-precision integers.  gmpy2.mpq is
 used when available (it is API-compatible with fractions.Fraction and much
@@ -198,14 +199,6 @@ class Matrix:
             raise ValueError("shape mismatch")
         return Matrix(list(self.data) + list(other.data))
 
-    def power(self, k: int) -> "Matrix":
-        if not self.is_square():
-            raise ValueError("non-square matrix")
-        out = Matrix.identity(self.rows)
-        for _ in range(k):
-            out = out @ self
-        return out
-
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns (Gauss-Jordan over Q)."""
@@ -241,12 +234,10 @@ def rank_bareiss(m: Matrix) -> int:
     cross-check oracle."""
     a = []
     for row in m.data:
-        lcm = 1
+        den = 1
         for x in row:
-            d = int(x.denominator)
-            g = _gcd(lcm, d)
-            lcm = lcm // g * d
-        a.append([int(x.numerator) * (lcm // int(x.denominator)) for x in row])
+            den = lcm(den, int(x.denominator))
+        a.append([int(x.numerator) * (den // int(x.denominator)) for x in row])
     nr = len(a)
     nc = m.cols
     r = 0
@@ -265,12 +256,6 @@ def rank_bareiss(m: Matrix) -> int:
         prev = a[r][c]
         r += 1
     return r
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class SparseSystem:
@@ -547,12 +532,6 @@ class Polynomial:
             out = out * x + c
         return out
 
-    def eval_matrix(self, m: Matrix) -> Matrix:
-        out = Matrix.zero(m.rows, m.cols)
-        for c in reversed(self.coeffs):
-            out = out @ m + Matrix.identity(m.rows).scale(c)
-        return out
-
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -583,12 +562,10 @@ class Polynomial:
         if self.is_zero():
             raise ValueError("zero polynomial")
         cs = list(self.coeffs)
-        lcm = 1
+        den = 1
         for c in cs:
-            d = int(c.denominator)
-            g = _gcd(lcm, d)
-            lcm = lcm // g * d
-        ics = [int(c.numerator) * (lcm // int(c.denominator)) for c in cs]
+            den = lcm(den, int(c.denominator))
+        ics = [int(c.numerator) * (den // int(c.denominator)) for c in cs]
         roots = []
         shift = 0
         while ics[shift] == 0:
@@ -684,3 +661,54 @@ def split_semisimple_check(m: Matrix) -> SemisimplicityReport:
     splits, roots = p.splits_rationally()
     eig = sorted(set(roots)) if splits else None
     return SemisimplicityReport(squarefree, splits, eig, p)
+
+
+class NotSplitError(ValueError):
+    """Raised when a torus generator has an irrational spectrum on an
+    invariant subspace."""
+
+
+def refine_eigenspaces(
+    n: int, mats: Sequence[Matrix]
+) -> list[tuple[tuple, Subspace]]:
+    """Simultaneous eigenspace refinement of Q^n under commuting matrices.
+
+    Returns (functional, subspace) pairs; the functional records one
+    eigenvalue per generator, in list order.  Parts are sorted
+    lexicographically on the functional values.
+    """
+    parts: list[tuple[tuple, Subspace]] = [((), Subspace.full(n))]
+    for b in mats:
+        new_parts = []
+        for fun, sub in parts:
+            vecs = sub.vectors()
+            r = len(vecs)
+            if r == 0:
+                continue
+            cols = []
+            for v in vecs:
+                image = b.apply(v)
+                coords = sub.coords_of(image)
+                if coords is None:
+                    raise ValueError("subspace not invariant: generators do not commute")
+                cols.append(coords)
+            restricted = Matrix.from_columns(cols)
+            rep = split_semisimple_check(restricted)
+            if not rep.split:
+                raise NotSplitError(
+                    "torus generator has irrational eigenvalues on an invariant subspace"
+                )
+            for lam in rep.eigenvalues:
+                shifted = restricted - Matrix.identity(r).scale(lam)
+                ker = nullspace(shifted)
+                lifted = []
+                for coords in ker.vectors():
+                    w = [ZERO] * n
+                    for c, base_vec in zip(coords, vecs):
+                        if c:
+                            w = [a + c * x for a, x in zip(w, base_vec)]
+                    lifted.append(w)
+                if lifted:
+                    new_parts.append((fun + (lam,), Subspace.from_vectors(n, lifted)))
+        parts = new_parts
+    return sorted(parts, key=lambda p: p[0])

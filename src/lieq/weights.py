@@ -31,15 +31,15 @@ from .derivations import (
     z_s_subspace,
 )
 from .liealg import LieAlgebra
-from .linalg import (
+from .linalg import (  # NotSplitError is re-exported for callers of this module
     Matrix,
+    NotSplitError,
     Q,
     Subspace,
     ZERO,
-    nullspace,
     q_str,
+    refine_eigenspaces,
     solve,
-    split_semisimple_check,
 )
 
 
@@ -48,63 +48,12 @@ class DegeneratePairError(ValueError):
     weight occurs."""
 
 
-class NotSplitError(ValueError):
-    """Raised when a torus generator has an irrational spectrum on an
-    invariant subspace."""
-
-
 class TorusError(ValueError):
     """Raised when the supplied matrices fail torus verification."""
 
     def __init__(self, report):
         self.report = report
         super().__init__(f"torus verification failed: {report.failures}")
-
-
-def refine_eigenspaces(
-    n: int, mats: Sequence[Matrix]
-) -> list[tuple[tuple, Subspace]]:
-    """Simultaneous eigenspace refinement of Q^n under commuting matrices.
-
-    Returns (functional, subspace) pairs; the functional records one
-    eigenvalue per generator, in list order.  Parts are sorted
-    lexicographically on the functional values.
-    """
-    parts: list[tuple[tuple, Subspace]] = [((), Subspace.full(n))]
-    for b in mats:
-        new_parts = []
-        for fun, sub in parts:
-            vecs = sub.vectors()
-            r = len(vecs)
-            if r == 0:
-                continue
-            cols = []
-            for v in vecs:
-                image = b.apply(v)
-                coords = sub.coords_of(image)
-                if coords is None:
-                    raise ValueError("subspace not invariant: generators do not commute")
-                cols.append(coords)
-            restricted = Matrix.from_columns(cols)
-            rep = split_semisimple_check(restricted)
-            if not rep.split:
-                raise NotSplitError(
-                    "torus generator has irrational eigenvalues on an invariant subspace"
-                )
-            for lam in rep.eigenvalues:
-                shifted = restricted - Matrix.identity(r).scale(lam)
-                ker = nullspace(shifted)
-                lifted = []
-                for coords in ker.vectors():
-                    w = [ZERO] * n
-                    for c, base_vec in zip(coords, vecs):
-                        if c:
-                            w = [a + c * x for a, x in zip(w, base_vec)]
-                    lifted.append(w)
-                if lifted:
-                    new_parts.append((fun + (lam,), Subspace.from_vectors(n, lifted)))
-        parts = new_parts
-    return sorted(parts, key=lambda p: p[0])
 
 
 class WeightDecomposition:

@@ -25,11 +25,11 @@ class TestFileFormat:
             back = parse_algebra(serialize_algebra(g))
             assert back.dim == g.dim
             assert back.labels == g.labels
-            assert back.table == g.table
+            assert back.sc == g.sc
 
     def test_empty_brackets_is_abelian(self):
         g = parse_algebra('{"dim": 4, "brackets": []}')
-        assert g.dim == 4 and g.table == {}
+        assert g.dim == 4 and g.sc == [{}] * 4
 
     def test_heisenberg_file(self):
         text = json.dumps(
@@ -85,15 +85,30 @@ class TestExitCodes:
         assert payload["ok"] is False
 
     def test_usage_error_is_one(self):
-        proc = run_cli("analyze", "catalog:not-a-thing")
-        assert proc.returncode == 1
-        assert "error" in proc.stderr
+        for argv in (
+            ["analyze", "catalog:not-a-thing"],
+            ["analyze", "catalog:heisenberg:0"],
+            ["construct", "catalog:abelian:-1"],
+            ["tower", "catalog:graded-power:nonabelian2:0"],
+        ):
+            proc = run_cli(*argv)
+            assert proc.returncode == 1, argv
+            assert "error" in proc.stderr
+            assert "Traceback" not in proc.stderr
 
     def test_malformed_file_is_one(self, tmp_path):
         p = tmp_path / "bad.json"
-        p.write_text('{"dim": "x"}')
-        proc = run_cli("analyze", str(p))
-        assert proc.returncode == 1
+        for doc in (
+            '{"dim": "x"}',
+            '{"dim": 2, "brackets": 7}',
+            '{"dim": 2, "brackets": [{"i": 0, "j": 1, "value": 5}]}',
+        ):
+            with pytest.raises(AlgebraFileError):
+                parse_algebra(doc)
+            p.write_text(doc)
+            proc = run_cli("analyze", str(p))
+            assert proc.returncode == 1, doc
+            assert "Traceback" not in proc.stderr
 
 
 class TestCommands:

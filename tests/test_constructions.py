@@ -94,15 +94,16 @@ class TestSemidirect:
         phi = DerHomomorphism.identity_on_der(ds)
         via_semidirect = semidirect(ds.algebra, g, phi).whole
         via_full_graph = full_graph(g, ds).whole
-        assert via_semidirect.table == via_full_graph.table
+        assert via_semidirect.sc == via_full_graph.sc
 
     def test_g_slot_preserves_table(self):
         g = heisenberg(2)
         ds = derivations(g)
         emb = full_graph(g, ds)
         p = ds.dim
-        for (i, j), v in g.table.items():
-            assert emb.whole.bracket_basis(p + i, p + j) == emb.embed_g(v)
+        for i, row in enumerate(g.sc):
+            for j in row:
+                assert emb.whole.bracket_basis(p + i, p + j) == emb.embed_g(g.bracket_basis(i, j))
 
 
 class TestFullGraph:
@@ -129,7 +130,7 @@ class TestFullGraphIter:
         g = heisenberg(1)
         chain = full_graph_iter(g, 1)
         assert len(chain) == 1
-        assert chain[0].whole.table == full_graph(g).whole.table
+        assert chain[0].whole.sc == full_graph(g).whole.sc
 
     def test_heisenberg_dims_9_19(self):
         chain = full_graph_iter(heisenberg(1), 2)
@@ -154,7 +155,7 @@ class TestGradedPower:
     def test_n1_is_abelian(self):
         gp = graded_power(heisenberg(1), 1)
         assert gp.algebra.dim == 3
-        assert gp.algebra.table == {}
+        assert gp.algebra.sc == [{}] * 3
 
     def test_h3_power2(self):
         gp = graded_power(heisenberg(1), 2)
@@ -173,12 +174,12 @@ class TestGradedPower:
         gp = graded_power(g0, n)
         g = gp.algebra
         m = g0.dim
-        for (i, j), v in g.table.items():
-            si, sj = i // m + 1, j // m + 1
-            k = si + sj
-            assert k <= n
-            for t, x in enumerate(v):
-                if x:
+        for i, row in enumerate(g.sc):
+            for j, v in row.items():
+                si, sj = i // m + 1, j // m + 1
+                k = si + sj
+                assert k <= n
+                for t in v:
                     assert t // m + 1 == k
 
     def test_nilpotent(self):

@@ -1,0 +1,66 @@
+"""Import layering of the lieq modules, checked on their syntax trees.
+
+Each module imports only from modules earlier in LAYERS, so the imports
+have no cycle, and every import sits at module level, where it runs once
+and shows the dependency.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "lieq"
+# The package namespace itself ("lieq", which holds __version__) imports the
+# layers up to weights, so it sits between weights and cli.
+LAYERS = ["linalg", "liealg", "fileio", "derivations", "constructions", "weights", "lieq", "cli"]
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+
+
+def _tree(module):
+    return ast.parse((SRC / f"{module}.py").read_text(), filename=f"{module}.py")
+
+
+def _imported_layers(tree):
+    """(line, layer) for every import of a lieq module or of the package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                if node.module == "lieq" or node.module.startswith("lieq."):
+                    yield node.lineno, node.module.rpartition(".")[2]
+            elif node.module:
+                yield node.lineno, node.module.split(".")[0]
+            else:  # from . import name: a sibling module or a package attribute
+                for alias in node.names:
+                    yield node.lineno, alias.name if alias.name in LAYERS else "lieq"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "lieq" or alias.name.startswith("lieq."):
+                    yield node.lineno, alias.name.rpartition(".")[2]
+
+
+def test_every_module_has_a_layer():
+    assert set(MODULES) <= set(LAYERS)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_level_import(module):
+    nested = [
+        inner.lineno
+        for node in ast.walk(_tree(module))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    ]
+    assert nested == [], f"{module}.py imports inside a function at lines {nested}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_imports_only_earlier_layers(module):
+    rank = LAYERS.index(module)
+    late = [
+        (line, layer)
+        for line, layer in _imported_layers(_tree(module))
+        if LAYERS.index(layer) >= rank
+    ]
+    assert late == [], f"{module}.py imports from later layers: {late}"
