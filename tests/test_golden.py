@@ -3,7 +3,9 @@
 tests/golden/commands.json lists each command with its expected exit code;
 tests/golden/<name>.out holds its expected stdout.  h5_dense.json is the
 Heisenberg algebra h5 in a non-standard basis, so most of its structure
-constants are nonzero non-integer rationals.
+constants are nonzero non-integer rationals.  f2_nonabelian2_dense.json is
+the first input of the perfbench dense-analyze workload at seed 1
+(perfbench/rebase.py): f^2(nonabelian2) in a dense rational basis.
 """
 
 import json
