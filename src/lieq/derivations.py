@@ -83,17 +83,7 @@ class DerivationSpace:
         return self.space.coords_of(m.flatten())
 
     def from_coords(self, coeffs: Sequence) -> Matrix:
-        n = self.base.dim
-        out = [[ZERO] * n for _ in range(n)]
-        for c, mat in zip(coeffs, self.basis_mats):
-            if c:
-                for r in range(n):
-                    row = mat.data[r]
-                    orow = out[r]
-                    for k in range(n):
-                        if row[k]:
-                            orow[k] += c * row[k]
-        return Matrix(out)
+        return _combination(self.base.dim, coeffs, self.basis_mats)
 
     def subspace_mats(self, sub: Subspace) -> list[Matrix]:
         """Matrices for a subspace given in Der-coefficient coordinates."""
@@ -103,6 +93,18 @@ class DerivationSpace:
 
     def __repr__(self):
         return f"DerivationSpace(base dim {self.base.dim}, dim {self.dim})"
+
+
+def _combination(n: int, coeffs: Sequence, mats: Sequence[Matrix]) -> Matrix:
+    """The n x n matrix sum of c_k M_k."""
+    out = [[ZERO] * n for _ in range(n)]
+    for c, mat in zip(coeffs, mats):
+        if c:
+            for row, orow in zip(mat.data, out):
+                for k, x in enumerate(row):
+                    if x:
+                        orow[k] += c * x
+    return Matrix(out)
 
 
 def _bump(row: dict, idx: int, val) -> None:
@@ -285,15 +287,7 @@ class DerHomomorphism:
                     )
 
     def apply(self, s_coords: Sequence) -> Matrix:
-        n = self.target.dim
-        out = [[ZERO] * n for _ in range(n)]
-        for c, m in zip(s_coords, self.images):
-            if c:
-                for r in range(n):
-                    for k in range(n):
-                        if m.data[r][k]:
-                            out[r][k] += c * m.data[r][k]
-        return Matrix(out)
+        return _combination(self.target.dim, s_coords, self.images)
 
     @staticmethod
     def zero(source: LieAlgebra, target: LieAlgebra) -> "DerHomomorphism":

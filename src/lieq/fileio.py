@@ -43,12 +43,15 @@ def parse_algebra(text: str | bytes) -> LieAlgebra:
         brackets = doc.get("brackets", [])
     except KeyError as e:
         raise AlgebraFileError(f"missing field {e}") from None
-    if not isinstance(dim, int) or dim < 0:
+    # `type(x) is int`, not isinstance: JSON true/false load as bool, an int subclass
+    if type(dim) is not int or dim < 0:
         raise AlgebraFileError("dim must be a non-negative integer")
     if labels is not None and (
-        not isinstance(labels, list) or len(labels) != dim
+        not isinstance(labels, list)
+        or len(labels) != dim
+        or not all(isinstance(s, str) for s in labels)
     ):
-        raise AlgebraFileError("labels must list one name per basis vector")
+        raise AlgebraFileError("labels must list one name (a string) per basis vector")
     if not isinstance(brackets, list):
         raise AlgebraFileError("brackets must be a list of bracket records")
     table = {}
@@ -58,7 +61,7 @@ def parse_algebra(text: str | bytes) -> LieAlgebra:
             value = rec["value"]
         except (KeyError, TypeError) as e:
             raise AlgebraFileError(f"malformed bracket record: {e}") from None
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < dim):
+        if not (type(i) is int and type(j) is int and 0 <= i < j < dim):
             raise AlgebraFileError(f"bracket indices ({i}, {j}) out of range or not i < j")
         if not isinstance(value, list):
             raise AlgebraFileError(
@@ -70,8 +73,10 @@ def parse_algebra(text: str | bytes) -> LieAlgebra:
                 k, s = entry
             except (TypeError, ValueError):
                 raise AlgebraFileError("bracket value entries must be [index, 'p/q'] pairs") from None
-            if not (isinstance(k, int) and 0 <= k < dim):
+            if not (type(k) is int and 0 <= k < dim):
                 raise AlgebraFileError(f"bracket value index {k} out of range")
+            if k in coords:
+                raise AlgebraFileError(f"duplicate index {k} in bracket value of ({i}, {j})")
             try:
                 coords[k] = q_parse(s)
             except (ValueError, ZeroDivisionError, TypeError):

@@ -148,7 +148,7 @@ class LieAlgebra:
                 for j, v in self.sc[i].items():
                     for k, c in v.items():
                         out[k][j] += a * c
-        return Matrix._trusted(tuple(tuple(r) for r in out))
+        return Matrix(out)
 
     def _jacobi_sum(self, i: int, j: int, k: int) -> dict:
         """Cyclic sum [c_ij, e_k] + [c_jk, e_i] + [c_ki, e_j] read off the

@@ -6,10 +6,16 @@ used when available (it is API-compatible with fractions.Fraction and much
 faster); otherwise Fraction is the scalar type.  Scalars are always stored
 in lowest terms with positive denominator, so equality is exact.
 
-The sparse solver behind Der(g), the center and `nullspace` is the
-exception: `SparseSystem` clears each row's denominators and eliminates
-fraction-free over Z, keeping its pivot rows as primitive integer rows.
-Scalars reappear only in the nullspace basis it returns.
+Scalars are coerced by `as_q` at the API boundaries (Matrix(), Polynomial,
+the vectors and coefficients passed in); arithmetic on them stays in the
+scalar type.
+
+There is one elimination kernel.  `SparseSystem` clears each row's
+denominators, eliminates fraction-free over Z and back-reduces to the
+reduced row echelon form, dividing by each lead only at the end; `rref`,
+`nullspace`, `solve`, `rank` and the canonical subspaces all run on it, and
+the Der(g) and center solvers feed it directly.  `rank_bareiss` is a second,
+independent elimination, kept only to audit rank.
 """
 
 from __future__ import annotations
@@ -29,8 +35,9 @@ ONE = Q(1)
 
 
 def as_q(x) -> Scalar:
-    """Coerce an int, Fraction, mpq or 'p/q' string to the scalar type."""
-    return Q(x)
+    """Coerce an int, float (exactly), Fraction, mpq or 'p/q' string to the
+    scalar type; a scalar that already has that type is returned as it is."""
+    return x if type(x) is Q else Q(x)
 
 
 def q_str(x) -> str:
@@ -64,17 +71,6 @@ class Matrix:
                 raise ValueError("ragged matrix rows")
 
     @staticmethod
-    def _trusted(data: tuple) -> "Matrix":
-        """Matrix over `data` as given: a tuple of equal-length tuples of
-        scalars, such as the result of arithmetic on Matrix entries.  No
-        coercion and no shape check; public input goes through Matrix()."""
-        m = object.__new__(Matrix)
-        m.data = data
-        m.rows = len(data)
-        m.cols = len(data[0]) if data else 0
-        return m
-
-    @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
         return Matrix([[ZERO] * cols for _ in range(rows)])
 
@@ -84,10 +80,7 @@ class Matrix:
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence]) -> "Matrix":
-        cols = [tuple(as_q(x) for x in c) for c in cols]
-        if not cols:
-            return Matrix([])
-        return Matrix([[c[i] for c in cols] for i in range(len(cols[0]))])
+        return Matrix(list(zip(*cols, strict=True)))
 
     def __eq__(self, other) -> bool:
         return (
@@ -108,9 +101,6 @@ class Matrix:
         i, j = ij
         return self.data[i][j]
 
-    def row(self, i: int) -> tuple:
-        return self.data[i]
-
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.data)
 
@@ -119,9 +109,6 @@ class Matrix:
 
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def transpose(self) -> "Matrix":
-        return Matrix([self.column(j) for j in range(self.cols)])
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -143,9 +130,9 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        return Matrix._trusted(self._product_rows(other))
+        return Matrix(self._product_rows(other))
 
-    def _product_rows(self, other: "Matrix") -> tuple:
+    def _product_rows(self, other: "Matrix") -> list[list]:
         """Rows of self @ other, skipping zero entries of both factors."""
         out = []
         for row in self.data:
@@ -155,13 +142,8 @@ class Matrix:
                     for k, b in enumerate(orow):
                         if b:
                             acc[k] += a * b
-            out.append(tuple(acc))
-        return tuple(out)
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            return self @ other
-        return self.scale(other)
+            out.append(acc)
+        return out
 
     def apply(self, v: Sequence) -> tuple:
         """Matrix-vector product."""
@@ -175,11 +157,11 @@ class Matrix:
     def commutator(self, other: "Matrix") -> "Matrix":
         if not (self.is_square() and (self.rows, self.cols) == (other.rows, other.cols)):
             raise ValueError("shape mismatch")
-        return Matrix._trusted(
-            tuple(
-                tuple(a - b for a, b in zip(r1, r2))
+        return Matrix(
+            [
+                [a - b for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self._product_rows(other), other._product_rows(self))
-            )
+            ]
         )
 
     def flatten(self) -> tuple:
@@ -188,11 +170,10 @@ class Matrix:
 
     @staticmethod
     def unflatten(v: Sequence, rows: int, cols: int) -> "Matrix":
-        """Inverse of flatten; the entries of v must already be scalars."""
+        """Inverse of flatten."""
         if len(v) != rows * cols:
             raise ValueError("shape mismatch")
-        v = tuple(v)
-        return Matrix._trusted(tuple(v[i * cols : (i + 1) * cols] for i in range(rows)))
+        return Matrix([v[i * cols : (i + 1) * cols] for i in range(rows)])
 
     def stack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
@@ -201,27 +182,13 @@ class Matrix:
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns (Gauss-Jordan over Q)."""
-    a = [list(row) for row in m.data]
-    nr, nc = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        pr = next((i for i in range(r, nr) if a[i][c] != 0), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = ONE / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return Matrix(a), tuple(pivots)
+    """Reduced row echelon form and pivot columns, computed by SparseSystem;
+    zero rows pad the form to the shape of m."""
+    reduced = _system(m).reduced_rows()
+    pivots = tuple(sorted(reduced))
+    rows = [[reduced[lead].get(c, ZERO) for c in range(m.cols)] for lead in pivots]
+    rows += [[ZERO] * m.cols for _ in range(m.rows - len(pivots))]
+    return Matrix(rows), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -230,8 +197,8 @@ def rank(m: Matrix) -> int:
 
 def rank_bareiss(m: Matrix) -> int:
     """Rank by fraction-free Bareiss elimination on the denominator-cleared
-    integer matrix.  Independent of the Gauss-Jordan path; used as a
-    cross-check oracle."""
+    integer matrix.  Shares no code with SparseSystem, the elimination behind
+    rref; used as a cross-check oracle."""
     a = []
     for row in m.data:
         den = 1
@@ -258,19 +225,40 @@ def rank_bareiss(m: Matrix) -> int:
     return r
 
 
+def _eliminate(row: dict, piv: dict, col: int) -> dict:
+    """(a/g) row - (b/g) piv, with a = piv[col] > 0, b = row[col] and
+    g = gcd(a, b): the integer combination that clears col.  Reuses row."""
+    a, b = piv[col], row[col]
+    g = gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    if a != 1:
+        row = {c: a * v for c, v in row.items()}
+    for c, v in piv.items():
+        nv = row.get(c, 0) - b * v
+        if nv:
+            row[c] = nv
+        else:
+            del row[c]
+    return row
+
+
 class SparseSystem:
     """Incremental sparse homogeneous system  A x = 0  over Q, eliminated
-    fraction-free over Z.
+    fraction-free over Z: the one row reduction of this module apart from
+    the rank_bareiss oracle.
 
     Rows are fed one at a time as {col: value} dicts with rational values.
     Each row is cleared of denominators once and reduced against the pivot
-    rows seen so far (forward echelon, no back-reduction), in the style of
-    Bareiss: r <- (a/g) r - (b/g) p with a, b the leads of the pivot row p and
-    of r and g = gcd(a, b); r is divided by its content before each step.  Every
-    step scales by a nonzero integer, so the lead columns, and hence the
-    nullspace basis, are those of Gaussian elimination over Q.  Pivot rows
-    are stored as primitive {col: int} dicts with a positive lead.  Built for
-    the large Leibniz systems, whose rows are very sparse.
+    rows seen so far (forward echelon), in the style of Bareiss:
+    r <- (a/g) r - (b/g) p with a, b the leads of the pivot row p and of r and
+    g = gcd(a, b); r is divided by its content before each step.  Pivot rows
+    are stored as primitive {col: int} dicts with a positive lead.
+    `reduced_rows` back-reduces them the same way and divides by the lead
+    last.  Every step scales by a nonzero integer, so the result is the
+    reduced row echelon form over Q.  Built for the large Leibniz systems,
+    whose rows are very sparse.
     """
 
     def __init__(self, ncols: int):
@@ -298,61 +286,65 @@ class SparseSystem:
                     row = {c: -v for c, v in row.items()}
                 pivot_rows[lead] = row
                 return
-            a, b = piv[lead], row[lead]
-            g = gcd(a, b)
-            if g != 1:
-                a //= g
-                b //= g
-            if a != 1:
-                row = {c: a * v for c, v in row.items()}
-            for c, v in piv.items():
-                nv = row.get(c, 0) - b * v
-                if nv:
-                    row[c] = nv
-                else:
-                    del row[c]
+            row = _eliminate(row, piv, lead)
 
     @property
     def rank(self) -> int:
         return len(self.pivot_rows)
 
+    def reduced_rows(self) -> dict[int, dict[int, Scalar]]:
+        """The reduced row echelon form as {lead: {col: value}}: 1 at the
+        lead, no entry at any other lead column.  The integer pivot rows are
+        back-reduced from the last lead up; only the finished row is divided
+        by its lead."""
+        done: dict[int, dict[int, int]] = {}
+        for lead in sorted(self.pivot_rows, reverse=True):
+            row = dict(self.pivot_rows[lead])
+            # clearing a later lead brings in only columns free of leads
+            for c in [c for c in row if c in done]:
+                row = _eliminate(row, done[c], c)
+            g = gcd(*row.values())
+            if g != 1:
+                row = {c: v // g for c, v in row.items()}
+            done[lead] = row
+        return {
+            lead: {c: ONE if c == lead else Q(v, row[lead]) for c, v in row.items()}
+            for lead, row in done.items()
+        }
+
     def nullspace_basis(self) -> list[tuple]:
         """Basis of the solution space, one vector per free column: 1 at its
-        free column, 0 at the other free columns."""
-        free = [c for c in range(self.ncols) if c not in self.pivot_rows]
-        pivot_cols = sorted(self.pivot_rows, reverse=True)
-        basis = []
-        for fc in free:
-            x: dict[int, Scalar] = {fc: ONE}
-            for pc in pivot_cols:
-                if pc > fc:
-                    continue
-                row = self.pivot_rows[pc]
-                s = ZERO
-                for c, v in row.items():
-                    if c != pc:
-                        xc = x.get(c)
-                        if xc is not None:
-                            s += v * xc
-                if s:
-                    x[pc] = -s / row[pc]
-            basis.append(tuple(x.get(c, ZERO) for c in range(self.ncols)))
-        return basis
+        free column, 0 at the other free columns and, at each lead column,
+        minus that reduced row's entry in the free column."""
+        reduced = self.reduced_rows()
+        basis = {c: [ZERO] * self.ncols for c in range(self.ncols) if c not in reduced}
+        for fc, x in basis.items():
+            x[fc] = ONE
+        for lead, row in reduced.items():
+            for c, v in row.items():
+                if c != lead:
+                    basis[c][lead] = -v
+        return [tuple(x) for x in basis.values()]
+
+
+def _system(m: Matrix) -> SparseSystem:
+    """SparseSystem fed the rows of m."""
+    system = SparseSystem(m.cols)
+    for row in m.data:
+        system.add_row({j: x for j, x in enumerate(row) if x})
+    return system
 
 
 def nullspace(m: Matrix) -> "Subspace":
     """Kernel {v : m v = 0} as a canonical Subspace."""
-    sys = SparseSystem(m.cols)
-    for row in m.data:
-        sys.add_row({j: x for j, x in enumerate(row) if x != 0})
-    return Subspace.from_vectors(m.cols, sys.nullspace_basis())
+    return Subspace.from_vectors(m.cols, _system(m).nullspace_basis())
 
 
 def solve(a: Matrix, b: Sequence) -> tuple | None:
     """Some x with a x = b, or None when the system is inconsistent."""
     if a.rows != len(b):
         raise ValueError("shape mismatch")
-    aug = Matrix([list(row) + [as_q(x)] for row, x in zip(a.data, b)])
+    aug = Matrix([(*row, x) for row, x in zip(a.data, b)])
     r, pivots = rref(aug)
     if a.cols in pivots:
         return None
@@ -378,7 +370,7 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = [tuple(as_q(x) for x in v) for v in vectors]
+        rows = [tuple(v) for v in vectors]
         for v in rows:
             if len(v) != ambient_dim:
                 raise ValueError("vector length != ambient dimension")
@@ -416,15 +408,9 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
     def contains_vector(self, v: Sequence) -> bool:
-        v = [as_q(x) for x in v]
         if len(v) != self.ambient_dim:
             raise ValueError("vector length != ambient dimension")
-        for row in self.basis.data:
-            lead = next(j for j, x in enumerate(row) if x != 0)
-            f = v[lead]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
-        return all(x == 0 for x in v)
+        return self.coords_of(v) is not None
 
     def coords_of(self, v: Sequence) -> tuple | None:
         """Coordinates of v in the canonical basis, or None if outside.

@@ -102,6 +102,12 @@ class TestExitCodes:
             '{"dim": "x"}',
             '{"dim": 2, "brackets": 7}',
             '{"dim": 2, "brackets": [{"i": 0, "j": 1, "value": 5}]}',
+            '{"dim": 2, "brackets": [{"i": 0, "j": 1, "value": [[1, "1"], [1, "2"]]}]}',
+            '{"dim": true, "brackets": []}',
+            '{"dim": 2, "brackets": [{"i": false, "j": 1, "value": []}]}',
+            '{"dim": 2, "brackets": [{"i": 0, "j": true, "value": []}]}',
+            '{"dim": 2, "brackets": [{"i": 0, "j": 1, "value": [[true, "1"]]}]}',
+            '{"dim": 2, "labels": [1, null]}',
         ):
             with pytest.raises(AlgebraFileError):
                 parse_algebra(doc)

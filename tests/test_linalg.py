@@ -212,9 +212,17 @@ def _solved(ncols, rows):
     return system, dense
 
 
+def _bareiss_pivots(m):
+    """The columns that raise the Bareiss rank of the column prefix: the
+    pivot columns of the RREF, found without SparseSystem."""
+    ranks = [rank_bareiss(Matrix([row[:c] for row in m.data])) for c in range(m.cols + 1)]
+    return tuple(c for c in range(m.cols) if ranks[c + 1] > ranks[c])
+
+
 class TestSparseSystem:
-    """SparseSystem against oracles that share no code with its elimination:
-    Bareiss rank, Gauss-Jordan pivots, and direct substitution.
+    """SparseSystem, and rref which runs on it, against oracles that share no
+    code with its elimination: Bareiss rank and pivots, and direct
+    substitution.
 
     A nullspace basis with 1 at its own free column and 0 at the other free
     columns is unique for a given set of free columns, and the pivot columns
@@ -227,8 +235,24 @@ class TestSparseSystem:
     def test_rank_matches_bareiss(self, case):
         system, dense = _solved(*case)
         assert system.rank == rank_bareiss(dense)
-        if dense.rows:
-            assert sorted(system.pivot_rows) == list(rref(dense)[1])
+        assert tuple(sorted(system.pivot_rows)) == _bareiss_pivots(dense)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(sparse_systems())
+    def test_rref_against_bareiss(self, case):
+        _, dense = _solved(*case)
+        r, pivots = rref(dense)
+        assert pivots == _bareiss_pivots(dense)
+        assert (r.rows, r.cols) == (dense.rows, dense.cols)
+        for i, row in enumerate(r.data):
+            if i < len(pivots):
+                lead = pivots[i]
+                assert not any(row[:lead]) and row[lead] == 1
+                assert all(row[p] == 0 for p in pivots if p != lead)
+            else:
+                assert not any(row)
+        # same rank after stacking: r spans no more than the rows of dense
+        assert rank_bareiss(dense.stack(r)) == len(pivots)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(sparse_systems())
