@@ -9,6 +9,7 @@ solver.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Sequence
 
 from .liealg import LieAlgebra
@@ -18,6 +19,7 @@ from .linalg import (
     SparseSystem,
     Subspace,
     ZERO,
+    clear_denominators,
     nullspace,
     refine_eigenspaces,
     solve,
@@ -96,7 +98,9 @@ class DerivationSpace:
 
 
 def _combination(n: int, coeffs: Sequence, mats: Sequence[Matrix]) -> Matrix:
-    """The n x n matrix sum of c_k M_k."""
+    """The n x n matrix sum of c_k M_k; one coefficient per matrix."""
+    if len(coeffs) != len(mats):
+        raise ValueError(f"{len(coeffs)} coefficients for {len(mats)} basis matrices")
     out = [[ZERO] * n for _ in range(n)]
     for c, mat in zip(coeffs, mats):
         if c:
@@ -143,17 +147,8 @@ def derivations(g: LieAlgebra) -> DerivationSpace:
     basis_mats = tuple(Matrix.unflatten(v, n, n) for v in space.vectors())
     d = len(basis_mats)
 
-    # Lie algebra structure: commutators solved back into the canonical basis
-    table = {}
-    for a in range(d):
-        for b in range(a + 1, d):
-            comm = basis_mats[a].commutator(basis_mats[b])
-            coords = space.coords_of(comm.flatten())
-            if coords is None:
-                raise RuntimeError("Der(g) not closed under commutator")
-            table[(a, b)] = {k: c for k, c in enumerate(coords) if c}
     labels = tuple(f"D{a}" for a in range(d))
-    algebra = LieAlgebra(d, table, labels, check=True)
+    algebra = LieAlgebra(d, commutator_table(space, n), labels, check=True)
 
     ad_flats = [g.ad_matrix(g.basis_element(i)).flatten() for i in range(n)]
     inner_flat = Subspace.from_vectors(n * n, ad_flats)
@@ -165,6 +160,66 @@ def derivations(g: LieAlgebra) -> DerivationSpace:
         inner_coords.append(coords)
     inner = Subspace.from_vectors(d, inner_coords)
     return DerivationSpace(g, space, basis_mats, algebra, inner, inner_flat)
+
+
+def _mul_into(acc: dict, a: dict, b: dict, n: int, sign: int) -> None:
+    """acc += sign * a b for sparse integer n x n matrices {row: {col: int}};
+    acc is keyed by the row-major index r*n + c."""
+    for r, row in a.items():
+        base = r * n
+        for k, x in row.items():
+            brow = b.get(k)
+            if brow:
+                x *= sign
+                for c, y in brow.items():
+                    t = base + c
+                    acc[t] = acc.get(t, 0) + x * y
+
+
+def commutator_table(space: Subspace, n: int) -> dict:
+    """Structure constants {(a, b): {t: c}}, a < b, of the matrix commutator
+    on the n x n matrices D_a whose row-major entries are the RREF basis of
+    `space`: [D_a, D_b] = sum_t c D_t.
+
+    Each D_a is taken once as an integer matrix over one common denominator,
+    D_a = N_a / d_a, together with its pivot p_a (its first nonzero entry,
+    where N_a holds d_a).  With C = N_a N_b - N_b N_a, coordinate t of
+    [D_a, D_b] is C[p_t] / (d_a d_b), because the basis is RREF.  Every
+    commutator is rebuilt from its coordinates as an audit, multiplied
+    through by L d_a d_b with L = lcm(d_t): sum_t C[p_t] (L / d_t) N_t = L C,
+    entry for entry.  Raises RuntimeError when the audit fails, that is,
+    when the span is not closed under the commutator.
+    """
+    flats, mats, dens = [], [], []
+    for v in space.vectors():
+        ints, den = clear_denominators(dict(enumerate(v)))
+        rows: dict[int, dict[int, int]] = {}
+        for t, x in ints.items():
+            rows.setdefault(t // n, {})[t % n] = x
+        flats.append(ints)
+        mats.append(rows)
+        dens.append(den)
+    pivots = [next(iter(ints)) for ints in flats]
+    big_l = lcm(*dens)
+    scaled = [{t: (big_l // den) * x for t, x in ints.items()} for ints, den in zip(flats, dens)]
+    table = {}
+    for a, (na, da) in enumerate(zip(mats, dens)):
+        for b in range(a + 1, len(mats)):
+            comm: dict[int, int] = {}
+            _mul_into(comm, na, mats[b], n, 1)
+            _mul_into(comm, mats[b], na, n, -1)
+            audit = {t: big_l * x for t, x in comm.items()}
+            coords = {}
+            for t, p in enumerate(pivots):
+                x = comm.get(p)
+                if x:
+                    coords[t] = Q(x, da * dens[b])
+                    for k, y in scaled[t].items():
+                        audit[k] = audit.get(k, 0) - x * y
+            if any(audit.values()):
+                raise RuntimeError("Der(g) not closed under commutator")
+            table[(a, b)] = coords
+    return table
 
 
 def inner_preimage(ds: DerivationSpace, d: Matrix):

@@ -17,7 +17,15 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .linalg import Matrix, Q, SparseSystem, Subspace, ZERO, as_q
+from .linalg import (
+    Matrix,
+    Q,
+    SparseSystem,
+    Subspace,
+    ZERO,
+    as_q,
+    clear_denominators,
+)
 
 Element = tuple  # coordinate vector relative to the owning algebra's basis
 
@@ -150,31 +158,40 @@ class LieAlgebra:
                         out[k][j] += a * c
         return Matrix(out)
 
-    def _jacobi_sum(self, i: int, j: int, k: int) -> dict:
-        """Cyclic sum [c_ij, e_k] + [c_jk, e_i] + [c_ki, e_j] read off the
-        index, as {coordinate: value}; zero values may remain."""
-        sc = self.sc
-        acc: dict = {}
-        for a, b, m in ((i, j, k), (j, k, i), (k, i, j)):
-            v = sc[a].get(b)
-            if v is None:
-                continue
-            for l, c in v.items():
-                w = sc[l].get(m)
-                if w is not None:
-                    for t, ct in w.items():
-                        acc[t] = acc.get(t, ZERO) + c * ct
-        return acc
-
     def validate(self) -> ValidationReport:
         """Jacobi identity on every basis triple i < j < k; failures are
-        listed in lexicographic order."""
+        listed in lexicographic order.
+
+        The cyclic sum [c_ij, e_k] + [c_jk, e_i] + [c_ki, e_j] is read off a
+        transient copy of `sc` scaled by the lcm d of its denominators, and
+        summed in int.  The sum is quadratic in the constants, so the integer
+        sum is d^2 times the rational one: zero exactly when it is."""
+        flat = {
+            (i, j, k): c
+            for i, row in enumerate(self.sc)
+            for j, v in row.items()
+            for k, c in v.items()
+        }
+        ints, _ = clear_denominators(flat)
+        isc: list[dict[int, dict[int, int]]] = [{} for _ in range(self.dim)]
+        for (i, j, k), c in ints.items():
+            isc[i].setdefault(j, {})[k] = c
         failures = []
         n = self.dim
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    if any(self._jacobi_sum(i, j, k).values()):
+                    acc: dict[int, int] = {}
+                    for a, b, m in ((i, j, k), (j, k, i), (k, i, j)):
+                        v = isc[a].get(b)
+                        if v is None:
+                            continue
+                        for l, c in v.items():
+                            w = isc[l].get(m)
+                            if w is not None:
+                                for t, ct in w.items():
+                                    acc[t] = acc.get(t, 0) + c * ct
+                    if any(acc.values()):
                         failures.append((i, j, k))
         return ValidationReport(failures)
 

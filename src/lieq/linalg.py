@@ -15,7 +15,9 @@ denominators, eliminates fraction-free over Z and back-reduces to the
 reduced row echelon form, dividing by each lead only at the end; `rref`,
 `nullspace`, `solve`, `rank` and the canonical subspaces all run on it, and
 the Der(g) and center solvers feed it directly.  `rank_bareiss` is a second,
-independent elimination, kept only to audit rank.
+independent elimination, kept only to audit rank.  `clear_denominators`
+gives the integer form over one common denominator in which the Der(g)
+structure constants and the Jacobi check are computed.
 """
 
 from __future__ import annotations
@@ -179,6 +181,18 @@ class Matrix:
         if self.cols != other.cols:
             raise ValueError("shape mismatch")
         return Matrix(list(self.data) + list(other.data))
+
+
+def clear_denominators(entries: dict) -> tuple[dict, int]:
+    """(ints, den): den is the lcm of the denominators of the values, and
+    ints maps the key of every nonzero value x to the integer den * x, in the
+    order of entries."""
+    den = lcm(*{int(x.denominator) for x in entries.values()})
+    return {
+        k: int(x.numerator) * (den // int(x.denominator))
+        for k, x in entries.items()
+        if x
+    }, den
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -408,8 +422,6 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
     def contains_vector(self, v: Sequence) -> bool:
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length != ambient dimension")
         return self.coords_of(v) is not None
 
     def coords_of(self, v: Sequence) -> tuple | None:
@@ -417,7 +429,10 @@ class Subspace:
 
         Because the basis is RREF, the coordinates are just the entries of v
         at the pivot columns; the result is verified by reconstruction.
+        Raises ValueError when v does not have the ambient length.
         """
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector length != ambient dimension")
         v = tuple(as_q(x) for x in v)
         coords = []
         for row in self.basis.data:

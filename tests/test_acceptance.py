@@ -252,3 +252,27 @@ def test_criterion_8_lemma3_instances():
         f"faithful instance holds = {faithful.ok}; "
         f"hypothesis-gap instance reported as failure (no crash) = {not gap.ok}",
     )
+
+
+def test_criterion_9_theorem3_three_levels():
+    # the paper's 9/10 and 19/20 ladder extended to f^3(h3) = 39, Der = 40
+    t0 = time.monotonic()
+    rep = theorem3_check(1, 3)
+    dt = time.monotonic() - t0
+    dims_ok = rep.dims == {
+        "f^1(g)": 9,
+        "Der(f^1(g))": 10,
+        "f^2(g)": 19,
+        "Der(f^2(g))": 20,
+        "f^3(g)": 39,
+        "Der(f^3(g))": 40,
+    }
+    ok = rep.ok and dims_ok and dt < 20.0
+    failing = [c.name for c in rep.checks if not c.passed]
+    announce(
+        9,
+        ok,
+        f"dims {rep.dims}, all checks pass = {rep.ok}"
+        + (f", failing: {failing}" if failing else "")
+        + f", {dt:.3f}s",
+    )

@@ -1,9 +1,11 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from lieq.constructions import (
     abelian,
+    catalog,
     full_graph,
     graded_power,
     grading_derivation,
@@ -15,6 +17,7 @@ from lieq.derivations import (
     NonzeroCenterError,
     NotInnerError,
     centralizer_in_der,
+    commutator_table,
     derivation_tower,
     derivations,
     diagonal_derivation_torus,
@@ -25,7 +28,33 @@ from lieq.derivations import (
     verify_torus,
     z_s_subspace,
 )
-from lieq.linalg import Matrix, Q, Subspace, ZERO, rank_bareiss
+from lieq.fileio import parse_algebra
+from lieq.liealg import LieAlgebra
+from lieq.linalg import Matrix, Q, Subspace, ZERO, clear_denominators, rank_bareiss
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# The catalog algebras that the perfbench catalog-analyze and pipelines
+# commands load, and the committed dense-rational inputs.
+STRUCTURE_SOURCES = (
+    "heisenberg:1",
+    "heisenberg:2",
+    "abelian:4",
+    "nonabelian2",
+    "graded-power:heisenberg:1:2",
+    "graded-power:nonabelian2:2",
+    "full-graph:heisenberg:1",
+    "full-graph:nonabelian2",
+    "full-graph:full-graph:nonabelian2",
+    "h5_dense.json",
+    "f2_nonabelian2_dense.json",
+)
+
+
+def load_structure_source(name):
+    if name.endswith(".json"):
+        return parse_algebra((GOLDEN / name).read_bytes())
+    return catalog(name)
 
 
 def brute_force_der_dim(g):
@@ -108,6 +137,12 @@ class TestDerivations:
                 recon = ds_h3.from_coords(coords)
                 assert recon == ds_h3.basis_mats[a].commutator(ds_h3.basis_mats[b])
 
+    def test_from_coords_wrong_length(self, ds_h3):
+        with pytest.raises(ValueError):
+            ds_h3.from_coords([1])
+        with pytest.raises(ValueError):
+            ds_h3.from_coords([0] * (ds_h3.dim + 1))
+
     def test_inner_dimension(self, h3, ds_h3):
         assert ds_h3.inner.dim == h3.dim - h3.center().dim
 
@@ -115,6 +150,45 @@ class TestDerivations:
         again = derivations(heisenberg(1))
         assert again.space == ds_h3.space
         assert again.basis_mats == ds_h3.basis_mats
+
+
+class TestCommutatorTable:
+    @pytest.mark.parametrize("name", STRUCTURE_SOURCES)
+    def test_matches_dense_commutator_coords(self, name):
+        # the table built the way the integer stage replaced: a dense
+        # Fraction commutator per pair, then coordinates by reconstruction
+        ds = derivations(load_structure_source(name))
+        table = {}
+        for a in range(ds.dim):
+            for b in range(a + 1, ds.dim):
+                comm = ds.basis_mats[a].commutator(ds.basis_mats[b])
+                coords = ds.space.coords_of(comm.flatten())
+                assert coords is not None
+                table[(a, b)] = {k: c for k, c in enumerate(coords) if c}
+        assert ds.algebra.sc == LieAlgebra(ds.dim, table, check=False).sc
+
+    def test_not_closed_raises(self):
+        # span{E01, E10} in gl2: [E01, E10] = E00 - E11 lies outside
+        span = Subspace.from_vectors(4, [(0, 1, 0, 0), (0, 0, 1, 0)])
+        with pytest.raises(RuntimeError, match="not closed under commutator"):
+            commutator_table(span, 2)
+
+    def test_closed_span_with_mixed_denominators(self):
+        # the upper triangular matrices conjugated by P = [[2, 1], [1, 3]]:
+        # a closed span whose RREF rows have the denominators 1, 2 and 1
+        p = Matrix([[2, 1], [1, 3]])
+        p_inv = Matrix([[Q(3, 5), Q(-1, 5)], [Q(-1, 5), Q(2, 5)]])
+        upper = [Matrix([[1, 0], [0, 0]]), Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [0, 1]])]
+        span = Subspace.from_vectors(4, [(p @ m @ p_inv).flatten() for m in upper])
+        assert [clear_denominators(dict(enumerate(v)))[1] for v in span.vectors()] == [1, 2, 1]
+        mats = [Matrix.unflatten(v, 2, 2) for v in span.vectors()]
+        table = commutator_table(span, 2)
+        assert set(table) == {(0, 1), (0, 2), (1, 2)}
+        for (a, b), coords in table.items():
+            recon = Matrix.zero(2, 2)
+            for t, c in coords.items():
+                recon = recon + mats[t].scale(c)
+            assert recon == mats[a].commutator(mats[b])
 
 
 class TestInnerPreimage:
@@ -308,6 +382,13 @@ class TestDerHomomorphism:
         # abelian source but non-commuting images
         with pytest.raises(ValueError):
             DerHomomorphism(abelian(2), g, [a, b])
+
+    def test_apply_wrong_length(self, ds_h3):
+        phi = DerHomomorphism.identity_on_der(ds_h3)
+        with pytest.raises(ValueError):
+            phi.apply([Q(1)])
+        with pytest.raises(ValueError):
+            phi.apply([Q(1)] * (ds_h3.dim + 1))
 
     def test_apply_linear(self, h3, ds_h3):
         phi = DerHomomorphism.identity_on_der(ds_h3)

@@ -74,6 +74,55 @@ class TestValidate:
         with pytest.raises(InvalidStructureError, match=r"\(%d, %d, %d\)" % expected[0]):
             LieAlgebra(5, bad)
 
+    def test_mixed_denominator_failures_match_cyclic_sums(self):
+        # the non-nilpotent algebra nonabelian2 + sl2 in the basis given by
+        # the columns of a rational P, so the constants carry different
+        # denominators; validate scales them to one before summing in int
+        g0 = LieAlgebra(
+            5,
+            {
+                (0, 1): {1: Q(1)},
+                (2, 3): {3: Q(2)},
+                (2, 4): {4: Q(-2)},
+                (3, 4): {2: Q(1)},
+            },
+        )
+        p = Matrix(
+            [
+                [Q(1, 2), 1, 0, 0, Q(1, 3)],
+                [0, Q(1, 3), 1, 0, 0],
+                [1, 0, Q(5, 6), 1, 0],
+                [0, 0, 0, Q(1, 2), 1],
+                [Q(1, 3), 0, 1, 0, Q(5, 6)],
+            ]
+        )
+        assert rank(p) == 5
+        cols = [p.column(i) for i in range(5)]
+        table = {
+            (i, j): dict(enumerate(solve(p, g0.bracket(cols[i], cols[j]))))
+            for i in range(5)
+            for j in range(i + 1, 5)
+        }
+        denominators = {c.denominator for v in table.values() for c in v.values() if c}
+        assert len(denominators - {1}) >= 3
+        assert LieAlgebra(5, table).validate().jacobi_failures == []
+
+        bad = dict(table)
+        bad[(0, 2)] = {**bad[(0, 2)], 3: bad[(0, 2)][3] + Q(5, 6)}
+        g = LieAlgebra(5, bad, check=False)
+        e = [g.basis_element(i) for i in range(5)]
+        expected = []
+        for i in range(5):
+            for j in range(i + 1, 5):
+                for k in range(j + 1, 5):
+                    s1 = g.bracket(g.bracket(e[i], e[j]), e[k])
+                    s2 = g.bracket(g.bracket(e[j], e[k]), e[i])
+                    s3 = g.bracket(g.bracket(e[k], e[i]), e[j])
+                    if any(a + b + c for a, b, c in zip(s1, s2, s3)):
+                        expected.append((i, j, k))
+        assert 1 < len(expected) < 10
+        assert g.validate().jacobi_failures == expected
+
     def test_bad_indices(self):
         with pytest.raises(ValueError):
             LieAlgebra(2, {(1, 0): {0: Q(1)}})

@@ -11,6 +11,7 @@ from lieq.linalg import (
     Q,
     SparseSystem,
     Subspace,
+    clear_denominators,
     minimal_polynomial,
     nullspace,
     rank,
@@ -126,6 +127,14 @@ class TestSubspace:
         assert s.coords_of(v) == (Q(2), Q(-1, 3))
         assert s.coords_of((1, 0, 0, 0)) is None
 
+    def test_coords_of_wrong_length(self):
+        full = Subspace.full(3)
+        for v in ([1, 0, 0, 0], []):
+            with pytest.raises(ValueError):
+                full.coords_of(v)
+            with pytest.raises(ValueError):
+                full.contains_vector(v)
+
     def test_dimension_formula_200_random_pairs(self):
         rng = random.Random(2024)
         for _ in range(200):
@@ -217,6 +226,18 @@ def _bareiss_pivots(m):
     pivot columns of the RREF, found without SparseSystem."""
     ranks = [rank_bareiss(Matrix([row[:c] for row in m.data])) for c in range(m.cols + 1)]
     return tuple(c for c in range(m.cols) if ranks[c + 1] > ranks[c])
+
+
+class TestClearDenominators:
+    def test_lcm_and_integer_values(self):
+        ints, den = clear_denominators({3: Q(1, 2), 0: Q(0), 1: Q(-5, 6), 7: Q(2)})
+        assert den == 6
+        assert ints == {3: 3, 1: -5, 7: 12}
+        assert list(ints) == [3, 1, 7]
+        assert all(type(v) is int for v in ints.values())
+
+    def test_empty(self):
+        assert clear_denominators({}) == ({}, 1)
 
 
 class TestSparseSystem:
