@@ -5,6 +5,12 @@ Der(g) is the nullspace of the Leibniz system D[e_i,e_j] = [De_i,e_j] +
 canonicalized by RREF, so the basis is deterministic.  `is_derivation` is an
 independent checker (direct bracket evaluation) that shares no code with the
 solver.
+
+Brackets of derivations are computed once, as the structure constants of
+`DerivationSpace.algebra`, each audited against its full matrix commutator.
+Downstream, a derivation is its coordinate vector in the canonical Der basis:
+`centralizer_in_der` and `f_s_subspace` take kernels of ad matrices of that
+algebra rather than forming dense n x n commutators.
 """
 
 from __future__ import annotations
@@ -294,24 +300,28 @@ def is_complete(g: LieAlgebra, ds: DerivationSpace | None = None) -> Completenes
 
 
 def centralizer_in_der(ds: DerivationSpace, b_mats: Sequence[Matrix]) -> Subspace:
-    """{D in Der(g) : [D, B] = 0 for all B}, in Der-coefficient coordinates."""
+    """{D in Der(g) : [D, B] = 0 for all B}, in Der-coefficient coordinates:
+    the common kernel of the ad(B) of the Der algebra."""
     for b in b_mats:
         if not is_derivation(ds.base, b):
             raise ValueError("centralizer generator is not a derivation")
-    d = ds.dim
-    if not b_mats:
-        return Subspace.full(d)
-    rows = []
-    for b in b_mats:
-        cols = [mat.commutator(b).flatten() for mat in ds.basis_mats]
-        nn = ds.base.dim ** 2
-        for r in range(nn):
-            row = [cols[k][r] for k in range(d)]
-            if any(row):
-                rows.append(row)
+    rows = [
+        row
+        for b in b_mats
+        for row in ds.algebra.ad_matrix(_der_coords(ds, b)).data
+        if any(row)
+    ]
     if not rows:
-        return Subspace.full(d)
+        return Subspace.full(ds.dim)
     return nullspace(Matrix(rows))
+
+
+def _der_coords(ds: DerivationSpace, m: Matrix) -> tuple:
+    """Der coordinates of a matrix that has passed a derivation check."""
+    coords = ds.coords_of(m)
+    if coords is None:
+        raise RuntimeError("derivation outside computed Der(g)")
+    return coords
 
 
 class DerHomomorphism:
@@ -351,32 +361,35 @@ class DerHomomorphism:
 
     @staticmethod
     def identity_on_der(ds: DerivationSpace) -> "DerHomomorphism":
-        """The identity Der(g) -> Der(g), with Der(g) as its own algebra."""
-        return DerHomomorphism(ds.algebra, ds.base, ds.basis_mats)
+        """The identity Der(g) -> Der(g), with Der(g) as its own algebra.
+
+        Not re-validated: it is a homomorphism by construction.  Every basis
+        matrix solves the Leibniz system, and ds.algebra is the commutator
+        table of ds.basis_mats, audited entry for entry by
+        `commutator_table`."""
+        phi = DerHomomorphism.__new__(DerHomomorphism)
+        phi.source, phi.target, phi.images = ds.algebra, ds.base, ds.basis_mats
+        return phi
 
 
 def f_s_subspace(ds: DerivationSpace, phi: DerHomomorphism) -> Subspace:
     """F_s(g) = {D in Der(g) : [D, phi(s_k)] inner for all k}, in
-    Der-coefficient coordinates.  Membership in ad(g) is encoded through the
-    orthogonal complement of the flattened inner span."""
-    if phi.target is not ds.base and phi.target.dim != ds.base.dim:
+    Der-coefficient coordinates.  A derivation is inner exactly when it is
+    orthogonal to every w in the complement of ad(g) in Q^dim, so each image
+    beta contributes the rows w . ad(beta) of the Der algebra."""
+    if phi.target is not ds.base and phi.target.sc != ds.base.sc:
         raise ValueError("homomorphism target does not match the derivation base")
-    d = ds.dim
-    comp = ds.inner_flat.orthogonal_complement()
-    if comp.dim == 0 or not phi.images:
-        return Subspace.full(d)
-    rows = []
-    for img in phi.images:
-        cols = [mat.commutator(img).flatten() for mat in ds.basis_mats]
-        for w in comp.vectors():
-            row = [
-                sum((a * b for a, b in zip(w, cols[k]) if a and b), ZERO)
-                for k in range(d)
-            ]
-            if any(row):
-                rows.append(row)
+    comp = ds.inner.orthogonal_complement()
+    if comp.dim == 0:
+        return Subspace.full(ds.dim)
+    rows = [
+        row
+        for img in phi.images
+        for row in (comp.basis @ ds.algebra.ad_matrix(_der_coords(ds, img))).data
+        if any(row)
+    ]
     if not rows:
-        return Subspace.full(d)
+        return Subspace.full(ds.dim)
     return nullspace(Matrix(rows))
 
 

@@ -371,16 +371,18 @@ def solve(a: Matrix, b: Sequence) -> tuple | None:
 class Subspace:
     """Subspace of Q^n held as an RREF row basis: the canonical form.
 
-    Equality of subspaces is entry-wise equality of the basis matrices.
+    Equality of subspaces is entry-wise equality of the basis matrices.  The
+    lead column of each basis row is found once, here.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "_leads")
 
     def __init__(self, ambient_dim: int, basis: Matrix):
         if basis.cols not in (ambient_dim, 0):
             raise ValueError("basis width != ambient dimension")
         self.ambient_dim = ambient_dim
         self.basis = basis
+        self._leads = tuple(next(j for j, x in enumerate(row) if x) for row in basis.data)
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -434,10 +436,7 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise ValueError("vector length != ambient dimension")
         v = tuple(as_q(x) for x in v)
-        coords = []
-        for row in self.basis.data:
-            lead = next(j for j, x in enumerate(row) if x)
-            coords.append(v[lead])
+        coords = [v[lead] for lead in self._leads]
         recon = [ZERO] * self.ambient_dim
         for c, row in zip(coords, self.basis.data):
             if c:

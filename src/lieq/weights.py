@@ -343,12 +343,10 @@ def theorem2_check(g: LieAlgebra) -> PipelineReport:
     if not der_cert.complete:
         raise ValueError("theorem 2 requires Der(g) to be complete")
 
-    fg_emb = full_graph(g, dsg)
-    fg = fg_emb.whole
+    fg = full_graph(g, dsg).whole
     dsf = derivations(fg)
     phi_id = DerHomomorphism.identity_on_der(dsg)
     fsub = f_s_subspace(dsg, phi_id)
-    f_mats = dsg.subspace_mats(fsub)
     report.dims = {
         "g": g.dim,
         "Der(g)": dsg.dim,
@@ -367,9 +365,12 @@ def theorem2_check(g: LieAlgebra) -> PipelineReport:
         "ad(g) must be contained in F(g)",
     )
 
-    # Lemma-4 images of the h-tilde basis: (s_j, 0) and (0, D_k)
-    basis = [(m, None) for m in dsg.basis_mats] + [(None, m) for m in f_mats]
-    images = [_lemma4_image(fg_emb, dsg, s, d) for s, d in basis]
+    # Lemma-4 images of the h-tilde basis (s_j, 0) and (0, D_k), as pairs of
+    # Der(g) coordinates
+    zero = dsg.algebra.zero()
+    basis = [(dsg.algebra.basis_element(j), zero) for j in range(dsg.dim)]
+    basis += [(zero, v) for v in fsub.vectors()]
+    images = [_lemma4_image(dsg, s, d) for s, d in basis]
     bad = next((k for k, m in enumerate(images) if not is_derivation(fg, m)), None)
     report.add(
         "images_are_derivations",
@@ -386,7 +387,7 @@ def theorem2_check(g: LieAlgebra) -> PipelineReport:
         "map_injective", span.dim == len(basis), f"rank {span.dim} of {len(basis)}"
     )
 
-    hom_ok, hom_detail = _lemma4_homomorphism_check(fg_emb, dsg, basis, images)
+    hom_ok, hom_detail = _lemma4_homomorphism_check(dsg, basis, images)
     report.add("homomorphism_law", hom_ok, hom_detail)
 
     fg_cert = is_complete(fg, dsf)
@@ -399,48 +400,36 @@ def theorem2_check(g: LieAlgebra) -> PipelineReport:
     return report
 
 
-def _zero_pad(mat_or_none: Matrix | None, dim: int) -> Matrix:
-    return Matrix.zero(dim, dim) if mat_or_none is None else mat_or_none
-
-
-def _lemma4_image(
-    fg_emb: GraphEmbedding, dsg: DerivationSpace, s: Matrix | None, d: Matrix | None
-) -> Matrix:
-    """Matrix on f(g) of D_{(s,D)}(s1, x) = ([s,s1], s(x) + D(x) + I([D, s1]))."""
-    g = dsg.base
-    n = g.dim
-    m = dsg.dim
-    s = _zero_pad(s, n)
-    d = _zero_pad(d, n)
-    cols = []
-    for s1 in dsg.basis_mats:
-        top = dsg.coords_of(s.commutator(s1))
-        if top is None:
-            raise RuntimeError("[s, s1] escaped Der(g)")
-        bottom = inner_preimage(dsg, d.commutator(s1))
-        cols.append(tuple(top) + tuple(bottom))
-    sd = s + d
-    for i in range(n):
-        cols.append((ZERO,) * m + sd.apply(g.basis_element(i)))
+def _lemma4_image(dsg: DerivationSpace, s: tuple, d: tuple) -> Matrix:
+    """Matrix on f(g) of D_{(s,D)}(s1, x) = ([s,s1], s(x) + D(x) + I([D, s1])),
+    with s and D in Der(g) coordinates; their brackets with the Der(g) basis
+    vectors s1 are the columns of ad(s) and ad(D) in dsg.algebra."""
+    der = dsg.algebra
+    ad_s = der.ad_matrix(s)
+    ad_d = der.ad_matrix(d)
+    cols = [
+        ad_s.column(j) + inner_preimage(dsg, dsg.from_coords(ad_d.column(j)))
+        for j in range(der.dim)
+    ]
+    sd = dsg.from_coords([a + b for a, b in zip(s, d)])
+    cols += [der.zero() + sd.column(i) for i in range(dsg.base.dim)]
     return Matrix.from_columns(cols)
 
 
 def _lemma4_homomorphism_check(
-    fg_emb: GraphEmbedding,
-    dsg: DerivationSpace,
-    basis: list,
-    images: list,
+    dsg: DerivationSpace, basis: list, images: list
 ) -> tuple[bool, str]:
     """[D_{(s1,D1)}, D_{(s2,D2)}] = D_{bracket} on h-tilde basis pairs, where
-    bracket = ([s1,s2], [s1,D2] - [s2,D1] + [D1,D2])."""
-    n = dsg.base.dim
-    for a in range(len(basis)):
-        s1, d1 = (_zero_pad(x, n) for x in basis[a])
+    bracket = ([s1,s2], [s1,D2] - [s2,D1] + [D1,D2]) is taken in dsg.algebra
+    and the left side is the commutator of the image matrices."""
+    br = dsg.algebra.bracket
+    for a, (s1, d1) in enumerate(basis):
         for b in range(a + 1, len(basis)):
-            s2, d2 = (_zero_pad(x, n) for x in basis[b])
-            sb = s1.commutator(s2)
-            db = s1.commutator(d2) - s2.commutator(d1) + d1.commutator(d2)
-            expect = _lemma4_image(fg_emb, dsg, sb, db)
+            s2, d2 = basis[b]
+            db = tuple(
+                x - y + z for x, y, z in zip(br(s1, d2), br(s2, d1), br(d1, d2))
+            )
+            expect = _lemma4_image(dsg, br(s1, s2), db)
             got = images[a].commutator(images[b])
             if got != expect:
                 return False, f"law fails on basis pair ({a}, {b})"
@@ -495,16 +484,11 @@ def theorem3_check(N: int, n_max: int, cap: int | None = None) -> PipelineReport
             der_cert.complete,
             f"center {der_cert.center_dim}, der {der_cert.der_dim}, inner {der_cert.inner_dim}",
         )
-        comm_flats = [
-            ds_fn.basis_mats[a].commutator(ds_fn.basis_mats[b]).flatten()
-            for a in range(ds_fn.dim)
-            for b in range(a + 1, ds_fn.dim)
-        ]
-        der_der = Subspace.from_vectors(fn.dim ** 2, comm_flats)
+        der_der = ds_fn.algebra.derived_subalgebra()
         report.add(
             f"{tag}_der_der_inside_ad",
-            ds_fn.inner_flat.contains(der_der),
-            f"[Der,Der] dim {der_der.dim}, ad dim {ds_fn.inner_flat.dim}",
+            ds_fn.inner.contains(der_der),
+            f"[Der,Der] dim {der_der.dim}, ad dim {ds_fn.inner.dim}",
         )
         report.add(
             f"{tag}_dim_gap_one",

@@ -26,6 +26,7 @@ from lieq.linalg import Matrix, Q, Subspace, rank, rank_bareiss
 from lieq.weights import (
     is_nondegenerate_pair,
     lemma3_check,
+    prop4_check,
     theorem1_pipeline,
     theorem2_check,
     theorem3_check,
@@ -275,4 +276,64 @@ def test_criterion_9_theorem3_three_levels():
         f"dims {rep.dims}, all checks pass = {rep.ok}"
         + (f", failing: {failing}" if failing else "")
         + f", {dt:.3f}s",
+    )
+
+
+# The paper's ladders on h5 and h7.  Each budget is about five times the
+# median of three in-process runs on the Fraction backend (CPython 3.11.7,
+# 2 vCPUs): 2.1 s, 0.9 s and 0.4 s.
+
+
+def test_criterion_10_theorem3_heisenberg5_two_levels():
+    # f(h5) = 20, Der = 21; f^2(h5) = 41, Der = 42
+    t0 = time.monotonic()
+    rep = theorem3_check(2, 2)
+    dt = time.monotonic() - t0
+    dims_ok = rep.dims == {
+        "f^1(g)": 20,
+        "Der(f^1(g))": 21,
+        "f^2(g)": 41,
+        "Der(f^2(g))": 42,
+    }
+    ok = rep.ok and dims_ok and dt < 10.0
+    failing = [c.name for c in rep.checks if not c.passed]
+    announce(
+        10,
+        ok,
+        f"dims {rep.dims}, all checks pass = {rep.ok}"
+        + (f", failing: {failing}" if failing else "")
+        + f", {dt:.3f}s",
+    )
+
+
+def test_criterion_11_prop4_heisenberg5_and_7():
+    t0 = time.monotonic()
+    reps = {N: prop4_check(N) for N in (2, 3)}
+    dt = time.monotonic() - t0
+    dims_ok = reps[2].dims == {"f(g)": 20, "Der(f(g))": 21} and reps[3].dims == {
+        "f(g)": 35,
+        "Der(f(g))": 36,
+    }
+    ok = all(r.ok for r in reps.values()) and dims_ok and dt < 5.0
+    announce(
+        11,
+        ok,
+        "; ".join(f"N={N}: dims {r.dims}, ok = {r.ok}" for N, r in reps.items())
+        + f", {dt:.3f}s",
+    )
+
+
+def test_criterion_12_theorem1_graded_cube():
+    # h3^(3) with its grading torus: Der(h1) = tau + g = 16 + 9 = 25
+    t0 = time.monotonic()
+    gp = graded_power(heisenberg(1), 3)
+    rep = theorem1_pipeline(gp.algebra, [grading_derivation(gp)])
+    dt = time.monotonic() - t0
+    dim_ok = rep.dims["Der(h1)"] == 25 and rep.dims["tau"] == 16
+    ok = rep.ok and dim_ok and dt < 3.0
+    announce(
+        12,
+        ok,
+        f"dim Der(h1) = {rep.dims['Der(h1)']} = dim tau + 9 = {rep.dims['tau'] + 9}, "
+        f"all checks pass = {rep.ok}, {dt:.3f}s",
     )

@@ -30,7 +30,15 @@ from lieq.derivations import (
 )
 from lieq.fileio import parse_algebra
 from lieq.liealg import LieAlgebra
-from lieq.linalg import Matrix, Q, Subspace, ZERO, clear_denominators, rank_bareiss
+from lieq.linalg import (
+    Matrix,
+    Q,
+    Subspace,
+    ZERO,
+    clear_denominators,
+    nullspace,
+    rank_bareiss,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -304,6 +312,14 @@ class TestFsAndZs:
         assert f.contains(ds_fh3.inner)
         assert Subspace.full(ds_fh3.dim).contains(f)
 
+    def test_target_with_other_structure_rejected(self):
+        # diag(0, 0, 1) is a derivation of abelian(3) but not of h3, which
+        # has the same dimension
+        d = Matrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
+        phi = DerHomomorphism(abelian(1), abelian(3), [d])
+        with pytest.raises(ValueError, match="does not match"):
+            f_s_subspace(derivations(heisenberg(1)), phi)
+
     def test_zs_killed_by_scaling_derivation(self, h3, ds_h3):
         # derivation with Dc = c (the one-dimensional 'b' part): kills Z_s
         d = Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
@@ -395,3 +411,101 @@ class TestDerHomomorphism:
         c = (Q(2), Q(-1)) + (ZERO,) * 4
         expect = ds_h3.basis_mats[0].scale(2) - ds_h3.basis_mats[1]
         assert phi.apply(c) == expect
+
+
+class TestIdentityOnDer:
+    @pytest.mark.parametrize("name", STRUCTURE_SOURCES)
+    def test_validating_constructor_accepts(self, name):
+        # identity_on_der skips validation because the law holds by
+        # construction; the validating constructor audits that here
+        ds = derivations(load_structure_source(name))
+        checked = DerHomomorphism(ds.algebra, ds.base, ds.basis_mats)
+        phi = DerHomomorphism.identity_on_der(ds)
+        assert phi.source is checked.source
+        assert phi.target is checked.target
+        assert phi.images == checked.images
+
+
+# Dense oracles for centralizer_in_der, f_s_subspace and [Der, Der]: every
+# bracket of derivations is a Matrix.commutator in Q^(n^2), independent of
+# the Der(g) structure constants that the library reads.
+
+
+def dense_centralizer(ds, b_mats):
+    """Nullspace of the flattened [D_k, B] rows."""
+    rows = []
+    for b in b_mats:
+        cols = [m.commutator(b).flatten() for m in ds.basis_mats]
+        rows += [row for row in zip(*cols) if any(row)]
+    return nullspace(Matrix(rows)) if rows else Subspace.full(ds.dim)
+
+
+def dense_f_s(ds, phi):
+    """[D_k, phi(s)] tested against the complement of inner_flat in Q^(n^2)."""
+    comp = ds.inner_flat.orthogonal_complement()
+    rows = []
+    for img in phi.images:
+        cols = [m.commutator(img).flatten() for m in ds.basis_mats]
+        for w in comp.vectors():
+            row = [
+                sum((a * b for a, b in zip(w, col) if a and b), ZERO) for col in cols
+            ]
+            if any(row):
+                rows.append(row)
+    return nullspace(Matrix(rows)) if rows else Subspace.full(ds.dim)
+
+
+def dense_der_der(ds):
+    """Span of the commutators of the Der basis matrices, in Q^(n^2)."""
+    mats = ds.basis_mats
+    flats = [
+        mats[a].commutator(mats[b]).flatten()
+        for a in range(len(mats))
+        for b in range(a + 1, len(mats))
+    ]
+    return Subspace.from_vectors(ds.base.dim ** 2, flats)
+
+
+def _graded_square_grading():
+    gp = graded_power(heisenberg(1), 2)
+    phi = DerHomomorphism(abelian(1), gp.algebra, [grading_derivation(gp)])
+    return derivations(gp.algebra), phi
+
+
+def _identity_on(g):
+    ds = derivations(g)
+    return ds, DerHomomorphism.identity_on_der(ds)
+
+
+ORACLE_CASES = {
+    "h3^(2), grading torus": _graded_square_grading,
+    "f(h3), identity": lambda: _identity_on(full_graph(heisenberg(1)).whole),
+    # its Der basis carries non-integer denominators
+    "h5_dense.json, identity": lambda: _identity_on(load_structure_source("h5_dense.json")),
+}
+
+
+@pytest.fixture(scope="module", params=list(ORACLE_CASES))
+def oracle_case(request):
+    return ORACLE_CASES[request.param]()
+
+
+class TestDenseOracles:
+    def test_centralizer_matches_dense(self, oracle_case):
+        ds, phi = oracle_case
+        for gens in (phi.images, phi.images[:2], phi.images[1::2]):
+            assert centralizer_in_der(ds, gens) == dense_centralizer(ds, gens)
+
+    def test_f_s_matches_dense(self, oracle_case):
+        ds, phi = oracle_case
+        assert f_s_subspace(ds, phi) == dense_f_s(ds, phi)
+
+    def test_der_der_matches_dense(self, oracle_case):
+        ds, _ = oracle_case
+        der_der = ds.algebra.derived_subalgebra()
+        dense = dense_der_der(ds)
+        flats = Subspace.from_vectors(
+            ds.base.dim ** 2, [m.flatten() for m in ds.subspace_mats(der_der)]
+        )
+        assert flats == dense
+        assert ds.inner.contains(der_der) == ds.inner_flat.contains(dense)

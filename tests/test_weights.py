@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from lieq.constructions import (
     abelian,
     full_graph,
+    full_graph_iter,
     graded_power,
     grading_derivation,
     heisenberg,
@@ -12,10 +15,14 @@ from lieq.derivations import (
     DerHomomorphism,
     derivations,
     diagonal_derivation_torus,
+    f_s_subspace,
+    inner_preimage,
 )
 from lieq.linalg import Matrix, Q, Subspace, ZERO
 from lieq.weights import (
     DegeneratePairError,
+    _lemma4_homomorphism_check,
+    _lemma4_image,
     TorusError,
     is_nondegenerate_pair,
     lemma3_check,
@@ -196,11 +203,84 @@ class TestTheorem2:
         assert law.passed
 
 
+def dense_lemma4_image(dsg, s, d):
+    """The dense formulation of the lemma-4 image, kept as an oracle: s and D
+    are matrices, and their brackets with the Der(g) basis are
+    Matrix.commutator calls."""
+    g = dsg.base
+    cols = []
+    for s1 in dsg.basis_mats:
+        top = dsg.coords_of(s.commutator(s1))
+        bottom = inner_preimage(dsg, d.commutator(s1))
+        cols.append(tuple(top) + tuple(bottom))
+    sd = s + d
+    for i in range(g.dim):
+        cols.append((ZERO,) * dsg.dim + sd.apply(g.basis_element(i)))
+    return Matrix.from_columns(cols)
+
+
+class TestLemma4Oracle:
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        # theorem 2's setting on g = f(h3), with h-tilde elements (s, D)
+        # whose parts are both nonzero, unlike the pipeline's basis
+        dsg = derivations(full_graph(heisenberg(1)).whole)
+        fsub = f_s_subspace(dsg, DerHomomorphism.identity_on_der(dsg))
+        rng = random.Random(11)
+
+        def combo(vecs):
+            out = [ZERO] * dsg.dim
+            for v in vecs:
+                c = Q(rng.randint(-2, 2))
+                out = [a + c * x for a, x in zip(out, v)]
+            return tuple(out)
+
+        units = [dsg.algebra.basis_element(j) for j in range(dsg.dim)]
+        pairs = [(combo(units), combo(fsub.vectors())) for _ in range(4)]
+        return dsg, pairs
+
+    def test_image_matches_dense(self, mixed):
+        dsg, pairs = mixed
+        for s, d in pairs:
+            dense = dense_lemma4_image(dsg, dsg.from_coords(s), dsg.from_coords(d))
+            assert _lemma4_image(dsg, s, d) == dense
+
+    def test_law_matches_dense(self, mixed):
+        dsg, pairs = mixed
+        images = [_lemma4_image(dsg, s, d) for s, d in pairs]
+        assert _lemma4_homomorphism_check(dsg, pairs, images) == (True, "")
+        mats = [(dsg.from_coords(s), dsg.from_coords(d)) for s, d in pairs]
+        for a, (s1, d1) in enumerate(mats):
+            for b in range(a + 1, len(mats)):
+                s2, d2 = mats[b]
+                db = s1.commutator(d2) - s2.commutator(d1) + d1.commutator(d2)
+                expect = dense_lemma4_image(dsg, s1.commutator(s2), db)
+                assert images[a].commutator(images[b]) == expect
+
+
 class TestTheorem3AndProps:
     def test_theorem3_level1(self):
         rep = theorem3_check(1, 1)
         assert rep.ok
         assert rep.dims == {"f^1(g)": 9, "Der(f^1(g))": 10}
+
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_der_der_matches_dense(self, n):
+        # oracle: [Der, Der] as the span of the dense commutators in Q^(n^2)
+        ds = derivations(full_graph_iter(heisenberg(1), n)[-1].whole)
+        mats = ds.basis_mats
+        dense = Subspace.from_vectors(
+            ds.base.dim ** 2,
+            [
+                mats[a].commutator(mats[b]).flatten()
+                for a in range(len(mats))
+                for b in range(a + 1, len(mats))
+            ],
+        )
+        rep = theorem3_check(1, n)
+        check = next(c for c in rep.checks if c.name == f"f^{n}_der_der_inside_ad")
+        assert check.passed == ds.inner_flat.contains(dense)
+        assert check.detail == f"[Der,Der] dim {dense.dim}, ad dim {ds.inner_flat.dim}"
 
     def test_prop2_dims(self):
         for N, expected in ((1, 6), (2, 15)):
