@@ -63,18 +63,20 @@ class UsageError(ValueError):
 
 
 def load_source(src: str) -> LieAlgebra:
-    """catalog:<name> or a path to an algebra file."""
+    """catalog:<name> or a path to an algebra file.  An algebra whose
+    dimension exceeds LIE_DIM_CAP is a usage error, raised before it is
+    built."""
     if src.startswith("catalog:"):
         try:
             return catalog(src.split(":", 1)[1])
-        except (KeyError, ValueError) as e:  # unknown name, count out of range
+        except (KeyError, ValueError) as e:  # unknown name, count out of range, cap
             raise UsageError(f"{src}: {e.args[0]}") from None
     try:
         with open(src, "rb") as fh:
             return parse_algebra(fh.read())
     except OSError as e:
         raise UsageError(f"cannot read {src}: {e}") from None
-    except AlgebraFileError as e:
+    except (AlgebraFileError, DimensionCapError) as e:
         raise UsageError(f"{src}: {e}") from None
 
 

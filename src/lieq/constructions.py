@@ -7,28 +7,9 @@ the embedding records both index ranges.
 
 from __future__ import annotations
 
-import os
-
 from .derivations import DerHomomorphism, DerivationSpace, derivations
-from .liealg import LieAlgebra
+from .liealg import DimensionCapError, LieAlgebra, check_dim_cap, dim_cap
 from .linalg import Matrix, Q, ZERO
-
-DEFAULT_DIM_CAP = 64
-
-
-class DimensionCapError(ValueError):
-    """Raised when an iterated construction would exceed the dimension cap,
-    or when LIE_DIM_CAP is not an integer."""
-
-
-def dim_cap() -> int:
-    raw = os.environ.get("LIE_DIM_CAP")
-    if raw is None:
-        return DEFAULT_DIM_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise DimensionCapError(f"LIE_DIM_CAP must be an integer, not {raw!r}") from None
 
 
 class GraphEmbedding:
@@ -196,19 +177,27 @@ CATALOG_HELP = (
 
 def catalog(name: str) -> LieAlgebra:
     """Resolve a catalog name; modifiers compose from the right, e.g.
-    full-graph:heisenberg:1 or graded-power:heisenberg:1:2."""
+    full-graph:heisenberg:1 or graded-power:heisenberg:1:2.  Each algebra
+    along the way is refused with DimensionCapError, before it is built,
+    when its dimension exceeds LIE_DIM_CAP."""
     if name == "nonabelian2":
         return nonabelian2()
     if name.startswith("abelian:"):
-        return abelian(_count(name.split(":", 1)[1]))
+        n = _count(name.split(":", 1)[1])
+        check_dim_cap(n)
+        return abelian(n)
     if name.startswith("heisenberg:"):
-        return heisenberg(_count(name.split(":", 1)[1]))
+        n = _count(name.split(":", 1)[1])
+        check_dim_cap(2 * n + 1)
+        return heisenberg(n)
     if name.startswith("graded-power:"):
         rest = name.split(":", 1)[1]
         inner_name, _, n = rest.rpartition(":")
-        return graded_power(catalog(inner_name), _count(n)).algebra
+        g, n = catalog(inner_name), _count(n)
+        check_dim_cap(n * g.dim)
+        return graded_power(g, n).algebra
     if name.startswith("full-graph:"):
-        return full_graph(catalog(name.split(":", 1)[1])).whole
+        return full_graph_iter(catalog(name.split(":", 1)[1]), 1)[0].whole
     raise KeyError(f"unknown catalog name {name!r} (expected {CATALOG_HELP})")
 
 

@@ -2,9 +2,14 @@
 
 Der(g) is the nullspace of the Leibniz system D[e_i,e_j] = [De_i,e_j] +
 [e_i,De_j], assembled sparsely over row-major matrix coordinates and
-canonicalized by RREF, so the basis is deterministic.  `is_derivation` is an
-independent checker (direct bracket evaluation) that shares no code with the
-solver.
+canonicalized by RREF, so the basis is deterministic.  The rows are
+assembled over Z from `LieAlgebra.integer_sc`; the system is linear in the
+structure constants, so clearing their denominators leaves its nullspace
+unchanged.  Jacobi puts ad(g) inside Der(g), so the system has rank at most
+n^2 - dim ad(g), and elimination stops at the first row that reaches that
+bound: the rest of the rows are combinations of those fed.
+`is_derivation` is an independent checker (direct bracket evaluation) that
+shares no code with the solver.
 
 Brackets of derivations are computed once, as the structure constants of
 `DerivationSpace.algebra`, each audited against its full matrix commutator.
@@ -16,7 +21,7 @@ algebra rather than forming dense n x n commutators.
 from __future__ import annotations
 
 from math import lcm
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .liealg import LieAlgebra
 from .linalg import (
@@ -117,38 +122,57 @@ def _combination(n: int, coeffs: Sequence, mats: Sequence[Matrix]) -> Matrix:
     return Matrix(out)
 
 
-def _bump(row: dict, idx: int, val) -> None:
-    row[idx] = row.get(idx, ZERO) + val
+def _bump(row: dict, idx: int, val: int) -> None:
+    row[idx] = row.get(idx, 0) + val
+
+
+def _leibniz_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
+    """The Leibniz system over Z, for the pairs i < j in order: coordinate
+    k = 0 .. n-1 of D[e_i,e_j] - [De_i,e_j] - [e_i,De_j], as {index: int}
+    rows over the row-major entries of D, scaled by the lcm of the
+    denominators of the structure constants."""
+    n = g.dim
+    isc = g.integer_sc()
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows: list[dict[int, int]] = [{} for _ in range(n)]
+            # D[e_i,e_j] = sum_l c_ij^l De_l, and De_l = sum_k D[k][l] e_k
+            for l, c in isc[i].get(j, {}).items():
+                for k in range(n):
+                    _bump(rows[k], k * n + l, c)
+            # -[De_i, e_j] = sum_l D[l][i] [e_j, e_l]
+            for l, v in isc[j].items():
+                for k, c in v.items():
+                    _bump(rows[k], l * n + i, c)
+            # -[e_i, De_j] = -sum_l D[l][j] [e_i, e_l]
+            for l, v in isc[i].items():
+                for k, c in v.items():
+                    _bump(rows[k], l * n + j, -c)
+            yield from rows
 
 
 def derivations(g: LieAlgebra) -> DerivationSpace:
     """Compute Der(g) from the Leibniz system.
 
     Variable order is row-major over matrix entries: D[r][c] has index
-    r*n + c.  The nullspace basis is canonicalized by RREF, which fixes the
-    basis across runs and platforms.
+    r*n + c.  The rows are fed in order until the rank of the system reaches
+    n^2 - dim ad(g).  Then ad(g) <= Der(g) <= Null(rows fed so far), and the
+    outer two have the same dimension, so all three are equal.  The bound
+    is met exactly when every derivation is inner, as on a complete algebra;
+    otherwise every row is fed.  The nullspace basis is canonicalized by
+    RREF, which fixes the basis across runs and platforms.  Raises
+    RuntimeError when ad(g) is not inside the computed space, which the
+    Jacobi identity rules out.
     """
     n = g.dim
-    sc = g.sc
+    ad_flats = [g.ad_matrix(g.basis_element(i)).flatten() for i in range(n)]
+    inner_flat = Subspace.from_vectors(n * n, ad_flats)
+    bound = n * n - inner_flat.dim
     sys = SparseSystem(n * n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            # rows[k]: coordinate k of D[e_i,e_j] - [De_i,e_j] - [e_i,De_j]
-            rows: list[dict[int, object]] = [{} for _ in range(n)]
-            # D[e_i,e_j] = sum_l c_ij^l De_l, and De_l = sum_k D[k][l] e_k
-            for l, c in sc[i].get(j, {}).items():
-                for k in range(n):
-                    _bump(rows[k], k * n + l, c)
-            # -[De_i, e_j] = sum_l D[l][i] [e_j, e_l]
-            for l, v in sc[j].items():
-                for k, c in v.items():
-                    _bump(rows[k], l * n + i, c)
-            # -[e_i, De_j] = -sum_l D[l][j] [e_i, e_l]
-            for l, v in sc[i].items():
-                for k, c in v.items():
-                    _bump(rows[k], l * n + j, -c)
-            for row in rows:
-                sys.add_row(row)
+    for row in _leibniz_rows(g):
+        if sys.rank == bound:
+            break
+        sys.add_row(row)
     space = Subspace.from_vectors(n * n, sys.nullspace_basis())
     basis_mats = tuple(Matrix.unflatten(v, n, n) for v in space.vectors())
     d = len(basis_mats)
@@ -156,8 +180,6 @@ def derivations(g: LieAlgebra) -> DerivationSpace:
     labels = tuple(f"D{a}" for a in range(d))
     algebra = LieAlgebra(d, commutator_table(space, n), labels, check=True)
 
-    ad_flats = [g.ad_matrix(g.basis_element(i)).flatten() for i in range(n)]
-    inner_flat = Subspace.from_vectors(n * n, ad_flats)
     inner_coords = []
     for v in ad_flats:
         coords = space.coords_of(v)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .liealg import InvalidStructureError, LieAlgebra
+from .liealg import InvalidStructureError, LieAlgebra, check_dim_cap
 from .linalg import q_parse, q_str
 
 
@@ -46,6 +46,7 @@ def parse_algebra(text: str | bytes) -> LieAlgebra:
     # `type(x) is int`, not isinstance: JSON true/false load as bool, an int subclass
     if type(dim) is not int or dim < 0:
         raise AlgebraFileError("dim must be a non-negative integer")
+    check_dim_cap(dim)
     if labels is not None and (
         not isinstance(labels, list)
         or len(labels) != dim

@@ -10,11 +10,13 @@ construction.  Every operation reads `sc`, so its cost follows the nonzero
 constants and not dim^2 table entries.
 
 The Jacobi identity is validated eagerly, so an invalid table is
-unrepresentable downstream.
+unrepresentable downstream.  `check_dim_cap` refuses a dimension above
+LIE_DIM_CAP; the loaders call it before they build an algebra.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Mapping, Sequence
 
 from .linalg import (
@@ -28,6 +30,30 @@ from .linalg import (
 )
 
 Element = tuple  # coordinate vector relative to the owning algebra's basis
+
+DEFAULT_DIM_CAP = 64
+
+
+class DimensionCapError(ValueError):
+    """Raised when an algebra would exceed the dimension cap, or when
+    LIE_DIM_CAP is not an integer."""
+
+
+def dim_cap() -> int:
+    raw = os.environ.get("LIE_DIM_CAP")
+    if raw is None:
+        return DEFAULT_DIM_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise DimensionCapError(f"LIE_DIM_CAP must be an integer, not {raw!r}") from None
+
+
+def check_dim_cap(dim: int) -> None:
+    """Refuse an algebra of dimension dim before it is built."""
+    cap = dim_cap()
+    if dim > cap:
+        raise DimensionCapError(f"dimension {dim} exceeds LIE_DIM_CAP {cap}")
 
 
 class InvalidStructureError(ValueError):
@@ -63,7 +89,7 @@ class LieAlgebra:
     them as the index `sc` described in the module docstring.
     """
 
-    __slots__ = ("dim", "labels", "sc", "_zero")
+    __slots__ = ("dim", "labels", "sc", "_zero", "_isc")
 
     def __init__(
         self,
@@ -95,6 +121,7 @@ class LieAlgebra:
         self.labels = labels
         self.sc = sc
         self._zero = (ZERO,) * dim
+        self._isc = None
         if check:
             report = self.validate()
             if not report.ok:
@@ -158,24 +185,34 @@ class LieAlgebra:
                         out[k][j] += a * c
         return Matrix(out)
 
+    def integer_sc(self) -> list[dict[int, dict[int, int]]]:
+        """`sc` scaled by the lcm d of its denominators, in int; built once
+        and shared, so callers must not modify it.
+
+        A system of equations linear in the constants has the same solutions
+        over this copy as over `sc` (every equation is scaled by d), and a
+        quadratic one is scaled by d^2, so it is zero exactly when it is."""
+        if self._isc is None:
+            flat = {
+                (i, j, k): c
+                for i, row in enumerate(self.sc)
+                for j, v in row.items()
+                for k, c in v.items()
+            }
+            ints, _ = clear_denominators(flat)
+            isc: list[dict[int, dict[int, int]]] = [{} for _ in range(self.dim)]
+            for (i, j, k), c in ints.items():
+                isc[i].setdefault(j, {})[k] = c
+            self._isc = isc
+        return self._isc
+
     def validate(self) -> ValidationReport:
         """Jacobi identity on every basis triple i < j < k; failures are
         listed in lexicographic order.
 
-        The cyclic sum [c_ij, e_k] + [c_jk, e_i] + [c_ki, e_j] is read off a
-        transient copy of `sc` scaled by the lcm d of its denominators, and
-        summed in int.  The sum is quadratic in the constants, so the integer
-        sum is d^2 times the rational one: zero exactly when it is."""
-        flat = {
-            (i, j, k): c
-            for i, row in enumerate(self.sc)
-            for j, v in row.items()
-            for k, c in v.items()
-        }
-        ints, _ = clear_denominators(flat)
-        isc: list[dict[int, dict[int, int]]] = [{} for _ in range(self.dim)]
-        for (i, j, k), c in ints.items():
-            isc[i].setdefault(j, {})[k] = c
+        The cyclic sum [c_ij, e_k] + [c_jk, e_i] + [c_ki, e_j] is summed in
+        int over `integer_sc`."""
+        isc = self.integer_sc()
         failures = []
         n = self.dim
         for i in range(n):
@@ -197,11 +234,12 @@ class LieAlgebra:
 
     def center(self) -> Subspace:
         """{x : [x, y] = 0 for all y}: coordinate k of [x, e_j] is
-        sum_i x_i c_ij^k, one equation per (j, k)."""
+        sum_i x_i c_ij^k, one equation per (j, k), read off `integer_sc`."""
         n = self.dim
-        rows: dict[tuple[int, int], dict[int, Q]] = {}
+        isc = self.integer_sc()
+        rows: dict[tuple[int, int], dict[int, int]] = {}
         for i in range(n):
-            for j, v in self.sc[i].items():
+            for j, v in isc[i].items():
                 for k, c in v.items():
                     rows.setdefault((j, k), {})[i] = c
         system = SparseSystem(n)
@@ -215,23 +253,19 @@ class LieAlgebra:
         return Subspace.from_vectors(self.dim, vecs)
 
     def derived_subalgebra(self) -> Subspace:
-        full = Subspace.full(self.dim)
-        return self.product_space(full, full)
+        """[g, g]: the span of the brackets [e_i, e_j], i < j, in `sc`."""
+        return Subspace.from_vectors(
+            self.dim,
+            [self.bracket_basis(i, j) for i, row in enumerate(self.sc) for j in row if i < j],
+        )
 
     def series(self) -> "SeriesReport":
+        """Derived and lower central series; both have [g, g] as their
+        second term, computed once."""
         full = Subspace.full(self.dim)
-        derived = [full]
-        while derived[-1].dim > 0:
-            nxt = self.product_space(derived[-1], derived[-1])
-            if nxt == derived[-1]:
-                break
-            derived.append(nxt)
-        lower = [full]
-        while lower[-1].dim > 0:
-            nxt = self.product_space(full, lower[-1])
-            if nxt == lower[-1]:
-                break
-            lower.append(nxt)
+        second = self.derived_subalgebra()
+        derived = _descend(full, second, lambda s: self.product_space(s, s))
+        lower = _descend(full, second, lambda s: self.product_space(full, s))
         return SeriesReport(
             tuple(derived),
             tuple(lower),
@@ -263,6 +297,16 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, labels={list(self.labels)})"
+
+
+def _descend(full: Subspace, second: Subspace, step) -> list[Subspace]:
+    """The chain full, second, step(second), ...: it ends at its first zero
+    term, or before the first term equal to the one before it."""
+    terms, nxt = [full], second
+    while terms[-1].dim > 0 and nxt != terms[-1]:
+        terms.append(nxt)
+        nxt = step(nxt)
+    return terms
 
 
 class SeriesReport:

@@ -157,14 +157,16 @@ class Matrix:
         )
 
     def commutator(self, other: "Matrix") -> "Matrix":
+        """self @ other - other @ self, subtracting only the nonzero entries
+        of the second product."""
         if not (self.is_square() and (self.rows, self.cols) == (other.rows, other.cols)):
             raise ValueError("shape mismatch")
-        return Matrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self._product_rows(other), other._product_rows(self))
-            ]
-        )
+        rows = self._product_rows(other)
+        for row, sub in zip(rows, other._product_rows(self)):
+            for k, b in enumerate(sub):
+                if b:
+                    row[k] -= b
+        return Matrix(rows)
 
     def flatten(self) -> tuple:
         """Row-major entry vector."""
@@ -263,9 +265,9 @@ class SparseSystem:
     fraction-free over Z: the one row reduction of this module apart from
     the rank_bareiss oracle.
 
-    Rows are fed one at a time as {col: value} dicts with rational values.
-    Each row is cleared of denominators once and reduced against the pivot
-    rows seen so far (forward echelon), in the style of Bareiss:
+    Rows are fed one at a time as {col: value} dicts with rational or int
+    values.  Each row is cleared of denominators once and reduced against
+    the pivot rows seen so far (forward echelon), in the style of Bareiss:
     r <- (a/g) r - (b/g) p with a, b the leads of the pivot row p and of r and
     g = gcd(a, b); r is divided by its content before each step.  Pivot rows
     are stored as primitive {col: int} dicts with a positive lead.
@@ -280,14 +282,7 @@ class SparseSystem:
         self.pivot_rows: dict[int, dict[int, int]] = {}
 
     def add_row(self, row: dict) -> None:
-        den = 1
-        for v in row.values():
-            den = lcm(den, int(v.denominator))
-        row = {
-            c: int(v.numerator) * (den // int(v.denominator))
-            for c, v in row.items()
-            if v
-        }
+        row, _ = clear_denominators(row)
         pivot_rows = self.pivot_rows
         while row:
             g = gcd(*row.values())

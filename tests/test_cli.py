@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from lieq.cli import run_command
 from lieq.constructions import catalog, full_graph, heisenberg
 from lieq.fileio import AlgebraFileError, parse_algebra, serialize_algebra
+from lieq.linalg import SparseSystem
 
 
 def run_cli(*args):
@@ -176,6 +178,40 @@ class TestCommands:
         monkeypatch.setenv("LIE_DIM_CAP", "abc")
         assert run_command(["tower", "catalog:nonabelian2"]) == 1
         assert "LIE_DIM_CAP must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "catalog:abelian:100000",
+            "catalog:heisenberg:100000",
+            "catalog:graded-power:nonabelian2:100000",
+            "catalog:full-graph:abelian:100000",
+            "big.json",
+        ],
+    )
+    def test_analyze_refuses_dimension_over_cap(self, src, tmp_path, monkeypatch, capsys):
+        # refused before the algebra is built: no elimination is started
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "big.json").write_text('{"dim": 100000, "brackets": []}')
+        created = []
+        init = SparseSystem.__init__
+
+        def counting_init(self, ncols):
+            created.append(ncols)
+            init(self, ncols)
+
+        monkeypatch.setattr(SparseSystem, "__init__", counting_init)
+        start = time.perf_counter()
+        assert run_command(["analyze", src]) == 1
+        assert time.perf_counter() - start < 0.5
+        assert created == []
+        assert "exceeds LIE_DIM_CAP 64" in capsys.readouterr().err
+
+    def test_analyze_honours_dim_cap(self, monkeypatch, capsys):
+        monkeypatch.setenv("LIE_DIM_CAP", "4")
+        assert run_command(["analyze", "catalog:heisenberg:2"]) == 1
+        assert "dimension 5 exceeds LIE_DIM_CAP 4" in capsys.readouterr().err
+        assert run_command(["analyze", "catalog:heisenberg:1"]) == 0
 
     def test_reports_byte_identical(self):
         a = run_cli("verify", "prop2", "--N", "1")

@@ -1,3 +1,4 @@
+import importlib
 import random
 from pathlib import Path
 
@@ -33,12 +34,16 @@ from lieq.liealg import LieAlgebra
 from lieq.linalg import (
     Matrix,
     Q,
+    SparseSystem,
     Subspace,
     ZERO,
     clear_denominators,
     nullspace,
     rank_bareiss,
 )
+
+# the module itself: the package re-exports the function under its name
+DERIVATIONS_MODULE = importlib.import_module("lieq.derivations")
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -65,25 +70,37 @@ def load_structure_source(name):
     return catalog(name)
 
 
-def brute_force_der_dim(g):
-    """Oracle: dim Der(g) = n^2 - rank of the dense Leibniz constraint
-    matrix, with rank taken by fraction-free Bareiss elimination.  Assembled
-    from scratch via g.bracket on unit vectors; shares nothing with the
-    sparse solver in lieq.derivations."""
+def dense_leibniz_matrix(g):
+    """The whole dense Leibniz constraint matrix, one Fraction row per
+    ordered basis pair (i, j) and coordinate k.  Assembled from scratch via
+    g.bracket on unit vectors; shares nothing with the row assembly in
+    lieq.derivations."""
     n = g.dim
     units = [g.basis_element(i) for i in range(n)]
+    br = [[g.bracket(units[a], units[b]) for b in range(n)] for a in range(n)]
     rows = []
     for i in range(n):
         for j in range(n):
-            bij = g.bracket(units[i], units[j])
             for k in range(n):
                 row = [ZERO] * (n * n)
                 for l in range(n):
-                    row[k * n + l] += bij[l]
-                    row[l * n + i] -= g.bracket(units[l], units[j])[k]
-                    row[l * n + j] -= g.bracket(units[i], units[l])[k]
+                    row[k * n + l] += br[i][j][l]
+                    row[l * n + i] -= br[l][j][k]
+                    row[l * n + j] -= br[i][l][k]
                 rows.append(row)
-    return n * n - rank_bareiss(Matrix(rows))
+    return Matrix(rows)
+
+
+def brute_force_der_dim(g):
+    """Oracle: dim Der(g) = n^2 - rank of the dense Leibniz constraint
+    matrix, with rank taken by fraction-free Bareiss elimination; shares
+    nothing with the sparse solver in lieq.derivations."""
+    return g.dim ** 2 - rank_bareiss(dense_leibniz_matrix(g))
+
+
+def sl2_plus_center():
+    """sl2 + Q: a centre, and dim Der = 4 = dim g, one more than dim ad."""
+    return LieAlgebra(4, {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}})
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +175,49 @@ class TestDerivations:
         again = derivations(heisenberg(1))
         assert again.space == ds_h3.space
         assert again.basis_mats == ds_h3.basis_mats
+
+
+class TestRankBound:
+    """derivations() stops feeding Leibniz rows when the rank reaches
+    n^2 - dim ad(g)."""
+
+    @staticmethod
+    def rows_fed(g, monkeypatch):
+        fed = []
+
+        class CountingSystem(SparseSystem):
+            def add_row(self, row):
+                fed.append(row)
+                super().add_row(row)
+
+        monkeypatch.setattr(DERIVATIONS_MODULE, "SparseSystem", CountingSystem)
+        ds = derivations(g)
+        return len(fed), ds
+
+    @pytest.mark.parametrize("name", STRUCTURE_SOURCES)
+    def test_space_is_nullspace_of_every_row(self, name):
+        g = load_structure_source(name)
+        ds = derivations(g)
+        assert ds.space == nullspace(dense_leibniz_matrix(g))
+        for m in ds.basis_mats:
+            assert is_derivation(g, m)
+
+    def test_bound_fires_on_complete_algebra(self, monkeypatch):
+        g = load_structure_source("f2_nonabelian2_dense.json")
+        n = g.dim
+        fed, ds = self.rows_fed(g, monkeypatch)
+        assert ds.dim == ds.inner.dim == n
+        assert fed < n * n * (n - 1) // 2
+
+    @pytest.mark.parametrize("make", [lambda: heisenberg(1), sl2_plus_center])
+    def test_every_row_fed_with_center(self, make, monkeypatch):
+        # with a centre, dim ad(g) < n; on sl2 + Q the full rank n^2 - n
+        # is one short of the bound, so a bound of n^2 - n would stop early
+        g = make()
+        n = g.dim
+        fed, ds = self.rows_fed(g, monkeypatch)
+        assert g.center().dim > 0 and ds.dim >= n
+        assert fed == n * n * (n - 1) // 2
 
 
 class TestCommutatorTable:

@@ -6,6 +6,8 @@ from lieq.constructions import abelian, heisenberg, nonabelian2
 from lieq.liealg import InvalidStructureError, LieAlgebra, NotClosedError
 from lieq.linalg import Matrix, Q, Subspace, rank, solve
 
+from test_derivations import STRUCTURE_SOURCES, load_structure_source, sl2_plus_center
+
 
 @pytest.fixture
 def h3():
@@ -224,6 +226,42 @@ class TestSeries:
         rep = nonabelian2().series()
         assert rep.is_solvable and not rep.is_nilpotent
         assert rep.lower_central_series[-1].dim == 1
+
+
+def product_space_series(g):
+    """Derived and lower central series by product_space alone, from
+    [g, g] = product_space(full, full): the oracle for `series`."""
+    full = Subspace.full(g.dim)
+    derived = [full]
+    while derived[-1].dim > 0:
+        nxt = g.product_space(derived[-1], derived[-1])
+        if nxt == derived[-1]:
+            break
+        derived.append(nxt)
+    lower = [full]
+    while lower[-1].dim > 0:
+        nxt = g.product_space(full, lower[-1])
+        if nxt == lower[-1]:
+            break
+        lower.append(nxt)
+    return tuple(derived), tuple(lower)
+
+
+SL2 = LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}})
+
+
+@pytest.mark.parametrize(
+    "g",
+    [pytest.param(name, id=name) for name in STRUCTURE_SOURCES]
+    + [pytest.param(SL2, id="sl2"), pytest.param(sl2_plus_center(), id="sl2+Q")],
+)
+def test_series_matches_product_space(g):
+    if isinstance(g, str):
+        g = load_structure_source(g)
+    full = Subspace.full(g.dim)
+    assert g.derived_subalgebra() == g.product_space(full, full)
+    rep = g.series()
+    assert (rep.derived_series, rep.lower_central_series) == product_space_series(g)
 
 
 class TestSubalgebraStructure:

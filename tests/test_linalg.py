@@ -228,6 +228,22 @@ def _bareiss_pivots(m):
     return tuple(c for c in range(m.cols) if ranks[c + 1] > ranks[c])
 
 
+@st.composite
+def matrix_pairs(draw):
+    """Two random n x n rational matrices, n <= 4, with many zero entries."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(Q(0)), st.builds(Q, st.integers(-5, 5), st.integers(1, 4)))
+    square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    return Matrix(draw(square)), Matrix(draw(square))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(matrix_pairs())
+def test_commutator_is_difference_of_products(pair):
+    a, b = pair
+    assert a.commutator(b) == a @ b - b @ a
+
+
 class TestClearDenominators:
     def test_lcm_and_integer_values(self):
         ints, den = clear_denominators({3: Q(1, 2), 0: Q(0), 1: Q(-5, 6), 7: Q(2)})
