@@ -6,8 +6,13 @@ canonicalized by RREF, so the basis is deterministic.  The rows are
 assembled over Z from `LieAlgebra.integer_sc`; the system is linear in the
 structure constants, so clearing their denominators leaves its nullspace
 unchanged.  Jacobi puts ad(g) inside Der(g), so the system has rank at most
-n^2 - dim ad(g), and elimination stops at the first row that reaches that
-bound: the rest of the rows are combinations of those fed.
+n^2 - dim ad(g).  A rank mod a prime is at most the rank over Q, so when
+`rank_mod_p` of the rows reaches that bound it certifies Der(g) = ad(g) and
+no exact elimination runs.  Otherwise exact elimination stops at the first
+row that reaches the bound (the rest of the rows are combinations of those
+fed), and its rank is audited against the modular one.  The modular rank is
+a certificate and an audit, not a second nullspace kernel: it never
+produces a basis.
 `is_derivation` is an independent checker (direct bracket evaluation) that
 shares no code with the solver.
 
@@ -32,6 +37,7 @@ from .linalg import (
     ZERO,
     clear_denominators,
     nullspace,
+    rank_mod_p,
     refine_eigenspaces,
     solve,
     split_semisimple_check,
@@ -155,38 +161,50 @@ def derivations(g: LieAlgebra) -> DerivationSpace:
     """Compute Der(g) from the Leibniz system.
 
     Variable order is row-major over matrix entries: D[r][c] has index
-    r*n + c.  The rows are fed in order until the rank of the system reaches
-    n^2 - dim ad(g).  Then ad(g) <= Der(g) <= Null(rows fed so far), and the
-    outer two have the same dimension, so all three are equal.  The bound
-    is met exactly when every derivation is inner, as on a complete algebra;
-    otherwise every row is fed.  The nullspace basis is canonicalized by
-    RREF, which fixes the basis across runs and platforms.  Raises
-    RuntimeError when ad(g) is not inside the computed space, which the
-    Jacobi identity rules out.
+    r*n + c.  The rank of the system is at most n^2 - dim ad(g), since
+    ad(g) <= Der(g).  When the rank mod P of the rows reaches that bound,
+    so does the rank over Q, and Der(g) = ad(g): the answer is the RREF
+    basis of ad(g), with no exact elimination.  This holds exactly when
+    every derivation is inner, as on a complete algebra, unless P divides a
+    minor the rank needs; then the exact path below runs instead.
+
+    The exact path feeds the rows in order until the rank reaches the
+    bound; then ad(g) <= Der(g) <= Null(rows fed so far), and the outer two
+    have the same dimension, so all three are equal.  Otherwise every row
+    is fed.  The nullspace basis is canonicalized by RREF, which fixes the
+    basis across runs and platforms.  Raises RuntimeError when the exact
+    rank is below the modular rank, or ad(g) is not inside the computed
+    space; the first contradicts rank mod P <= rank over Q, the second the
+    Jacobi identity.
     """
     n = g.dim
     ad_flats = [g.ad_matrix(g.basis_element(i)).flatten() for i in range(n)]
     inner_flat = Subspace.from_vectors(n * n, ad_flats)
     bound = n * n - inner_flat.dim
-    sys = SparseSystem(n * n)
-    for row in _leibniz_rows(g):
-        if sys.rank == bound:
-            break
-        sys.add_row(row)
-    space = Subspace.from_vectors(n * n, sys.nullspace_basis())
+    rank_p = rank_mod_p(_leibniz_rows(g), bound)
+    if rank_p == bound:
+        space, inner = inner_flat, Subspace.full(inner_flat.dim)
+    else:
+        sys = SparseSystem(n * n)
+        for row in _leibniz_rows(g):
+            if sys.rank == bound:
+                break
+            sys.add_row(row)
+        if sys.rank < rank_p:
+            raise RuntimeError("Leibniz rank over Q below its rank mod P")
+        space = Subspace.from_vectors(n * n, sys.nullspace_basis())
+        inner_coords = []
+        for v in ad_flats:
+            coords = space.coords_of(v)
+            if coords is None:
+                raise RuntimeError("inner derivation outside computed Der(g)")
+            inner_coords.append(coords)
+        inner = Subspace.from_vectors(space.dim, inner_coords)
     basis_mats = tuple(Matrix.unflatten(v, n, n) for v in space.vectors())
     d = len(basis_mats)
 
     labels = tuple(f"D{a}" for a in range(d))
     algebra = LieAlgebra(d, commutator_table(space, n), labels, check=True)
-
-    inner_coords = []
-    for v in ad_flats:
-        coords = space.coords_of(v)
-        if coords is None:
-            raise RuntimeError("inner derivation outside computed Der(g)")
-        inner_coords.append(coords)
-    inner = Subspace.from_vectors(d, inner_coords)
     return DerivationSpace(g, space, basis_mats, algebra, inner, inner_flat)
 
 

@@ -248,8 +248,13 @@ class LieAlgebra:
         return Subspace.from_vectors(n, system.nullspace_basis())
 
     def product_space(self, a: Subspace, b: Subspace) -> Subspace:
-        """Span of [a, b]."""
-        vecs = [self.bracket(u, v) for u in a.vectors() for v in b.vectors()]
+        """Span of [a, b].  For [a, a], each unordered pair of basis vectors
+        is bracketed once: [u, u] = 0 and [v, u] = -[u, v]."""
+        us = a.vectors()
+        if a == b:
+            vecs = [self.bracket(u, v) for i, u in enumerate(us) for v in us[i + 1 :]]
+        else:
+            vecs = [self.bracket(u, v) for u in us for v in b.vectors()]
         return Subspace.from_vectors(self.dim, vecs)
 
     def derived_subalgebra(self) -> Subspace:

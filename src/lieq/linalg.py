@@ -15,9 +15,12 @@ denominators, eliminates fraction-free over Z and back-reduces to the
 reduced row echelon form, dividing by each lead only at the end; `rref`,
 `nullspace`, `solve`, `rank` and the canonical subspaces all run on it, and
 the Der(g) and center solvers feed it directly.  `rank_bareiss` is a second,
-independent elimination, kept only to audit rank.  `clear_denominators`
-gives the integer form over one common denominator in which the Der(g)
-structure constants and the Jacobi check are computed.
+independent elimination, kept only to audit rank.  `rank_mod_p` is a third,
+over the integers mod a fixed prime: a rank certificate, not a nullspace
+kernel.  It never yields a basis, only a lower bound on the rank over Q,
+which is how Der(g) = ad(g) is proved without the exact elimination.
+`clear_denominators` gives the integer form over one common denominator in
+which the Der(g) structure constants and the Jacobi check are computed.
 """
 
 from __future__ import annotations
@@ -239,6 +242,40 @@ def rank_bareiss(m: Matrix) -> int:
         prev = a[r][c]
         r += 1
     return r
+
+
+P = 32749  # the largest prime below 2^15: (P - 1)^2 < 2^30, one CPython digit
+
+
+def rank_mod_p(rows: Iterable[dict[int, int]], stop: int) -> int:
+    """Rank mod P of the integer rows {col: int}, read in order until the
+    rank reaches stop; shares no code with SparseSystem.
+
+    A minor of an integer matrix that is nonzero mod P is nonzero, so the
+    result is at most the rank over Q of the rows read, and so of all the
+    rows.  Pivot rows are kept monic, as {col: residue} dicts keyed by
+    their lead.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        if len(pivots) >= stop:
+            break
+        r = {c: x for c, v in row.items() if (x := v % P)}
+        while r:
+            lead = min(r)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = pow(r[lead], -1, P)
+                pivots[lead] = {c: v * inv % P for c, v in r.items()}
+                break
+            f = r[lead]
+            for c, v in piv.items():
+                x = (r.get(c, 0) - f * v) % P
+                if x:
+                    r[c] = x
+                else:
+                    del r[c]
+    return len(pivots)
 
 
 def _eliminate(row: dict, piv: dict, col: int) -> dict:

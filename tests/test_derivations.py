@@ -33,6 +33,7 @@ from lieq.fileio import parse_algebra
 from lieq.liealg import LieAlgebra
 from lieq.linalg import (
     Matrix,
+    P,
     Q,
     SparseSystem,
     Subspace,
@@ -178,8 +179,9 @@ class TestDerivations:
 
 
 class TestRankBound:
-    """derivations() stops feeding Leibniz rows when the rank reaches
-    n^2 - dim ad(g)."""
+    """derivations() feeds no Leibniz row to the exact elimination when the
+    rank mod P reaches n^2 - dim ad(g), and otherwise stops feeding rows
+    when the exact rank reaches it."""
 
     @staticmethod
     def rows_fed(g, monkeypatch):
@@ -203,11 +205,38 @@ class TestRankBound:
             assert is_derivation(g, m)
 
     def test_bound_fires_on_complete_algebra(self, monkeypatch):
-        g = load_structure_source("f2_nonabelian2_dense.json")
-        n = g.dim
+        for name in ("f2_nonabelian2_dense.json", "full-graph:full-graph:nonabelian2"):
+            g = load_structure_source(name)
+            n = g.dim
+            fed, ds = self.rows_fed(g, monkeypatch)
+            assert fed == 0
+            assert ds.dim == ds.inner.dim == n
+            # the per-ad coordinates the modular certificate skips
+            ads = [ds.coords_of(g.ad_matrix(g.basis_element(i))) for i in range(n)]
+            assert ds.inner == Subspace.from_vectors(ds.dim, ads)
+
+    def test_unlucky_prime_takes_exact_path(self, monkeypatch):
+        # nonabelian2 scaled by P: complete over Q, every Leibniz row is 0 mod P
+        g = LieAlgebra(2, {(0, 1): {1: P}})
         fed, ds = self.rows_fed(g, monkeypatch)
-        assert ds.dim == ds.inner.dim == n
-        assert fed < n * n * (n - 1) // 2
+        assert fed > 0
+        assert ds.dim == ds.inner.dim == 2
+
+    def test_exact_rank_audited_by_modular_rank(self, monkeypatch):
+        # drops D[2][2] = D[0][0] + D[1][1], the one Leibniz row of h3 that
+        # no other row repeats, so the exact rank falls to 2 of 3
+        class DroppingSystem(SparseSystem):
+            dropped = False
+
+            def add_row(self, row):
+                if len(row) > 1 and not DroppingSystem.dropped:
+                    DroppingSystem.dropped = True
+                    return
+                super().add_row(row)
+
+        monkeypatch.setattr(DERIVATIONS_MODULE, "SparseSystem", DroppingSystem)
+        with pytest.raises(RuntimeError, match="below its rank mod P"):
+            derivations(heisenberg(1))
 
     @pytest.mark.parametrize("make", [lambda: heisenberg(1), sl2_plus_center])
     def test_every_row_fed_with_center(self, make, monkeypatch):

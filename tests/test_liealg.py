@@ -228,6 +228,13 @@ class TestSeries:
         assert rep.lower_central_series[-1].dim == 1
 
 
+def ordered_pairs_product(g, a, b):
+    """Span of [u, v] over every ordered pair of basis vectors, the
+    diagonal included: the oracle for `product_space`."""
+    vecs = [g.bracket(u, v) for u in a.vectors() for v in b.vectors()]
+    return Subspace.from_vectors(g.dim, vecs)
+
+
 def product_space_series(g):
     """Derived and lower central series by product_space alone, from
     [g, g] = product_space(full, full): the oracle for `series`."""
@@ -262,6 +269,9 @@ def test_series_matches_product_space(g):
     assert g.derived_subalgebra() == g.product_space(full, full)
     rep = g.series()
     assert (rep.derived_series, rep.lower_central_series) == product_space_series(g)
+    for s in rep.derived_series + rep.lower_central_series:
+        assert g.product_space(s, s) == ordered_pairs_product(g, s, s)
+        assert g.product_space(full, s) == ordered_pairs_product(g, full, s)
 
 
 class TestSubalgebraStructure:

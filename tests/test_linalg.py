@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lieq.linalg import (
     Matrix,
+    P,
     Polynomial,
     Q,
     SparseSystem,
@@ -16,6 +17,7 @@ from lieq.linalg import (
     nullspace,
     rank,
     rank_bareiss,
+    rank_mod_p,
     rref,
     solve,
     split_semisimple_check,
@@ -319,6 +321,76 @@ class TestSparseSystem:
             assert min(row) == lead and row[lead] > 0
             assert all(type(v) is int and v != 0 for v in row.values())
             assert gcd(*row.values()) == 1
+
+
+@st.composite
+def integer_systems(draw):
+    """Random sparse integer rows {col: int}, with entries that are
+    multiples of P, or close to them, mixed in."""
+    ncols = draw(st.integers(1, 8))
+    entry = st.one_of(
+        st.integers(-7, 7).filter(bool),
+        st.builds(lambda k, e: k * P + e, st.integers(-3, 3).filter(bool), st.integers(-2, 2)),
+    )
+    rows = draw(
+        st.lists(st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols), max_size=8)
+    )
+    return ncols, rows
+
+
+def _dense_rank_mod_p(ncols, rows):
+    """Rank mod P by dense Gaussian elimination over lists."""
+    a = [[row.get(c, 0) % P for c in range(ncols)] for row in rows]
+    r = 0
+    for c in range(ncols):
+        k = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if k is None:
+            continue
+        a[r], a[k] = a[k], a[r]
+        inv = pow(a[r][c], -1, P)
+        for i in range(r + 1, len(a)):
+            f = a[i][c] * inv % P
+            a[i] = [(x - f * y) % P for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
+class TestRankModP:
+    """rank_mod_p against a dense mod-P elimination and Bareiss rank over Q."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(integer_systems())
+    def test_full_rank_matches_dense_and_bounds_rank_over_q(self, case):
+        ncols, rows = case
+        r = rank_mod_p(rows, ncols)
+        assert r == _dense_rank_mod_p(ncols, rows)
+        dense = Matrix([[row.get(c, 0) for c in range(ncols)] for row in rows])
+        assert r <= rank_bareiss(dense)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(integer_systems(), st.integers(0, 8))
+    def test_stop_is_honoured(self, case, stop):
+        ncols, rows = case
+        full = _dense_rank_mod_p(ncols, rows)
+        read = []
+
+        def feed():
+            for row in rows:
+                read.append(row)
+                yield row
+
+        assert rank_mod_p(feed(), stop) == min(stop, full)
+        # the shortest prefix that reaches stop, and at most one row more
+        need = next(
+            (k for k in range(len(rows) + 1) if _dense_rank_mod_p(ncols, rows[:k]) >= stop),
+            len(rows),
+        )
+        assert len(read) <= need + 1
+
+    def test_multiples_of_p_vanish(self):
+        rows = [{0: P, 2: -2 * P}, {1: 3 * P}]
+        assert rank_mod_p(rows, 3) == 0
+        assert rank_bareiss(Matrix([[P, 0, -2 * P], [0, 3 * P, 0]])) == 2
 
 
 class TestPolynomial:
