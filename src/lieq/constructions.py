@@ -2,13 +2,14 @@
 iterates, Heisenberg algebras, graded powers, and a named catalog.
 
 Basis order in every semidirect product is s-part first, then g-part, and
-the embedding records both index ranges.
+the embedding records both index ranges.  Each builder refuses an algebra
+over LIE_DIM_CAP before it builds it.
 """
 
 from __future__ import annotations
 
 from .derivations import DerHomomorphism, DerivationSpace, derivations
-from .liealg import DimensionCapError, LieAlgebra, check_dim_cap, dim_cap
+from .liealg import LieAlgebra, check_dim_cap
 from .linalg import Matrix, Q, ZERO
 
 
@@ -46,6 +47,7 @@ def semidirect(s: LieAlgebra, g: LieAlgebra, phi: DerHomomorphism) -> GraphEmbed
         raise ValueError("homomorphism does not map s into Der(g)")
     p, n = s.dim, g.dim
     dim = p + n
+    check_dim_cap(dim)
     table: dict[tuple[int, int], dict] = {}
     for i, row in enumerate(s.sc):
         for j, v in row.items():
@@ -74,21 +76,14 @@ def full_graph(g: LieAlgebra, ds: DerivationSpace | None = None) -> GraphEmbeddi
     return semidirect(ds.algebra, g, phi)
 
 
-def full_graph_iter(g: LieAlgebra, n: int, cap: int | None = None) -> list[GraphEmbedding]:
+def full_graph_iter(g: LieAlgebra, n: int) -> list[GraphEmbedding]:
     """The chain f(g), f^2(g), ..., f^n(g)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if cap is None:
-        cap = dim_cap()
     chain = []
     current = g
     for _ in range(n):
-        ds = derivations(current)
-        if ds.dim + current.dim > cap:
-            raise DimensionCapError(
-                f"full graph dimension {ds.dim + current.dim} exceeds cap {cap}"
-            )
-        emb = full_graph(current, ds)
+        emb = full_graph(current)
         chain.append(emb)
         current = emb.whole
     return chain
@@ -99,6 +94,7 @@ def heisenberg(N: int) -> LieAlgebra:
     if N < 1:
         raise ValueError("N must be >= 1")
     dim = 2 * N + 1
+    check_dim_cap(dim)
     table = {(i, N + i): {dim - 1: 1} for i in range(N)}
     labels = (
         tuple(f"x{i+1}" for i in range(N))
@@ -130,6 +126,7 @@ def graded_power(g: LieAlgebra, n: int) -> GradedPower:
         raise ValueError("n must be >= 1")
     m = g.dim
     dim = n * m
+    check_dim_cap(dim)
     table: dict[tuple[int, int], dict] = {}
     for si in range(1, n + 1):
         for sj in range(si, n + 1 - si):
@@ -161,6 +158,7 @@ def grading_derivation(gp: GradedPower) -> Matrix:
 def abelian(n: int) -> LieAlgebra:
     if n < 0:
         raise ValueError("dimension must be >= 0")
+    check_dim_cap(n)
     return LieAlgebra(n, {}, tuple(f"e{i+1}" for i in range(n)), check=False)
 
 
@@ -169,35 +167,31 @@ def nonabelian2() -> LieAlgebra:
     return LieAlgebra(2, {(0, 1): {1: 1}}, ("x", "y"), check=True)
 
 
-CATALOG_HELP = (
-    "abelian:<n> | nonabelian2 | heisenberg:<N> | "
-    "graded-power:<name>:<n> | full-graph:<name>"
+CATALOG_NAMES = (
+    "abelian:<n>",
+    "nonabelian2",
+    "heisenberg:<N>",
+    "graded-power:<name>:<n>",
+    "full-graph:<name>",
 )
+CATALOG_HELP = " | ".join(CATALOG_NAMES)
 
 
 def catalog(name: str) -> LieAlgebra:
     """Resolve a catalog name; modifiers compose from the right, e.g.
-    full-graph:heisenberg:1 or graded-power:heisenberg:1:2.  Each algebra
-    along the way is refused with DimensionCapError, before it is built,
-    when its dimension exceeds LIE_DIM_CAP."""
+    full-graph:heisenberg:1 or graded-power:heisenberg:1:2."""
     if name == "nonabelian2":
         return nonabelian2()
     if name.startswith("abelian:"):
-        n = _count(name.split(":", 1)[1])
-        check_dim_cap(n)
-        return abelian(n)
+        return abelian(_count(name.split(":", 1)[1]))
     if name.startswith("heisenberg:"):
-        n = _count(name.split(":", 1)[1])
-        check_dim_cap(2 * n + 1)
-        return heisenberg(n)
+        return heisenberg(_count(name.split(":", 1)[1]))
     if name.startswith("graded-power:"):
         rest = name.split(":", 1)[1]
         inner_name, _, n = rest.rpartition(":")
-        g, n = catalog(inner_name), _count(n)
-        check_dim_cap(n * g.dim)
-        return graded_power(g, n).algebra
+        return graded_power(catalog(inner_name), _count(n)).algebra
     if name.startswith("full-graph:"):
-        return full_graph_iter(catalog(name.split(":", 1)[1]), 1)[0].whole
+        return full_graph(catalog(name.split(":", 1)[1])).whole
     raise KeyError(f"unknown catalog name {name!r} (expected {CATALOG_HELP})")
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Iterator, Sequence
 
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, dim_cap
 from .linalg import (
     Matrix,
     Q,
@@ -276,7 +276,7 @@ def inner_preimage(ds: DerivationSpace, d: Matrix):
     """
     g = ds.base
     if ds._ad_preimages is None:
-        if g.center().dim != 0:
+        if ds.inner_flat.dim != g.dim:  # ad(g) = g / Z(g)
             raise NonzeroCenterError("inner preimage is not unique: center is nonzero")
         cols = Matrix.from_columns(
             [g.ad_matrix(g.basis_element(i)).flatten() for i in range(g.dim)]
@@ -447,12 +447,13 @@ def z_s_subspace(g: LieAlgebra, phi: DerHomomorphism) -> Subspace:
 
 
 class TorusReport:
-    __slots__ = ("ok", "failures", "eigenvalues")
+    __slots__ = ("ok", "failures", "eigenvalues", "parts")
 
-    def __init__(self, ok: bool, failures: list, eigenvalues: tuple | None):
+    def __init__(self, ok: bool, failures: list, eigenvalues: tuple | None, parts: tuple | None):
         self.ok = ok
         self.failures = failures  # list of (check name, witness description)
         self.eigenvalues = eigenvalues  # per generator, when split
+        self.parts = parts  # simultaneous eigenspaces, when ok
 
     def __repr__(self):
         return f"TorusReport(ok={self.ok}, failures={self.failures})"
@@ -483,21 +484,17 @@ def verify_torus(ds: "DerivationSpace | LieAlgebra", b_mats: Sequence[Matrix]) -
             failures.append(("split", f"generator {k}: irrational spectrum"))
         else:
             eigs.append(rep.eigenvalues)
-    if not failures and b_mats:
-        total = _simultaneous_eigendim(base.dim, b_mats)
-        if total != base.dim:
-            failures.append(
-                ("simultaneous", "no common eigenbasis: refinement does not fill the space")
-            )
-    return TorusReport(not failures, failures, tuple(eigs) if not failures else None)
-
-
-def _simultaneous_eigendim(n: int, b_mats: Sequence[Matrix]) -> int:
-    try:
-        parts = refine_eigenspaces(n, b_mats)
-    except ValueError:
-        return -1
-    return sum(p[1].dim for p in parts)
+    if not failures:
+        try:
+            parts = tuple(refine_eigenspaces(base.dim, b_mats))
+        except ValueError:
+            parts = ()
+        if sum(sub.dim for _, sub in parts) == base.dim:
+            return TorusReport(True, failures, tuple(eigs), parts)
+        failures.append(
+            ("simultaneous", "no common eigenbasis: refinement does not fill the space")
+        )
+    return TorusReport(False, failures, None, None)
 
 
 def diagonal_derivation_torus(g: LieAlgebra) -> list[Matrix]:
@@ -540,12 +537,13 @@ class TowerReport:
         )
 
 
-def derivation_tower(g: LieAlgebra, max_steps: int = 4, dim_cap: int = 64) -> TowerReport:
+def derivation_tower(g: LieAlgebra, max_steps: int = 4) -> TowerReport:
     """g, Der(g), Der^2(g), ... embedded via ad; stops when Der(h) = ad(h).
 
     Requires a trivial center so each ad embedding is injective (then every
     algebra along the tower is center-free as well).
     """
+    cap = dim_cap()
     if g.center().dim != 0:
         raise NonzeroCenterError("derivation tower requires a center-free algebra")
     dims = [g.dim]
@@ -554,7 +552,7 @@ def derivation_tower(g: LieAlgebra, max_steps: int = 4, dim_cap: int = 64) -> To
         ds = derivations(current)
         if ds.inner.dim == ds.dim:
             return TowerReport(tuple(dims), True, step, False)
-        if step == max_steps or ds.dim > dim_cap:
+        if step == max_steps or ds.dim > cap:
             return TowerReport(tuple(dims), False, None, True)
         current = ds.algebra
         dims.append(current.dim)

@@ -11,7 +11,8 @@ constants and not dim^2 table entries.
 
 The Jacobi identity is validated eagerly, so an invalid table is
 unrepresentable downstream.  `check_dim_cap` refuses a dimension above
-LIE_DIM_CAP; the loaders call it before they build an algebra.
+LIE_DIM_CAP; the constructors and the file loader call it before they build
+an algebra.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ which the Der(g) structure constants and the Jacobi check are computed.
 from __future__ import annotations
 
 import re
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 try:
@@ -590,7 +590,9 @@ class Polynomial:
         return self.gcd(self.derivative()).degree <= 0
 
     def rational_roots(self) -> list:
-        """All rational roots, by the rational-root theorem (complete over Q)."""
+        """All rational roots, by the rational-root theorem (complete over Q).
+        A root p/q has p | a0, q | an and |p/q| <= 2 max_k |a_(n-k)/an|^(1/k)
+        (Fujiwara), so only p up to that bound times an are tried."""
         if self.is_zero():
             raise ValueError("zero polynomial")
         cs = list(self.coeffs)
@@ -605,8 +607,12 @@ class Polynomial:
         if shift:
             roots.append(ZERO)
         a0, an = abs(ics[shift]), abs(ics[-1])
-        for p in _divisors(a0):
-            for q in _divisors(an):
+        n = len(ics) - 1
+        ceil_roots = (_ceil_root(abs(ics[n - k]), an, k) for k in range(1, n + 1))
+        top = 2 * an * max(ceil_roots, default=0)
+        qs = _divisors(an, an)
+        for p in _divisors(a0, top):
+            for q in qs:
                 for cand in (Q(p, q), Q(-p, q)):
                     if cand not in roots and self.eval_scalar(cand) == 0:
                         roots.append(cand)
@@ -632,16 +638,24 @@ class Polynomial:
         return rem.degree <= 0, used
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
+def _ceil_root(num: int, den: int, k: int) -> int:
+    """The least r >= 0 with r^k den >= num."""
+    lo, hi = 0, 1 << (num.bit_length() // k + 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid ** k * den >= num:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _divisors(n: int, top: int) -> list[int]:
+    """The divisors d <= top of n > 0, by trial division up to min(sqrt(n), top)."""
+    out = set()
+    for i in range(1, min(isqrt(n), top) + 1):
         if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
+            out.update(d for d in (i, n // i) if d <= top)
     return sorted(out)
 
 

@@ -12,11 +12,9 @@ from typing import Sequence
 from .constructions import (
     GraphEmbedding,
     abelian,
-    dim_cap,
     full_graph,
     heisenberg,
     semidirect,
-    DimensionCapError,
 )
 from .derivations import (
     DerHomomorphism,
@@ -31,7 +29,7 @@ from .derivations import (
     z_s_subspace,
 )
 from .liealg import LieAlgebra
-from .linalg import (  # NotSplitError is re-exported for callers of this module
+from .linalg import (  # NotSplitError and refine_eigenspaces are re-exported
     Matrix,
     NotSplitError,
     Q,
@@ -82,17 +80,12 @@ class WeightDecomposition:
         return f"WeightDecomposition({body})"
 
 
-def weight_decomposition(
-    g: LieAlgebra, torus_mats: Sequence[Matrix], check: bool = True
-) -> WeightDecomposition:
-    if check:
-        report = verify_torus(g, torus_mats)
-        if not report.ok:
-            raise TorusError(report)
-    if not torus_mats:
-        return WeightDecomposition((), (((), Subspace.full(g.dim)),))
-    parts = refine_eigenspaces(g.dim, torus_mats)
-    return WeightDecomposition(torus_mats, parts)
+def weight_decomposition(g: LieAlgebra, torus_mats: Sequence[Matrix]) -> WeightDecomposition:
+    """The weight spaces of a verified torus; raises TorusError otherwise."""
+    report = verify_torus(g, torus_mats)
+    if not report.ok:
+        raise TorusError(report)
+    return WeightDecomposition(torus_mats, report.parts)
 
 
 def is_nondegenerate_pair(
@@ -144,9 +137,6 @@ def theorem1_pipeline(
     g: LieAlgebra, torus_mats: Sequence[Matrix]
 ) -> PipelineReport:
     report = PipelineReport("theorem1")
-    torus_rep = verify_torus(g, torus_mats)
-    if not torus_rep.ok:
-        raise TorusError(torus_rep)
     nondeg, wd = is_nondegenerate_pair(g, torus_mats)
     if not nondeg:
         raise DegeneratePairError("the pair carries a zero weight")
@@ -441,22 +431,16 @@ def _lemma4_homomorphism_check(
 # ---------------------------------------------------------------------------
 
 
-def theorem3_check(N: int, n_max: int, cap: int | None = None) -> PipelineReport:
+def theorem3_check(N: int, n_max: int) -> PipelineReport:
     """For g = heisenberg(N) and each n <= n_max: f^n(g) is center-free and
     not complete, Der(f^n(g)) is complete, [Der, Der] is contained in ad,
     and dim Der(f^n(g)) - dim f^n(g) = 1."""
     if N < 1 or n_max < 1:
         raise ValueError("N and n_max must be >= 1")
-    if cap is None:
-        cap = dim_cap()
     report = PipelineReport("theorem3")
     current = heisenberg(N)
     ds_cur = derivations(current)
     for n in range(1, n_max + 1):
-        if ds_cur.dim + current.dim > cap:
-            raise DimensionCapError(
-                f"f^{n} dimension {ds_cur.dim + current.dim} exceeds cap {cap}"
-            )
         emb = full_graph(current, ds_cur)
         fn = emb.whole
         ds_fn = derivations(fn)
@@ -464,9 +448,10 @@ def theorem3_check(N: int, n_max: int, cap: int | None = None) -> PipelineReport
         report.dims[f"{tag}(g)"] = fn.dim
         report.dims[f"Der({tag}(g))"] = ds_fn.dim
 
-        center_dim = fn.center().dim
-        report.add(f"{tag}_center_trivial", center_dim == 0, f"center dim {center_dim}")
         cert = is_complete(fn, ds_fn)
+        report.add(
+            f"{tag}_center_trivial", cert.center_dim == 0, f"center dim {cert.center_dim}"
+        )
         report.add(
             f"{tag}_not_complete",
             not cert.complete,
@@ -499,7 +484,7 @@ def theorem3_check(N: int, n_max: int, cap: int | None = None) -> PipelineReport
     return report
 
 
-def prop2_check(N: int, check_complete: bool = True) -> PipelineReport:
+def prop2_check(N: int) -> PipelineReport:
     """dim Der(h_{2N+1}) = N(2N+1) + 2N + 1, and Der is complete.
 
     Only dimension and completeness are checked; the source's simplicity and
@@ -515,13 +500,12 @@ def prop2_check(N: int, check_complete: bool = True) -> PipelineReport:
         ds.dim == expected,
         f"dim Der = {ds.dim}, expected {expected}",
     )
-    if check_complete:
-        cert = is_complete(ds.algebra)
-        report.add(
-            "der_complete",
-            cert.complete,
-            f"center {cert.center_dim}, der {cert.der_dim}, inner {cert.inner_dim}",
-        )
+    cert = is_complete(ds.algebra)
+    report.add(
+        "der_complete",
+        cert.complete,
+        f"center {cert.center_dim}, der {cert.der_dim}, inner {cert.inner_dim}",
+    )
     report.notes.append(
         "dimension and completeness only; simplicity of Der is not checked"
     )
@@ -537,9 +521,8 @@ def prop3_check(N: int) -> PipelineReport:
     fg = emb.whole
     ds = derivations(fg)
     report.dims = {"f(g)": fg.dim, "Der(f(g))": ds.dim}
-    center_dim = fg.center().dim
-    report.add("center_trivial", center_dim == 0, f"center dim {center_dim}")
     cert = is_complete(fg, ds)
+    report.add("center_trivial", cert.center_dim == 0, f"center dim {cert.center_dim}")
     report.add("not_complete", not cert.complete)
     ok_witness = (
         cert.witness is not None

@@ -180,17 +180,25 @@ class TestCommands:
         assert "LIE_DIM_CAP must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "src",
+        "argv",
         [
-            "catalog:abelian:100000",
-            "catalog:heisenberg:100000",
-            "catalog:graded-power:nonabelian2:100000",
-            "catalog:full-graph:abelian:100000",
-            "big.json",
+            ["analyze", "catalog:abelian:100000"],
+            ["analyze", "catalog:heisenberg:100000"],
+            ["analyze", "catalog:graded-power:nonabelian2:100000"],
+            ["analyze", "catalog:full-graph:abelian:100000"],
+            ["analyze", "big.json"],
+            ["verify", "prop2", "--N", "100000"],
+            ["verify", "prop4", "--N", "100000"],
+            ["verify", "theorem3", "--N", "100000"],
+            ["verify", "theorem1", "--g", "catalog:nonabelian2", "--graded-power", "100000",
+             "--torus", "grading"],
+            ["verify", "lemma3", "--g", "catalog:nonabelian2", "--s-dim", "100000"],
         ],
+        ids=lambda argv: " ".join(argv[1:]),
     )
-    def test_analyze_refuses_dimension_over_cap(self, src, tmp_path, monkeypatch, capsys):
-        # refused before the algebra is built: no elimination is started
+    def test_analyze_refuses_dimension_over_cap(self, argv, tmp_path, monkeypatch, capsys):
+        # refused by the constructor or loader before the algebra is built:
+        # no elimination is started
         monkeypatch.chdir(tmp_path)
         (tmp_path / "big.json").write_text('{"dim": 100000, "brackets": []}')
         created = []
@@ -202,16 +210,26 @@ class TestCommands:
 
         monkeypatch.setattr(SparseSystem, "__init__", counting_init)
         start = time.perf_counter()
-        assert run_command(["analyze", src]) == 1
+        assert run_command(argv) == 1
         assert time.perf_counter() - start < 0.5
         assert created == []
-        assert "exceeds LIE_DIM_CAP 64" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "exceeds LIE_DIM_CAP 64" in err
 
     def test_analyze_honours_dim_cap(self, monkeypatch, capsys):
         monkeypatch.setenv("LIE_DIM_CAP", "4")
         assert run_command(["analyze", "catalog:heisenberg:2"]) == 1
         assert "dimension 5 exceeds LIE_DIM_CAP 4" in capsys.readouterr().err
         assert run_command(["analyze", "catalog:heisenberg:1"]) == 0
+
+    def test_verify_theorem3_honours_dim_cap(self, monkeypatch, capsys):
+        # f^3(h3) = Der(f^2(h3)) 20 + f^2(h3) 19 is refused by the full graph
+        monkeypatch.setenv("LIE_DIM_CAP", "20")
+        assert run_command(["verify", "theorem3", "--N", "1", "--n", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "dimension 39 exceeds LIE_DIM_CAP 20" in err
 
     def test_reports_byte_identical(self):
         a = run_cli("verify", "prop2", "--N", "1")

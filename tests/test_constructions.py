@@ -1,7 +1,6 @@
 import pytest
 
 from lieq.constructions import (
-    DimensionCapError,
     GraphEmbedding,
     abelian,
     catalog,
@@ -20,6 +19,7 @@ from lieq.derivations import (
     is_derivation,
     verify_torus,
 )
+from lieq.liealg import DimensionCapError
 from lieq.linalg import Matrix, Q, ZERO
 
 
@@ -142,9 +142,11 @@ class TestFullGraphIter:
         ds1 = derivations(f1)
         assert chain[1].whole.dim == f1.dim + ds1.dim
 
-    def test_cap_enforced(self):
-        with pytest.raises(DimensionCapError):
-            full_graph_iter(heisenberg(1), 3, cap=20)
+    def test_cap_enforced(self, monkeypatch):
+        # f(h3) 9, f^2(h3) 19, then f^3(h3) = Der(f^2) 20 + 19 is refused
+        monkeypatch.setenv("LIE_DIM_CAP", "20")
+        with pytest.raises(DimensionCapError, match="dimension 39 exceeds LIE_DIM_CAP 20"):
+            full_graph_iter(heisenberg(1), 3)
 
     def test_bad_n(self):
         with pytest.raises(ValueError):

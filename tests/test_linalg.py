@@ -1,4 +1,5 @@
 import random
+import time
 from math import gcd
 
 import pytest
@@ -393,6 +394,32 @@ class TestRankModP:
         assert rank_bareiss(Matrix([[P, 0, -2 * P], [0, 3 * P, 0]])) == 2
 
 
+def _poly_times(*factors):
+    """Product of integer polynomials, coefficients lowest degree first."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def _rational_roots_oracle(ints):
+    """Every +-p/q with p | a0 and q | an, for every divisor found by trying
+    each integer up to |a0| and |an|; 0 when the constant term is 0."""
+    shift = next(k for k, c in enumerate(ints) if c)
+    a0, an = abs(ints[shift]), abs(ints[-1])
+    found = {Q(0)} if shift else set()
+    for p in (p for p in range(1, a0 + 1) if a0 % p == 0):
+        for q in (q for q in range(1, an + 1) if an % q == 0):
+            for r in (Q(p, q), Q(-p, q)):
+                if sum(c * r ** k for k, c in enumerate(ints)) == 0:
+                    found.add(r)
+    return sorted(found)
+
+
 class TestPolynomial:
     def test_normalization(self):
         assert Polynomial([1, 2, 0]).coeffs == (Q(1), Q(2))
@@ -415,6 +442,33 @@ class TestPolynomial:
         # (2x - 1)(x + 3) = 2x^2 + 5x - 3
         assert Polynomial([-3, 5, 2]).rational_roots() == [Q(-3), Q(1, 2)]
         assert Polynomial([1, 0, 1]).rational_roots() == []
+        # max_k ceil(|a_(n-k)/an|^(1/k)) is 5 here, below the root -6: the
+        # numerator bound needs Fujiwara's factor 2
+        sextic = _poly_times([6, 1], [5, 1], [-3, 1], [-3, 1], [2, 0, 1])
+        assert Polynomial(sextic).rational_roots() == [Q(-6), Q(-5), Q(3)]
+
+    def test_rational_roots_of_one_to_twenty(self):
+        # a0 = 20!: trial division of a0 up to its square root would run for hours
+        linear = _poly_times(*[[-k, 1] for k in range(1, 21)])
+        for coeffs in (linear, _poly_times(linear, [2, 0, 1])):
+            start = time.perf_counter()
+            roots = Polynomial(coeffs).rational_roots()
+            assert time.perf_counter() - start < 1.0
+            assert roots == [Q(k) for k in range(1, 21)]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4)), max_size=5),
+        st.sampled_from([[1], [2, 0, 1], [1, 1, 1], [3, 0, 0, 2]]),
+        st.integers(1, 3),
+        st.integers(1, 3),
+    )
+    def test_rational_roots_match_divisor_oracle(self, roots, cofactor, num, den):
+        # a product of (q x - p), times a factor without rational roots, scaled
+        ints = _poly_times(*[[-p, q] for p, q in roots], cofactor, [num])
+        poly = Polynomial([Q(c, den) for c in ints])
+        expected = sorted({Q(p, q) for p, q in roots})
+        assert poly.rational_roots() == expected == _rational_roots_oracle(ints)
 
     def test_splits(self):
         ok, roots = Polynomial([-3, 5, 2]).splits_rationally()

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from lieq.derivations import (
     f_s_subspace,
     inner_preimage,
 )
-from lieq.linalg import Matrix, Q, Subspace, ZERO
+from lieq.linalg import Matrix, Q, Subspace, ZERO, refine_eigenspaces
 from lieq.weights import (
     DegeneratePairError,
     _lemma4_homomorphism_check,
@@ -59,13 +60,14 @@ class TestWeightDecomposition:
     def test_same_eigenvectors_two_generators(self, gp2):
         # second generator d*d - 2d has the same eigenspaces with shifted
         # eigenvalues (1 -> -1, 2 -> 0); it is not itself a derivation, so
-        # torus verification is bypassed and only the refinement is exercised
+        # the refinement is called directly, without torus verification
         d = grading_derivation(gp2)
         d2 = d @ d - d.scale(2)
-        wd1 = weight_decomposition(gp2.algebra, [d], check=False)
-        wd2 = weight_decomposition(gp2.algebra, [d, d2], check=False)
-        assert [fun for fun, _ in wd2.parts] == [(Q(1), Q(-1)), (Q(2), Q(0))]
-        assert [sub for _, sub in wd1.parts] == [sub for _, sub in wd2.parts]
+        parts1 = refine_eigenspaces(gp2.algebra.dim, [d])
+        parts2 = refine_eigenspaces(gp2.algebra.dim, [d, d2])
+        assert [fun for fun, _ in parts2] == [(Q(1), Q(-1)), (Q(2), Q(0))]
+        assert [sub for _, sub in parts1] == [sub for _, sub in parts2]
+        assert weight_decomposition(gp2.algebra, [d]).parts == tuple(parts1)
 
     def test_eigenspaces_verified_directly(self, gp2):
         # re-verified by matrix application, independent of the refinement
@@ -154,6 +156,28 @@ class TestTheorem1:
         rep = theorem1_pipeline(g, mats)
         assert rep.ok
         assert any(c.name == "maximal_torus_h1_complete" for c in rep.checks)
+
+    def test_torus_verified_once(self, monkeypatch):
+        # every binding of each function is counted, so a second call from
+        # any module shows
+        modules = [importlib.import_module(f"lieq.{m}") for m in ("linalg", "derivations", "weights")]
+        calls = {}
+        for name in ("verify_torus", "refine_eigenspaces"):
+            original = getattr(modules[-1], name)
+
+            def counting(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            for mod in modules:
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counting)
+        h3 = heisenberg(1)
+        gp = graded_power(nonabelian2(), 2)
+        for g, mats in ((h3, diagonal_derivation_torus(h3)), (gp.algebra, [grading_derivation(gp)])):
+            calls.update(verify_torus=0, refine_eigenspaces=0)
+            assert theorem1_pipeline(g, mats).ok
+            assert calls == {"verify_torus": 1, "refine_eigenspaces": 1}
 
 
 class TestLemma3:
@@ -284,7 +308,7 @@ class TestTheorem3AndProps:
 
     def test_prop2_dims(self):
         for N, expected in ((1, 6), (2, 15)):
-            rep = prop2_check(N, check_complete=False)
+            rep = prop2_check(N)
             assert rep.ok
             assert rep.dims["Der(g)"] == expected
 
