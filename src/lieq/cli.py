@@ -83,7 +83,10 @@ def cmd_catalog(args) -> int:
 
 def cmd_analyze(args) -> int:
     g = load_source(args.src)
-    ds = derivations(g)
+    try:
+        ds = derivations(g)
+    except DimensionCapError as e:
+        raise UsageError(f"{args.src}: {e}") from None
     cert = is_complete(g, ds)
     series = g.series()
     doc = {

@@ -5,14 +5,17 @@ Der(g) is the nullspace of the Leibniz system D[e_i,e_j] = [De_i,e_j] +
 canonicalized by RREF, so the basis is deterministic.  The rows are
 assembled over Z from `LieAlgebra.integer_sc`; the system is linear in the
 structure constants, so clearing their denominators leaves its nullspace
-unchanged.  Jacobi puts ad(g) inside Der(g), so the system has rank at most
+unchanged.  They are built once and read sparsest first (Markowitz's
+fill-reducing order, by row length); neither rank nor nullspace depends on
+the order.  Jacobi puts ad(g) inside Der(g), so the system has rank at most
 n^2 - dim ad(g).  A rank mod a prime is at most the rank over Q, so when
 `rank_mod_p` of the rows reaches that bound it certifies Der(g) = ad(g) and
 no exact elimination runs.  Otherwise exact elimination stops at the first
 row that reaches the bound (the rest of the rows are combinations of those
 fed), and its rank is audited against the modular one.  The modular rank is
 a certificate and an audit, not a second nullspace kernel: it never
-produces a basis.
+produces a basis.  A Der(g) whose dimension, known from the exact rank,
+exceeds max(LIE_DIM_CAP, 64) is refused before its basis is built.
 `is_derivation` is an independent checker (direct bracket evaluation) that
 shares no code with the solver.
 
@@ -28,7 +31,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Iterator, Sequence
 
-from .liealg import LieAlgebra, dim_cap
+from .liealg import DEFAULT_DIM_CAP, DimensionCapError, LieAlgebra, dim_cap
 from .linalg import (
     Matrix,
     Q,
@@ -157,6 +160,16 @@ def _leibniz_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
             yield from rows
 
 
+def _check_der_dim(d: int) -> None:
+    """Refuse a Der(g) of dimension d before its basis is built.  The bound
+    is LIE_DIM_CAP, but never below DEFAULT_DIM_CAP: a lower cap bounds the
+    algebras built from the input, while a Der(g) within the default costs
+    at most DEFAULT_DIM_CAP^3 / 6 Jacobi triples."""
+    cap = max(dim_cap(), DEFAULT_DIM_CAP)
+    if d > cap:
+        raise DimensionCapError(f"Der(g): dimension {d} exceeds LIE_DIM_CAP {cap}")
+
+
 def derivations(g: LieAlgebra) -> DerivationSpace:
     """Compute Der(g) from the Leibniz system.
 
@@ -168,30 +181,34 @@ def derivations(g: LieAlgebra) -> DerivationSpace:
     every derivation is inner, as on a complete algebra, unless P divides a
     minor the rank needs; then the exact path below runs instead.
 
-    The exact path feeds the rows in order until the rank reaches the
+    Both passes read one list of the rows, sorted by length with ties in
+    (i, j, k) order.  The exact path feeds them until the rank reaches the
     bound; then ad(g) <= Der(g) <= Null(rows fed so far), and the outer two
     have the same dimension, so all three are equal.  Otherwise every row
     is fed.  The nullspace basis is canonicalized by RREF, which fixes the
-    basis across runs and platforms.  Raises RuntimeError when the exact
-    rank is below the modular rank, or ad(g) is not inside the computed
-    space; the first contradicts rank mod P <= rank over Q, the second the
-    Jacobi identity.
+    basis across runs and platforms.  Raises DimensionCapError when
+    n^2 - rank, the dimension of Der(g), exceeds max(LIE_DIM_CAP, 64), and
+    RuntimeError when the exact rank is below the modular rank, or ad(g) is
+    not inside the computed space; the first contradicts rank mod P <= rank
+    over Q, the second the Jacobi identity.
     """
     n = g.dim
     ad_flats = [g.ad_matrix(g.basis_element(i)).flatten() for i in range(n)]
     inner_flat = Subspace.from_vectors(n * n, ad_flats)
     bound = n * n - inner_flat.dim
-    rank_p = rank_mod_p(_leibniz_rows(g), bound)
+    rows = sorted(_leibniz_rows(g), key=len)
+    rank_p = rank_mod_p(rows, bound)
     if rank_p == bound:
         space, inner = inner_flat, Subspace.full(inner_flat.dim)
     else:
         sys = SparseSystem(n * n)
-        for row in _leibniz_rows(g):
+        for row in rows:
             if sys.rank == bound:
                 break
             sys.add_row(row)
         if sys.rank < rank_p:
             raise RuntimeError("Leibniz rank over Q below its rank mod P")
+        _check_der_dim(n * n - sys.rank)
         space = Subspace.from_vectors(n * n, sys.nullspace_basis())
         inner_coords = []
         for v in ad_flats:
@@ -541,7 +558,10 @@ def derivation_tower(g: LieAlgebra, max_steps: int = 4) -> TowerReport:
     """g, Der(g), Der^2(g), ... embedded via ad; stops when Der(h) = ad(h).
 
     Requires a trivial center so each ad embedding is injective (then every
-    algebra along the tower is center-free as well).
+    algebra along the tower is center-free as well).  Reports
+    budget_exceeded after max_steps, or when a Der(h) that is not ad(h)
+    exceeds LIE_DIM_CAP, whether derivations() refuses it or the tower
+    would build it as its next algebra.
     """
     cap = dim_cap()
     if g.center().dim != 0:
@@ -549,7 +569,10 @@ def derivation_tower(g: LieAlgebra, max_steps: int = 4) -> TowerReport:
     dims = [g.dim]
     current = g
     for step in range(max_steps + 1):
-        ds = derivations(current)
+        try:
+            ds = derivations(current)
+        except DimensionCapError:
+            return TowerReport(tuple(dims), False, None, True)
         if ds.inner.dim == ds.dim:
             return TowerReport(tuple(dims), True, step, False)
         if step == max_steps or ds.dim > cap:

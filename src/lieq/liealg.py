@@ -7,7 +7,9 @@ the style of GAP (de Graaf, Lie Algebras: Theory and Algorithms, 2000):
 sc[i][j] = {k: c_ij^k} for every nonzero bracket, in both index orders, with
 sc[j][i] holding the negated constants.  Antisymmetry therefore holds by
 construction.  Every operation reads `sc`, so its cost follows the nonzero
-constants and not dim^2 table entries.
+constants and not dim^2 table entries.  Jacobi validation, the centre and
+the derived and lower central series run over `integer_sc`, its
+denominator-cleared copy, and feed integer rows to the elimination kernel.
 
 The Jacobi identity is validated eagerly, so an invalid table is
 unrepresentable downstream.  `check_dim_cap` refuses a dimension above
@@ -249,21 +251,33 @@ class LieAlgebra:
         return Subspace.from_vectors(n, system.nullspace_basis())
 
     def product_space(self, a: Subspace, b: Subspace) -> Subspace:
-        """Span of [a, b].  For [a, a], each unordered pair of basis vectors
-        is bracketed once: [u, u] = 0 and [v, u] = -[u, v]."""
-        us = a.vectors()
+        """Span of [a, b], bracketed over `integer_sc` on the basis vectors
+        of a and b cleared of denominators: scaling a vector keeps its span.
+        For [a, a], each unordered pair is bracketed once: [u, u] = 0 and
+        [v, u] = -[u, v]."""
+        isc = self.integer_sc()
+        us = [clear_denominators(dict(enumerate(u)))[0] for u in a.vectors()]
+        system = SparseSystem(self.dim)
         if a == b:
-            vecs = [self.bracket(u, v) for i, u in enumerate(us) for v in us[i + 1 :]]
+            for i, u in enumerate(us):
+                for v in us[i + 1 :]:
+                    system.add_row(_integer_bracket(isc, u, v))
         else:
-            vecs = [self.bracket(u, v) for u in us for v in b.vectors()]
-        return Subspace.from_vectors(self.dim, vecs)
+            vs = [clear_denominators(dict(enumerate(v)))[0] for v in b.vectors()]
+            for u in us:
+                for v in vs:
+                    system.add_row(_integer_bracket(isc, u, v))
+        return Subspace.from_system(system)
 
     def derived_subalgebra(self) -> Subspace:
-        """[g, g]: the span of the brackets [e_i, e_j], i < j, in `sc`."""
-        return Subspace.from_vectors(
-            self.dim,
-            [self.bracket_basis(i, j) for i, row in enumerate(self.sc) for j in row if i < j],
-        )
+        """[g, g]: the span of the brackets [e_i, e_j], i < j, read off
+        `integer_sc`."""
+        system = SparseSystem(self.dim)
+        for i, row in enumerate(self.integer_sc()):
+            for j, v in row.items():
+                if i < j:
+                    system.add_row(v)
+        return Subspace.from_system(system)
 
     def series(self) -> "SeriesReport":
         """Derived and lower central series; both have [g, g] as their
@@ -303,6 +317,20 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, labels={list(self.labels)})"
+
+
+def _integer_bracket(isc: list, x: dict, y: dict) -> dict[int, int]:
+    """[x, y] over the integer table isc, for x and y as {index: int}."""
+    out: dict[int, int] = {}
+    for i, a in x.items():
+        row = isc[i]
+        for j, b in y.items():
+            v = row.get(j)
+            if v is not None:
+                ab = a * b
+                for k, c in v.items():
+                    out[k] = out.get(k, 0) + ab * c
+    return out
 
 
 def _descend(full: Subspace, second: Subspace, step) -> list[Subspace]:

@@ -14,11 +14,13 @@ There is one elimination kernel.  `SparseSystem` clears each row's
 denominators, eliminates fraction-free over Z and back-reduces to the
 reduced row echelon form, dividing by each lead only at the end; `rref`,
 `nullspace`, `solve`, `rank` and the canonical subspaces all run on it, and
-the Der(g) and center solvers feed it directly.  `rank_bareiss` is a second,
-independent elimination, kept only to audit rank.  `rank_mod_p` is a third,
-over the integers mod a fixed prime: a rank certificate, not a nullspace
-kernel.  It never yields a basis, only a lower bound on the rank over Q,
-which is how Der(g) = ad(g) is proved without the exact elimination.
+the Der(g), center and series solvers feed it directly.  A canonical
+`Subspace` is read off its reduced rows once (`Subspace.from_system`).
+`rank_bareiss` is a second, independent elimination, kept only to audit
+rank.  `rank_mod_p` is a third, over the integers mod a fixed prime: a rank
+certificate, not a nullspace kernel.  It never yields a basis, only a lower
+bound on the rank over Q, which is how Der(g) = ad(g) is proved without the
+exact elimination.
 `clear_denominators` gives the integer form over one common denominator in
 which the Der(g) structure constants and the Jacobi check are computed.
 """
@@ -418,14 +420,22 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = [tuple(v) for v in vectors]
-        for v in rows:
+        system = SparseSystem(ambient_dim)
+        for v in vectors:
             if len(v) != ambient_dim:
                 raise ValueError("vector length != ambient dimension")
-        if not rows:
-            return Subspace(ambient_dim, Matrix([]))
-        r, pivots = rref(Matrix(rows))
-        return Subspace(ambient_dim, Matrix(r.data[: len(pivots)]))
+            system.add_row({j: q for j, x in enumerate(v) if (q := as_q(x))})
+        return Subspace.from_system(system)
+
+    @staticmethod
+    def from_system(system: SparseSystem) -> "Subspace":
+        """The span of the rows fed to system, from its reduced rows."""
+        reduced = system.reduced_rows()
+        n = system.ncols
+        return Subspace(
+            n,
+            Matrix([[row.get(c, ZERO) for c in range(n)] for _, row in sorted(reduced.items())]),
+        )
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":

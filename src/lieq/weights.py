@@ -207,7 +207,7 @@ def theorem1_pipeline(
         ds.dim, [ds.coords_of(b) for b in torus_mats]
     )
     if torus_in_der == tau_sub:
-        cert1 = is_complete(h1)
+        cert1 = is_complete(h1, dh1)
         report.add(
             "maximal_torus_h1_complete",
             cert1.complete,

@@ -1,3 +1,4 @@
+import importlib
 import json
 import subprocess
 import sys
@@ -222,6 +223,28 @@ class TestCommands:
         assert run_command(["analyze", "catalog:heisenberg:2"]) == 1
         assert "dimension 5 exceeds LIE_DIM_CAP 4" in capsys.readouterr().err
         assert run_command(["analyze", "catalog:heisenberg:1"]) == 0
+
+    def test_analyze_refuses_der_over_cap(self, monkeypatch, capsys):
+        # abelian:24 is within the cap, but its Der = gl_24 has dimension
+        # 576: refused once the Leibniz rank is known, before Der(g) is built
+        def fail(*args):
+            raise AssertionError("Der(g) was built")
+
+        monkeypatch.setattr(SparseSystem, "nullspace_basis", fail)
+        monkeypatch.setattr(importlib.import_module("lieq.derivations"), "commutator_table", fail)
+        start = time.perf_counter()
+        assert run_command(["analyze", "catalog:abelian:24"]) == 1
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "dimension 576 exceeds LIE_DIM_CAP 64" in err
+
+    def test_verify_prop2_refuses_der_over_cap(self, capsys):
+        # g = h11 is within the cap, but Der(h11) has dimension 66
+        assert run_command(["verify", "prop2", "--N", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Der(g): dimension 66 exceeds LIE_DIM_CAP 64" in err
 
     def test_verify_theorem3_honours_dim_cap(self, monkeypatch, capsys):
         # f^3(h3) = Der(f^2(h3)) 20 + f^2(h3) 19 is refused by the full graph

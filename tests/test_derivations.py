@@ -30,7 +30,7 @@ from lieq.derivations import (
     z_s_subspace,
 )
 from lieq.fileio import parse_algebra
-from lieq.liealg import LieAlgebra
+from lieq.liealg import DimensionCapError, LieAlgebra
 from lieq.linalg import (
     Matrix,
     P,
@@ -247,6 +247,102 @@ class TestRankBound:
         fed, ds = self.rows_fed(g, monkeypatch)
         assert g.center().dim > 0 and ds.dim >= n
         assert fed == n * n * (n - 1) // 2
+
+
+class TestLeibnizRowOrder:
+    """derivations() builds the Leibniz rows once, sorted by length with
+    ties in (i, j, k) order, and both the modular pass and the exact loop
+    read that one list."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        seen = {"built": 0, "mod_p": [], "exact": []}
+        build = DERIVATIONS_MODULE._leibniz_rows
+        rank = DERIVATIONS_MODULE.rank_mod_p
+
+        def counting_build(g):
+            seen["built"] += 1
+            return build(g)
+
+        def reading_rank(rows, stop):
+            def feed():
+                for row in rows:
+                    seen["mod_p"].append(row)
+                    yield row
+
+            return rank(feed(), stop)
+
+        class RecordingSystem(SparseSystem):
+            def add_row(self, row):
+                seen["exact"].append(row)
+                super().add_row(row)
+
+        monkeypatch.setattr(DERIVATIONS_MODULE, "_leibniz_rows", counting_build)
+        monkeypatch.setattr(DERIVATIONS_MODULE, "rank_mod_p", reading_rank)
+        monkeypatch.setattr(DERIVATIONS_MODULE, "SparseSystem", RecordingSystem)
+        return seen
+
+    def test_rows_built_once_when_both_passes_run(self, monkeypatch):
+        seen = self.spy(monkeypatch)
+        derivations(heisenberg(1))
+        assert seen["mod_p"] and seen["exact"]
+        assert seen["built"] == 1
+
+    @pytest.mark.parametrize("name", STRUCTURE_SOURCES)
+    def test_rows_read_sparsest_first(self, name, monkeypatch):
+        g = load_structure_source(name)
+        in_order = list(DERIVATIONS_MODULE._leibniz_rows(g))
+        seen = self.spy(monkeypatch)
+        derivations(g)
+        for read in (seen["mod_p"], seen["exact"]):
+            lengths = [len(row) for row in read]
+            assert lengths == sorted(lengths)
+            # a stable sort: rows of one length keep their (i, j, k) order
+            assert read == sorted(in_order, key=len)[: len(read)]
+
+    def test_modular_pass_reads_fewer_rows_on_dense_input(self, monkeypatch):
+        # in (i, j, k) order the rank reached n^2 - dim ad(g) = 56 at row 145
+        # of 224; sparsest first it does at row 106, and rank_mod_p draws
+        # one more row to see that it is done
+        seen = self.spy(monkeypatch)
+        ds = derivations(load_structure_source("f2_nonabelian2_dense.json"))
+        assert ds.dim == ds.inner.dim == 8
+        assert len(seen["mod_p"]) == 107
+        assert seen["exact"] == []
+
+
+class TestDerDimCap:
+    """Der(g) is refused above max(LIE_DIM_CAP, 64) once the Leibniz rank
+    is known, before its basis or structure constants are built."""
+
+    def test_refused_before_basis(self, monkeypatch):
+        # Der(abelian(9)) = gl_9 has dimension 81
+        def fail(*args):
+            raise AssertionError("Der(g) was built")
+
+        monkeypatch.setattr(SparseSystem, "nullspace_basis", fail)
+        monkeypatch.setattr(DERIVATIONS_MODULE, "commutator_table", fail)
+        with pytest.raises(DimensionCapError, match=r"Der\(g\): dimension 81 exceeds LIE_DIM_CAP 64"):
+            derivations(abelian(9))
+
+    def test_raised_cap_raises_the_bound(self, monkeypatch):
+        monkeypatch.setenv("LIE_DIM_CAP", "81")
+        assert derivations(abelian(9)).dim == 81
+
+    def test_lower_cap_keeps_the_default_bound(self, monkeypatch):
+        g, big = heisenberg(1), abelian(9)
+        monkeypatch.setenv("LIE_DIM_CAP", "4")
+        assert derivations(g).dim == 6
+        with pytest.raises(DimensionCapError, match="dimension 81 exceeds LIE_DIM_CAP 64"):
+            derivations(big)
+
+    def test_tower_reports_the_refusal_as_budget_exceeded(self, monkeypatch):
+        # with the floor at 0, Der(f(h3)) of dim 10 is refused by
+        # derivations() itself at LIE_DIM_CAP=9
+        monkeypatch.setattr(DERIVATIONS_MODULE, "DEFAULT_DIM_CAP", 0)
+        monkeypatch.setenv("LIE_DIM_CAP", "9")
+        rep = derivation_tower(full_graph(heisenberg(1)).whole)
+        assert (rep.dims, rep.stabilized, rep.budget_exceeded) == ((9,), False, True)
 
 
 class TestCommutatorTable:

@@ -6,6 +6,8 @@ Heisenberg algebra h5 in a non-standard basis, so most of its structure
 constants are nonzero non-integer rationals.  f2_nonabelian2_dense.json is
 the first input of the perfbench dense-analyze workload at seed 1
 (perfbench/rebase.py): f^2(nonabelian2) in a dense rational basis.
+f2_nonabelian2_dense_s21c1.json and f2_nonabelian2_dense_s21c3.json are
+copies 1 and 3 of its inputs at seed 21.
 """
 
 import json

@@ -324,6 +324,37 @@ class TestSparseSystem:
             assert gcd(*row.values()) == 1
 
 
+class TestSubspaceFromSystem:
+    """A canonical Subspace is read off SparseSystem.reduced_rows once; the
+    nonzero rows of rref, the construction it replaced, are the oracle."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(sparse_systems())
+    def test_basis_is_nonzero_rref_rows(self, case):
+        system, dense = _solved(*case)
+        r, pivots = rref(dense)
+        expected = Matrix(r.data[: len(pivots)])
+        assert Subspace.from_system(system).basis == expected
+        assert Subspace.from_vectors(dense.cols, dense.data).basis == expected
+
+    def test_from_vectors_coerces_each_entry_and_builds_one_matrix(self, monkeypatch):
+        built = []
+        init = Matrix.__init__
+
+        def counting_init(self, data):
+            built.append(len(data))
+            init(self, data)
+
+        monkeypatch.setattr(Matrix, "__init__", counting_init)
+        s = Subspace.from_vectors(3, [("1/2", 0, 1.5), (1, "0", 3), (0, Q(2, 3), 0)])
+        assert built == [2]
+        assert s.vectors() == ((1, 0, 3), (0, 1, 0))
+
+    def test_zero_vectors_give_the_zero_subspace(self):
+        assert Subspace.from_vectors(3, [(0, 0, 0)]) == Subspace.zero(3)
+        assert Subspace.from_vectors(3, []) == Subspace.zero(3)
+
+
 @st.composite
 def integer_systems(draw):
     """Random sparse integer rows {col: int}, with entries that are

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from lieq.cli import run_command
 from lieq.constructions import (
     abelian,
     full_graph,
@@ -178,6 +179,26 @@ class TestTheorem1:
             calls.update(verify_torus=0, refine_eigenspaces=0)
             assert theorem1_pipeline(g, mats).ok
             assert calls == {"verify_torus": 1, "refine_eigenspaces": 1}
+
+    def test_der_h1_solved_once(self, monkeypatch, capsys):
+        # the dimension of the algebra of every derivations() call, through
+        # every binding: g, h1, then h from is_complete(h); the maximal-torus
+        # branch reuses Der(h1)
+        original = derivations
+        dims = []
+
+        def recording(g):
+            dims.append(g.dim)
+            return original(g)
+
+        for name in ("lieq", "lieq.derivations", "lieq.weights", "lieq.cli"):
+            mod = importlib.import_module(name)
+            if getattr(mod, "derivations", None) is original:
+                monkeypatch.setattr(mod, "derivations", recording)
+        argv = ["verify", "theorem1", "--g", "catalog:heisenberg:1", "--torus", "diagonal"]
+        assert run_command(argv) == 0
+        assert "maximal_torus_h1_complete" in capsys.readouterr().out
+        assert dims == [3, 5, 5]
 
 
 class TestLemma3:
