@@ -16,25 +16,18 @@ from .linalg import Matrix, Q, ZERO
 class GraphEmbedding:
     """A semidirect product together with the index ranges of its two slots."""
 
-    __slots__ = ("whole", "s_slot", "g_slot", "phi")
+    __slots__ = ("whole", "s_slot", "g_slot")
 
-    def __init__(self, whole: LieAlgebra, s_slot: range, g_slot: range, phi: DerHomomorphism):
+    def __init__(self, whole: LieAlgebra, s_slot: range, g_slot: range):
         self.whole = whole
         self.s_slot = s_slot
         self.g_slot = g_slot
-        self.phi = phi
 
     def embed_g(self, g_coords) -> tuple:
         out = [ZERO] * self.whole.dim
         for k, c in zip(self.g_slot, g_coords):
             out[k] = c
         return tuple(out)
-
-    def split(self, x) -> tuple[tuple, tuple]:
-        return (
-            tuple(x[k] for k in self.s_slot),
-            tuple(x[k] for k in self.g_slot),
-        )
 
     def __repr__(self):
         return f"GraphEmbedding(dim {self.whole.dim} = {len(self.s_slot)} + {len(self.g_slot)})"
@@ -62,7 +55,7 @@ def semidirect(s: LieAlgebra, g: LieAlgebra, phi: DerHomomorphism) -> GraphEmbed
                 table[(p + i, p + j)] = {p + k: c for k, c in v.items()}
     labels = tuple(f"s:{l}" for l in s.labels) + tuple(f"g:{l}" for l in g.labels)
     whole = LieAlgebra(dim, table, labels, check=True)
-    return GraphEmbedding(whole, range(0, p), range(p, dim), phi)
+    return GraphEmbedding(whole, range(0, p), range(p, dim))
 
 
 def full_graph(g: LieAlgebra, ds: DerivationSpace | None = None) -> GraphEmbedding:

@@ -10,15 +10,16 @@ fill-reducing order, by row length); neither rank nor nullspace depends on
 the order.  Jacobi puts ad(g) inside Der(g), so the system has rank at most
 n^2 - dim ad(g).  A rank mod a prime is at most the rank over Q, so when
 `rank_mod_p` of the rows reaches that bound it certifies Der(g) = ad(g) and
-no exact elimination runs.  Otherwise exact elimination stops at the first
-row that reaches the bound (the rest of the rows are combinations of those
-fed), and its rank is audited against the modular one.  The modular rank is
-a certificate and an audit, not a second nullspace kernel: it never
-produces a basis.  A Der(g) whose dimension, known from the exact rank,
-exceeds max(LIE_DIM_CAP, 64) is refused before its basis is built.
+no exact elimination runs.  Otherwise every row is eliminated exactly, and
+the exact rank is audited against the modular one.  The modular rank is a
+certificate and an audit, not a second nullspace kernel: it never produces
+a basis.  A Der(g) whose dimension, known from the exact rank, exceeds
+max(LIE_DIM_CAP, 64) is refused before its basis is built.
 `is_derivation` is an independent checker (direct bracket evaluation) that
 shares no code with the solver.
 
+ad(g) is read off the rows (ad(e_i), e_i), which also gives an x with
+ad(x) = v for each basis vector v of ad(g); `inner_preimage` combines these.
 Brackets of derivations are computed once, as the structure constants of
 `DerivationSpace.algebra`, each audited against its full matrix commutator.
 Downstream, a derivation is its coordinate vector in the canonical Der basis:
@@ -39,10 +40,11 @@ from .linalg import (
     Subspace,
     ZERO,
     clear_denominators,
+    combine,
+    image_with_preimages,
     nullspace,
     rank_mod_p,
     refine_eigenspaces,
-    solve,
     split_semisimple_check,
 )
 
@@ -77,24 +79,16 @@ class DerivationSpace:
     """Der(g): canonical matrix basis, its own Lie algebra structure, and the
     inner-derivation subspace in Der-coefficient coordinates."""
 
-    __slots__ = (
-        "base",
-        "space",
-        "basis_mats",
-        "algebra",
-        "inner",
-        "inner_flat",
-        "_ad_preimages",
-    )
+    __slots__ = ("base", "space", "basis_mats", "algebra", "inner", "inner_flat", "ad_preimages")
 
-    def __init__(self, base, space, basis_mats, algebra, inner, inner_flat):
+    def __init__(self, base, space, basis_mats, algebra, inner, inner_flat, ad_preimages):
         self.base = base
         self.space = space  # Subspace of Q^(n^2), RREF-canonical
         self.basis_mats = basis_mats
         self.algebra = algebra  # bracket = matrix commutator
         self.inner = inner  # Subspace of Q^dim (Der coefficients)
         self.inner_flat = inner_flat  # ad(g) inside Q^(n^2)
-        self._ad_preimages = None
+        self.ad_preimages = ad_preimages  # an x with ad(x) = each inner basis vector
 
     @property
     def dim(self) -> int:
@@ -105,7 +99,8 @@ class DerivationSpace:
         return self.space.coords_of(m.flatten())
 
     def from_coords(self, coeffs: Sequence) -> Matrix:
-        return _combination(self.base.dim, coeffs, self.basis_mats)
+        n = self.base.dim
+        return Matrix.unflatten(combine(coeffs, self.space.vectors(), n * n), n, n)
 
     def subspace_mats(self, sub: Subspace) -> list[Matrix]:
         """Matrices for a subspace given in Der-coefficient coordinates."""
@@ -115,20 +110,6 @@ class DerivationSpace:
 
     def __repr__(self):
         return f"DerivationSpace(base dim {self.base.dim}, dim {self.dim})"
-
-
-def _combination(n: int, coeffs: Sequence, mats: Sequence[Matrix]) -> Matrix:
-    """The n x n matrix sum of c_k M_k; one coefficient per matrix."""
-    if len(coeffs) != len(mats):
-        raise ValueError(f"{len(coeffs)} coefficients for {len(mats)} basis matrices")
-    out = [[ZERO] * n for _ in range(n)]
-    for c, mat in zip(coeffs, mats):
-        if c:
-            for row, orow in zip(mat.data, out):
-                for k, x in enumerate(row):
-                    if x:
-                        orow[k] += c * x
-    return Matrix(out)
 
 
 def _bump(row: dict, idx: int, val: int) -> None:
@@ -182,19 +163,19 @@ def derivations(g: LieAlgebra) -> DerivationSpace:
     minor the rank needs; then the exact path below runs instead.
 
     Both passes read one list of the rows, sorted by length with ties in
-    (i, j, k) order.  The exact path feeds them until the rank reaches the
-    bound; then ad(g) <= Der(g) <= Null(rows fed so far), and the outer two
-    have the same dimension, so all three are equal.  Otherwise every row
-    is fed.  The nullspace basis is canonicalized by RREF, which fixes the
-    basis across runs and platforms.  Raises DimensionCapError when
-    n^2 - rank, the dimension of Der(g), exceeds max(LIE_DIM_CAP, 64), and
-    RuntimeError when the exact rank is below the modular rank, or ad(g) is
-    not inside the computed space; the first contradicts rank mod P <= rank
-    over Q, the second the Jacobi identity.
+    (i, j, k) order; the exact path feeds every row.  The nullspace basis is
+    canonicalized by RREF, which fixes the basis across runs and platforms.
+    ad(g) and preimages of its basis come from the rows (ad(e_i), e_i); on
+    the exact path, inner and its preimages come from the rows (Der
+    coordinates of each ad(g) basis vector, its preimage).  Raises
+    DimensionCapError when n^2 - rank, the dimension of Der(g), exceeds
+    max(LIE_DIM_CAP, 64), and RuntimeError when the exact rank is below the
+    modular rank, or ad(g) is not inside the computed space; the first
+    contradicts rank mod P <= rank over Q, the second the Jacobi identity.
     """
     n = g.dim
-    ad_flats = [g.ad_matrix(g.basis_element(i)).flatten() for i in range(n)]
-    inner_flat = Subspace.from_vectors(n * n, ad_flats)
+    units = [g.basis_element(i) for i in range(n)]
+    inner_flat, pre = image_with_preimages(n * n, [g.ad_matrix(e).flatten() + e for e in units])
     bound = n * n - inner_flat.dim
     rows = sorted(_leibniz_rows(g), key=len)
     rank_p = rank_mod_p(rows, bound)
@@ -203,26 +184,24 @@ def derivations(g: LieAlgebra) -> DerivationSpace:
     else:
         sys = SparseSystem(n * n)
         for row in rows:
-            if sys.rank == bound:
-                break
             sys.add_row(row)
         if sys.rank < rank_p:
             raise RuntimeError("Leibniz rank over Q below its rank mod P")
         _check_der_dim(n * n - sys.rank)
         space = Subspace.from_vectors(n * n, sys.nullspace_basis())
-        inner_coords = []
-        for v in ad_flats:
+        inner_rows = []
+        for v, x in zip(inner_flat.vectors(), pre):
             coords = space.coords_of(v)
             if coords is None:
                 raise RuntimeError("inner derivation outside computed Der(g)")
-            inner_coords.append(coords)
-        inner = Subspace.from_vectors(space.dim, inner_coords)
+            inner_rows.append(coords + x)
+        inner, pre = image_with_preimages(space.dim, inner_rows)
     basis_mats = tuple(Matrix.unflatten(v, n, n) for v in space.vectors())
     d = len(basis_mats)
 
     labels = tuple(f"D{a}" for a in range(d))
     algebra = LieAlgebra(d, commutator_table(space, n), labels, check=True)
-    return DerivationSpace(g, space, basis_mats, algebra, inner, inner_flat)
+    return DerivationSpace(g, space, basis_mats, algebra, inner, inner_flat, pre)
 
 
 def _mul_into(acc: dict, a: dict, b: dict, n: int, sign: int) -> None:
@@ -285,34 +264,16 @@ def commutator_table(space: Subspace, n: int) -> dict:
     return table
 
 
-def inner_preimage(ds: DerivationSpace, d: Matrix):
-    """The unique x with ad(x) = d; requires a center-free base.
-
-    Preimages of the canonical inner_flat basis are solved once and cached,
-    so repeated calls only extract RREF coordinates.
-    """
-    g = ds.base
-    if ds._ad_preimages is None:
-        if ds.inner_flat.dim != g.dim:  # ad(g) = g / Z(g)
-            raise NonzeroCenterError("inner preimage is not unique: center is nonzero")
-        cols = Matrix.from_columns(
-            [g.ad_matrix(g.basis_element(i)).flatten() for i in range(g.dim)]
-        )
-        pre = []
-        for v in ds.inner_flat.vectors():
-            x = solve(cols, v)
-            if x is None:
-                raise RuntimeError("inner basis vector without ad preimage")
-            pre.append(x)
-        ds._ad_preimages = tuple(pre)
-    coords = ds.inner_flat.coords_of(d.flatten())
-    if coords is None:
-        raise NotInnerError("matrix is not an inner derivation")
-    x = [ZERO] * g.dim
-    for c, p in zip(coords, ds._ad_preimages):
-        if c:
-            x = [a + c * b for a, b in zip(x, p)]
-    return tuple(x)
+def inner_preimage(ds: DerivationSpace, coords: Sequence) -> tuple:
+    """The unique x with ad(x) = the derivation with Der coordinates coords;
+    requires a center-free base."""
+    n = ds.base.dim
+    if ds.inner.dim != n:  # ad(g) = g / Z(g)
+        raise NonzeroCenterError("inner preimage is not unique: center is nonzero")
+    c = ds.inner.coords_of(coords)
+    if c is None:
+        raise NotInnerError("derivation is not inner")
+    return tuple(combine(c, ds.ad_preimages, n))
 
 
 class CompletenessCertificate:
@@ -409,7 +370,9 @@ class DerHomomorphism:
                     )
 
     def apply(self, s_coords: Sequence) -> Matrix:
-        return _combination(self.target.dim, s_coords, self.images)
+        n = self.target.dim
+        flats = [m.flatten() for m in self.images]
+        return Matrix.unflatten(combine(s_coords, flats, n * n), n, n)
 
     @staticmethod
     def zero(source: LieAlgebra, target: LieAlgebra) -> "DerHomomorphism":
@@ -476,14 +439,10 @@ class TorusReport:
         return f"TorusReport(ok={self.ok}, failures={self.failures})"
 
 
-def verify_torus(ds: "DerivationSpace | LieAlgebra", b_mats: Sequence[Matrix]) -> TorusReport:
+def verify_torus(base: LieAlgebra, b_mats: Sequence[Matrix]) -> TorusReport:
     """Check that b_mats generate a torus: derivations, pairwise commuting,
     split-semisimple, and simultaneously diagonalizable (so every rational
-    combination is semisimple, not just the generators).
-
-    Accepts either a DerivationSpace or the bare algebra.
-    """
-    base = ds.base if isinstance(ds, DerivationSpace) else ds
+    combination is semisimple, not just the generators)."""
     failures = []
     for k, b in enumerate(b_mats):
         if not is_derivation(base, b):

@@ -23,6 +23,9 @@ bound on the rank over Q, which is how Der(g) = ad(g) is proved without the
 exact elimination.
 `clear_denominators` gives the integer form over one common denominator in
 which the Der(g) structure constants and the Jacobi check are computed.
+`image_with_preimages` reads a map's image and a preimage of each image
+basis vector off one canonical subspace of the rows (f(x), x); `combine`
+forms the linear combinations that such bases and preimages are used in.
 """
 
 from __future__ import annotations
@@ -388,6 +391,33 @@ def nullspace(m: Matrix) -> "Subspace":
     return Subspace.from_vectors(m.cols, _system(m).nullspace_basis())
 
 
+def combine(coeffs: Sequence, vectors: Sequence[Sequence], n: int) -> list:
+    """sum_r c_r v_r in Q^n, one coefficient per vector."""
+    out = [ZERO] * n
+    for c, v in zip(coeffs, vectors, strict=True):
+        if c:
+            for k, x in enumerate(v):
+                if x:
+                    out[k] += c * x
+    return out
+
+
+def image_with_preimages(a: int, rows: Sequence[Sequence]) -> tuple["Subspace", tuple]:
+    """(image, preimages) of a linear map f into Q^a, from rows (f(x), x).
+
+    The canonical basis vectors of the rows' span that lead in Q^a are
+    reduced at every other such lead, so their Q^a parts are the canonical
+    basis of the image of f and their other parts are preimages, in order;
+    the remaining basis vectors span 0 x ker f.
+    """
+    system = SparseSystem(len(rows[0]) if rows else a)
+    for v in rows:
+        system.add_row({j: x for j, x in enumerate(v) if x})
+    top = [row for lead, row in sorted(system.reduced_rows().items()) if lead < a]
+    image = Subspace(a, Matrix([[row.get(c, ZERO) for c in range(a)] for row in top]))
+    return image, tuple(tuple(row.get(c, ZERO) for c in range(a, system.ncols)) for row in top)
+
+
 def solve(a: Matrix, b: Sequence) -> tuple | None:
     """Some x with a x = b, or None when the system is inconsistent."""
     if a.rows != len(b):
@@ -477,17 +507,11 @@ class Subspace:
         """
         if len(v) != self.ambient_dim:
             raise ValueError("vector length != ambient dimension")
-        v = tuple(as_q(x) for x in v)
-        coords = [v[lead] for lead in self._leads]
-        recon = [ZERO] * self.ambient_dim
-        for c, row in zip(coords, self.basis.data):
-            if c:
-                for k, b in enumerate(row):
-                    if b:
-                        recon[k] += c * b
-        if tuple(recon) != v:
+        v = [as_q(x) for x in v]
+        coords = tuple(v[lead] for lead in self._leads)
+        if combine(coords, self.basis.data, self.ambient_dim) != v:
             return None
-        return tuple(coords)
+        return coords
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
@@ -757,13 +781,7 @@ def refine_eigenspaces(
             for lam in rep.eigenvalues:
                 shifted = restricted - Matrix.identity(r).scale(lam)
                 ker = nullspace(shifted)
-                lifted = []
-                for coords in ker.vectors():
-                    w = [ZERO] * n
-                    for c, base_vec in zip(coords, vecs):
-                        if c:
-                            w = [a + c * x for a, x in zip(w, base_vec)]
-                    lifted.append(w)
+                lifted = [combine(coords, vecs, n) for coords in ker.vectors()]
                 if lifted:
                     new_parts.append((fun + (lam,), Subspace.from_vectors(n, lifted)))
         parts = new_parts

@@ -35,9 +35,10 @@ from .linalg import (  # NotSplitError and refine_eigenspaces are re-exported
     Q,
     Subspace,
     ZERO,
+    combine,
+    image_with_preimages,
     q_str,
     refine_eigenspaces,
-    solve,
 )
 
 
@@ -248,9 +249,11 @@ def _lemma2_form_check(
     the torus slot, with x_alpha independent of b."""
     p = len(h1_emb.s_slot)
     n = len(h1_emb.g_slot)
-    # change of basis into the concatenated weight-part bases
+    # change of basis into the concatenated weight-part bases, which fill g:
+    # to_parts[k] holds the coordinates of e_k
     part_vecs = [v for _, sub in wd.parts for v in sub.vectors()]
-    pmat = Matrix.from_columns(part_vecs)
+    units = Matrix.identity(n).data
+    _, to_parts = image_with_preimages(n, [v + e for v, e in zip(part_vecs, units)])
     offsets = []
     off = 0
     for _, sub in wd.parts:
@@ -258,14 +261,7 @@ def _lemma2_form_check(
         off += sub.dim
     for didx, d in enumerate(dh1.basis_mats):
         # g-components of D applied to each torus-slot basis vector
-        gcomps = []
-        for j in range(p):
-            col = d.column(j)
-            gpart = col[p:]
-            coords = solve(pmat, gpart)
-            if coords is None:
-                return False, f"derivation {didx}: projection failed"
-            gcomps.append(coords)
+        gcomps = [combine(d.column(j)[p:], to_parts, n) for j in range(p)]
         for pidx, (fun, _) in enumerate(wd.parts):
             lo, hi = offsets[pidx]
             blocks = [tuple(gc[lo:hi]) for gc in gcomps]
@@ -397,10 +393,7 @@ def _lemma4_image(dsg: DerivationSpace, s: tuple, d: tuple) -> Matrix:
     der = dsg.algebra
     ad_s = der.ad_matrix(s)
     ad_d = der.ad_matrix(d)
-    cols = [
-        ad_s.column(j) + inner_preimage(dsg, dsg.from_coords(ad_d.column(j)))
-        for j in range(der.dim)
-    ]
+    cols = [ad_s.column(j) + inner_preimage(dsg, ad_d.column(j)) for j in range(der.dim)]
     sd = dsg.from_coords([a + b for a, b in zip(s, d)])
     cols += [der.zero() + sd.column(i) for i in range(dsg.base.dim)]
     return Matrix.from_columns(cols)

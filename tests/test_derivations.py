@@ -180,8 +180,7 @@ class TestDerivations:
 
 class TestRankBound:
     """derivations() feeds no Leibniz row to the exact elimination when the
-    rank mod P reaches n^2 - dim ad(g), and otherwise stops feeding rows
-    when the exact rank reaches it."""
+    rank mod P reaches n^2 - dim ad(g), and otherwise feeds every row."""
 
     @staticmethod
     def rows_fed(g, monkeypatch):
@@ -215,12 +214,24 @@ class TestRankBound:
             ads = [ds.coords_of(g.ad_matrix(g.basis_element(i))) for i in range(n)]
             assert ds.inner == Subspace.from_vectors(ds.dim, ads)
 
-    def test_unlucky_prime_takes_exact_path(self, monkeypatch):
-        # nonabelian2 scaled by P: complete over Q, every Leibniz row is 0 mod P
-        g = LieAlgebra(2, {(0, 1): {1: P}})
+    @pytest.mark.parametrize("name", ["nonabelian2", "full-graph:nonabelian2"])
+    def test_unlucky_prime_takes_exact_path(self, name, monkeypatch):
+        # scaled by P: complete over Q, every Leibniz row is 0 mod P
+        base = catalog(name)
+        g = LieAlgebra(
+            base.dim,
+            {
+                (i, j): {k: P * c for k, c in v.items()}
+                for i, row in enumerate(base.sc)
+                for j, v in row.items()
+                if i < j
+            },
+        )
+        n = g.dim
         fed, ds = self.rows_fed(g, monkeypatch)
-        assert fed > 0
-        assert ds.dim == ds.inner.dim == 2
+        assert fed == n * n * (n - 1) // 2
+        assert ds.dim == ds.inner.dim == n
+        assert ds.space == nullspace(dense_leibniz_matrix(g))
 
     def test_exact_rank_audited_by_modular_rank(self, monkeypatch):
         # drops D[2][2] = D[0][0] + D[1][1], the one Leibniz row of h3 that
@@ -385,21 +396,40 @@ class TestCommutatorTable:
 
 
 class TestInnerPreimage:
+    """inner_preimage takes Der coordinates, here those of a matrix."""
+
+    @staticmethod
+    def preimage(ds, m):
+        return inner_preimage(ds, ds.coords_of(m))
+
     def test_zero(self, fh3, ds_fh3):
         z = Matrix.zero(fh3.dim, fh3.dim)
-        assert inner_preimage(ds_fh3, z) == fh3.zero()
+        assert self.preimage(ds_fh3, z) == fh3.zero()
 
     def test_round_trip_basis(self):
         g = nonabelian2()
         ds = derivations(g)
         x = g.basis_element(0)
-        assert inner_preimage(ds, g.ad_matrix(x)) == x
+        assert self.preimage(ds, g.ad_matrix(x)) == x
 
     def test_round_trip_random(self, fh3, ds_fh3):
         rng = random.Random(17)
         for _ in range(5):
             x = tuple(Q(rng.randint(-2, 2)) for _ in range(fh3.dim))
-            assert inner_preimage(ds_fh3, fh3.ad_matrix(x)) == x
+            assert self.preimage(ds_fh3, fh3.ad_matrix(x)) == x
+
+    @pytest.mark.parametrize(
+        "name", ["f2_nonabelian2_dense.json", "f2_nonabelian2_dense_s21c1.json"]
+    )
+    def test_round_trip_fractional(self, name):
+        # centre-free, with structure constants of denominators up to 17 and
+        # 44: preimages scaled by a common denominator would not round-trip
+        g = load_structure_source(name)
+        ds = derivations(g)
+        rng = random.Random(name)
+        for _ in range(3):
+            x = tuple(Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(g.dim))
+            assert self.preimage(ds, g.ad_matrix(x)) == x
 
     def test_not_inner(self, fh3, ds_fh3):
         outer = next(
@@ -408,11 +438,11 @@ class TestInnerPreimage:
             if not ds_fh3.inner_flat.contains_vector(m.flatten())
         )
         with pytest.raises(NotInnerError):
-            inner_preimage(ds_fh3, outer)
+            self.preimage(ds_fh3, outer)
 
     def test_nonzero_center_rejected(self, h3, ds_h3):
         with pytest.raises(NonzeroCenterError):
-            inner_preimage(ds_h3, Matrix.zero(3, 3))
+            self.preimage(ds_h3, Matrix.zero(3, 3))
 
 
 class TestIsComplete:

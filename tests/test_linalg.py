@@ -14,6 +14,8 @@ from lieq.linalg import (
     SparseSystem,
     Subspace,
     clear_denominators,
+    combine,
+    image_with_preimages,
     minimal_polynomial,
     nullspace,
     rank,
@@ -95,6 +97,34 @@ class TestSolve:
             x = solve(a, b)
             if x is not None:
                 assert list(a.apply(x)) == [Q(v) for v in b]
+
+
+class TestImageWithPreimages:
+    def test_image_preimages_and_kernel(self):
+        # f: Q^4 -> Q^3 of rank 2 with fractional entries, read off the rows
+        # (f(e_j), e_j); oracles: the column space and Matrix.apply
+        rng = random.Random(5)
+        for _ in range(20):
+            u = [Q(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(3)]
+            w = [Q(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(3)]
+            c = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(4)]
+            f = Matrix.from_columns([[a * x + b * y for x, y in zip(u, w)] for a, b in c])
+            units = Matrix.identity(4).data
+            image, pre = image_with_preimages(3, [f.column(j) + units[j] for j in range(4)])
+            assert image == Subspace.from_vectors(3, [f.column(j) for j in range(4)])
+            assert len(pre) == image.dim
+            for v, x in zip(image.vectors(), pre):
+                assert f.apply(x) == v
+
+    def test_no_rows(self):
+        image, pre = image_with_preimages(2, [])
+        assert image == Subspace.zero(2) and pre == ()
+
+    def test_combine(self):
+        vecs = [(Q(1), Q(0), Q(2)), (Q(0), Q(1, 3), Q(-1))]
+        assert combine([2, Q(3)], vecs, 3) == [Q(2), Q(1), Q(1)]
+        with pytest.raises(ValueError):
+            combine([1], vecs, 3)
 
 
 class TestSubspace:

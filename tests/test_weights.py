@@ -256,7 +256,7 @@ def dense_lemma4_image(dsg, s, d):
     cols = []
     for s1 in dsg.basis_mats:
         top = dsg.coords_of(s.commutator(s1))
-        bottom = inner_preimage(dsg, d.commutator(s1))
+        bottom = inner_preimage(dsg, dsg.coords_of(d.commutator(s1)))
         cols.append(tuple(top) + tuple(bottom))
     sd = s + d
     for i in range(g.dim):
