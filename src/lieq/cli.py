@@ -253,13 +253,11 @@ def run_command(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
-    needs_g = args.command in ("analyze", "construct", "tower") or (
-        args.command == "verify"
-        and args.theorem in ("theorem1", "theorem2", "lemma3")
-    )
+    # argparse requires the src of analyze, construct and tower itself
+    needs_g = args.command == "verify" and args.theorem in ("theorem1", "theorem2", "lemma3")
     try:
-        if needs_g and getattr(args, "g", getattr(args, "src", None)) is None:
-            raise UsageError(f"{args.command}: an algebra source is required (--g)")
+        if needs_g and args.g is None:
+            raise UsageError("verify: an algebra source is required (--g)")
         return args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

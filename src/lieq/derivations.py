@@ -360,11 +360,13 @@ class DerHomomorphism:
         for k, m in enumerate(self.images):
             if not is_derivation(self.target, m):
                 raise ValueError(f"image of source basis vector {k} is not a derivation")
+        n = self.target.dim
+        flats = [m.flatten() for m in self.images]
         for a in range(self.source.dim):
             for b in range(a + 1, self.source.dim):
-                lhs = self.apply(self.source.bracket_basis(a, b))
-                rhs = self.images[a].commutator(self.images[b])
-                if lhs != rhs:
+                lhs = combine(self.source.bracket_basis(a, b), flats, n * n)
+                rhs = self.images[a].commutator(self.images[b]).flatten()
+                if tuple(lhs) != rhs:
                     raise ValueError(
                         f"not a Lie homomorphism on source basis pair ({a}, {b})"
                     )
@@ -442,7 +444,9 @@ class TorusReport:
 def verify_torus(base: LieAlgebra, b_mats: Sequence[Matrix]) -> TorusReport:
     """Check that b_mats generate a torus: derivations, pairwise commuting,
     split-semisimple, and simultaneously diagonalizable (so every rational
-    combination is semisimple, not just the generators)."""
+    combination is semisimple, not just the generators).  The weight spaces
+    are refined from the spectra found here once the other checks pass, as
+    `refine_eigenspaces` requires; that they fill the space is the audit."""
     failures = []
     for k, b in enumerate(b_mats):
         if not is_derivation(base, b):
@@ -461,10 +465,7 @@ def verify_torus(base: LieAlgebra, b_mats: Sequence[Matrix]) -> TorusReport:
         else:
             eigs.append(rep.eigenvalues)
     if not failures:
-        try:
-            parts = tuple(refine_eigenspaces(base.dim, b_mats))
-        except ValueError:
-            parts = ()
+        parts = tuple(refine_eigenspaces(base.dim, b_mats, eigs))
         if sum(sub.dim for _, sub in parts) == base.dim:
             return TorusReport(True, failures, tuple(eigs), parts)
         failures.append(

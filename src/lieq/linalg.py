@@ -743,45 +743,31 @@ def split_semisimple_check(m: Matrix) -> SemisimplicityReport:
     return SemisimplicityReport(squarefree, splits, eig, p)
 
 
-class NotSplitError(ValueError):
-    """Raised when a torus generator has an irrational spectrum on an
-    invariant subspace."""
-
-
 def refine_eigenspaces(
-    n: int, mats: Sequence[Matrix]
+    n: int, mats: Sequence[Matrix], spectra: Sequence[Sequence]
 ) -> list[tuple[tuple, Subspace]]:
-    """Simultaneous eigenspace refinement of Q^n under commuting matrices.
+    """Simultaneous eigenspaces of Q^n under mats with the given spectra.
+
+    Requires commuting semisimple mats with these rational spectra, so each
+    part is b-invariant and its eigenspaces fill it.  A part with basis V
+    splits, for each lam of b, into the lift of the kernel of the n x r
+    matrix with columns (b - lam) v; empty kernels are skipped.
 
     Returns (functional, subspace) pairs; the functional records one
     eigenvalue per generator, in list order.  Parts are sorted
     lexicographically on the functional values.
     """
     parts: list[tuple[tuple, Subspace]] = [((), Subspace.full(n))]
-    for b in mats:
+    for b, spectrum in zip(mats, spectra, strict=True):
         new_parts = []
         for fun, sub in parts:
             vecs = sub.vectors()
-            r = len(vecs)
-            if r == 0:
-                continue
-            cols = []
-            for v in vecs:
-                image = b.apply(v)
-                coords = sub.coords_of(image)
-                if coords is None:
-                    raise ValueError("subspace not invariant: generators do not commute")
-                cols.append(coords)
-            restricted = Matrix.from_columns(cols)
-            rep = split_semisimple_check(restricted)
-            if not rep.split:
-                raise NotSplitError(
-                    "torus generator has irrational eigenvalues on an invariant subspace"
+            images = [b.apply(v) for v in vecs]
+            for lam in spectrum:
+                shifted = Matrix.from_columns(
+                    [[x - lam * y for x, y in zip(bv, v)] for bv, v in zip(images, vecs)]
                 )
-            for lam in rep.eigenvalues:
-                shifted = restricted - Matrix.identity(r).scale(lam)
-                ker = nullspace(shifted)
-                lifted = [combine(coords, vecs, n) for coords in ker.vectors()]
+                lifted = [combine(c, vecs, n) for c in nullspace(shifted).vectors()]
                 if lifted:
                     new_parts.append((fun + (lam,), Subspace.from_vectors(n, lifted)))
         parts = new_parts

@@ -29,9 +29,8 @@ from .derivations import (
     z_s_subspace,
 )
 from .liealg import LieAlgebra
-from .linalg import (  # NotSplitError and refine_eigenspaces are re-exported
+from .linalg import (  # refine_eigenspaces is re-exported; verify_torus calls it
     Matrix,
-    NotSplitError,
     Q,
     Subspace,
     ZERO,
@@ -168,14 +167,10 @@ def theorem1_pipeline(
         "Der(h1)": dh1.dim,
     }
 
-    # Images of the h basis under (t0, g0) -> D_{(t0, g0)}.
-    images = []
-    for t0 in tau_mats:
-        images.append(_theorem1_image(h1_emb, torus_mats, t0, g.zero(), g))
-    for i in range(g.dim):
-        images.append(
-            _theorem1_image(h1_emb, torus_mats, None, g.basis_element(i), g)
-        )
+    # Images of the h basis under (t0, g0) -> D_{(t0, g0)}: D_{(t0, 0)} is t0
+    # on the g slot of h1 = b x g, and D_{(0, g0)} = ad_h1(0, g0)
+    images = [_on_g_slot(t0, p) for t0 in tau_mats]
+    images += [h1.ad_matrix(h1.basis_element(k)) for k in h1_emb.g_slot]
 
     bad = next((k for k, m in enumerate(images) if not is_derivation(h1, m)), None)
     report.add(
@@ -219,27 +214,10 @@ def theorem1_pipeline(
     return report
 
 
-def _theorem1_image(
-    h1_emb: GraphEmbedding,
-    torus_mats: Sequence[Matrix],
-    t0: Matrix | None,
-    g0,
-    g: LieAlgebra,
-) -> Matrix:
-    """Matrix of D_{(t0,g0)}: (b, x) -> (0, t0(x) - b(g0) + [g0, x]) on h1."""
-    h1 = h1_emb.whole
-    p = len(h1_emb.s_slot)
-    cols = []
-    for j in range(p):
-        v = tuple(-x for x in torus_mats[j].apply(g0))
-        cols.append((ZERO,) * p + v)
-    for i in range(g.dim):
-        e = g.basis_element(i)
-        v = list(g.bracket(g0, e))
-        if t0 is not None:
-            v = [a + b for a, b in zip(v, t0.apply(e))]
-        cols.append((ZERO,) * p + tuple(v))
-    return Matrix.from_columns(cols)
+def _on_g_slot(t0: Matrix, p: int) -> Matrix:
+    """t0 on the g slot of b x g and zero on its p-dimensional b slot."""
+    width = p + t0.cols
+    return Matrix([[ZERO] * width] * p + [[ZERO] * p + list(row) for row in t0.data])
 
 
 def _lemma2_form_check(
@@ -352,11 +330,13 @@ def theorem2_check(g: LieAlgebra) -> PipelineReport:
     )
 
     # Lemma-4 images of the h-tilde basis (s_j, 0) and (0, D_k), as pairs of
-    # Der(g) coordinates
+    # Der(g) coordinates: D_{(s, 0)} = ad_f(g)(s, 0), and D_{(0, D)} is the
+    # part that Lemma 4 adds
     zero = dsg.algebra.zero()
     basis = [(dsg.algebra.basis_element(j), zero) for j in range(dsg.dim)]
     basis += [(zero, v) for v in fsub.vectors()]
-    images = [_lemma4_image(dsg, s, d) for s, d in basis]
+    images = [fg.ad_matrix(fg.basis_element(j)) for j in range(dsg.dim)]
+    images += [_lemma4_image(dsg, v) for v in fsub.vectors()]
     bad = next((k for k, m in enumerate(images) if not is_derivation(fg, m)), None)
     report.add(
         "images_are_derivations",
@@ -373,7 +353,7 @@ def theorem2_check(g: LieAlgebra) -> PipelineReport:
         "map_injective", span.dim == len(basis), f"rank {span.dim} of {len(basis)}"
     )
 
-    hom_ok, hom_detail = _lemma4_homomorphism_check(dsg, basis, images)
+    hom_ok, hom_detail = _lemma4_homomorphism_check(dsg, fsub, basis, images)
     report.add("homomorphism_law", hom_ok, hom_detail)
 
     fg_cert = is_complete(fg, dsf)
@@ -386,35 +366,39 @@ def theorem2_check(g: LieAlgebra) -> PipelineReport:
     return report
 
 
-def _lemma4_image(dsg: DerivationSpace, s: tuple, d: tuple) -> Matrix:
-    """Matrix on f(g) of D_{(s,D)}(s1, x) = ([s,s1], s(x) + D(x) + I([D, s1])),
-    with s and D in Der(g) coordinates; their brackets with the Der(g) basis
-    vectors s1 are the columns of ad(s) and ad(D) in dsg.algebra."""
+def _lemma4_image(dsg: DerivationSpace, d: tuple) -> Matrix:
+    """Matrix on f(g) of (s1, x) -> (0, D(x) + I([D, s1])), what Lemma 4
+    adds for D in F(g), given in Der(g) coordinates; the [D, s1] with the
+    Der(g) basis vectors s1 are the columns of ad(D) in dsg.algebra."""
     der = dsg.algebra
-    ad_s = der.ad_matrix(s)
     ad_d = der.ad_matrix(d)
-    cols = [ad_s.column(j) + inner_preimage(dsg, ad_d.column(j)) for j in range(der.dim)]
-    sd = dsg.from_coords([a + b for a, b in zip(s, d)])
-    cols += [der.zero() + sd.column(i) for i in range(dsg.base.dim)]
+    cols = [der.zero() + inner_preimage(dsg, ad_d.column(j)) for j in range(der.dim)]
+    dm = dsg.from_coords(d)
+    cols += [der.zero() + dm.column(i) for i in range(dsg.base.dim)]
     return Matrix.from_columns(cols)
 
 
 def _lemma4_homomorphism_check(
-    dsg: DerivationSpace, basis: list, images: list
+    dsg: DerivationSpace, fsub: Subspace, basis: list, images: list
 ) -> tuple[bool, str]:
     """[D_{(s1,D1)}, D_{(s2,D2)}] = D_{bracket} on h-tilde basis pairs, where
     bracket = ([s1,s2], [s1,D2] - [s2,D1] + [D1,D2]) is taken in dsg.algebra
-    and the left side is the commutator of the image matrices."""
+    and the left side is the commutator of the image matrices.  On this
+    basis (the Der(g) units, then fsub's) the map is linear, so D_{bracket}
+    combines the images with [s1,s2] and the fsub coordinates of the rest,
+    which exist since F(g) is an ideal of Der(g)."""
     br = dsg.algebra.bracket
+    size = (dsg.dim + dsg.base.dim) ** 2
+    flats = [m.flatten() for m in images]
     for a, (s1, d1) in enumerate(basis):
         for b in range(a + 1, len(basis)):
             s2, d2 = basis[b]
             db = tuple(
                 x - y + z for x, y, z in zip(br(s1, d2), br(s2, d1), br(d1, d2))
             )
-            expect = _lemma4_image(dsg, br(s1, s2), db)
-            got = images[a].commutator(images[b])
-            if got != expect:
+            coords = fsub.coords_of(db)
+            got = images[a].commutator(images[b]).flatten()
+            if coords is None or tuple(combine(br(s1, s2) + coords, flats, size)) != got:
                 return False, f"law fails on basis pair ({a}, {b})"
     return True, ""
 

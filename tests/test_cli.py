@@ -99,6 +99,13 @@ class TestExitCodes:
             assert "error" in proc.stderr
             assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("theorem", ("theorem1", "theorem2", "lemma3"))
+    def test_verify_without_source_is_one(self, theorem):
+        proc = run_cli("verify", theorem)
+        assert proc.returncode == 1
+        assert "an algebra source is required" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_malformed_file_is_one(self, tmp_path):
         p = tmp_path / "bad.json"
         for doc in (

@@ -1,5 +1,6 @@
 import importlib
 import random
+import re
 
 import pytest
 
@@ -19,8 +20,10 @@ from lieq.derivations import (
     diagonal_derivation_torus,
     f_s_subspace,
     inner_preimage,
+    verify_torus,
 )
-from lieq.linalg import Matrix, Q, Subspace, ZERO, refine_eigenspaces
+from lieq.liealg import LieAlgebra
+from lieq.linalg import Matrix, Q, Subspace, ZERO, refine_eigenspaces, split_semisimple_check
 from lieq.weights import (
     DegeneratePairError,
     _lemma4_homomorphism_check,
@@ -61,11 +64,13 @@ class TestWeightDecomposition:
     def test_same_eigenvectors_two_generators(self, gp2):
         # second generator d*d - 2d has the same eigenspaces with shifted
         # eigenvalues (1 -> -1, 2 -> 0); it is not itself a derivation, so
-        # the refinement is called directly, without torus verification
+        # the refinement is called directly, without torus verification,
+        # with the spectra split_semisimple_check computes
         d = grading_derivation(gp2)
         d2 = d @ d - d.scale(2)
-        parts1 = refine_eigenspaces(gp2.algebra.dim, [d])
-        parts2 = refine_eigenspaces(gp2.algebra.dim, [d, d2])
+        spec, spec2 = (split_semisimple_check(m).eigenvalues for m in (d, d2))
+        parts1 = refine_eigenspaces(gp2.algebra.dim, [d], [spec])
+        parts2 = refine_eigenspaces(gp2.algebra.dim, [d, d2], [spec, spec2])
         assert [fun for fun, _ in parts2] == [(Q(1), Q(-1)), (Q(2), Q(0))]
         assert [sub for _, sub in parts1] == [sub for _, sub in parts2]
         assert weight_decomposition(gp2.algebra, [d]).parts == tuple(parts1)
@@ -104,6 +109,52 @@ class TestWeightDecomposition:
                         assert funs[target].contains(prod)
                     else:
                         assert prod.dim == 0
+
+
+def rebased(g, p, pinv):
+    """g in the basis of the columns of p: [f_a, f_b] = p^-1 [p e_a, p e_b]."""
+    cols = [p.column(a) for a in range(g.dim)]
+    table = {}
+    for a in range(g.dim):
+        for b in range(a + 1, g.dim):
+            v = pinv.apply(g.bracket(cols[a], cols[b]))
+            table[(a, b)] = {k: c for k, c in enumerate(v) if c}
+    return LieAlgebra(g.dim, table)
+
+
+class TestRebasedTorus:
+    # h3^(3) in the basis of the columns of the integer unipotent
+    # P = I + (superdiagonal of ones), with its diagonal torus D conjugated
+    # to P^-1 D P: several generators whose weight spaces are mostly not
+    # coordinate subspaces
+    @pytest.fixture(scope="class")
+    def pair(self):
+        g = graded_power(heisenberg(1), 3).algebra
+        n = g.dim
+        p = Matrix([[1 if j in (i, i + 1) else 0 for j in range(n)] for i in range(n)])
+        pinv = Matrix([[(-1) ** (j - i) if j >= i else 0 for j in range(n)] for i in range(n)])
+        assert p @ pinv == Matrix.identity(n)
+        mats = diagonal_derivation_torus(g)
+        return g, mats, rebased(g, p, pinv), [pinv @ d @ p for d in mats], pinv
+
+    def test_weight_spaces_map_under_p_inverse(self, pair):
+        g, mats, h, conj, pinv = pair
+        rep, rep2 = verify_torus(g, mats), verify_torus(h, conj)
+        assert rep.ok and rep2.ok
+        assert len(conj) == 6 and len(rep2.parts) == 9
+        coordinate = [all(sum(1 for x in v if x) == 1 for v in sub.vectors()) for _, sub in rep2.parts]
+        assert coordinate.count(False) == 8
+        assert [fun for fun, _ in rep.parts] == [fun for fun, _ in rep2.parts]
+        assert [sub.dim for _, sub in rep.parts] == [sub.dim for _, sub in rep2.parts]
+        for (_, sub), (_, sub2) in zip(rep.parts, rep2.parts):
+            assert Subspace.from_vectors(g.dim, [pinv.apply(v) for v in sub.vectors()]) == sub2
+
+    def test_theorem1_agrees(self, pair):
+        g, mats, h, conj, _ = pair
+        rep, rep2 = theorem1_pipeline(g, mats), theorem1_pipeline(h, conj)
+        assert rep.ok and rep2.ok
+        assert rep.dims == rep2.dims
+        assert [c.name for c in rep.checks] == [c.name for c in rep2.checks]
 
 
 class TestNondegeneratePair:
@@ -264,13 +315,39 @@ def dense_lemma4_image(dsg, s, d):
     return Matrix.from_columns(cols)
 
 
+def lemma4_image(fg, dsg, s, d):
+    """D_{(s, D)} = ad_f(g)(s, 0) plus the part that Lemma 4 adds for D."""
+    return fg.ad_matrix(tuple(s) + dsg.base.zero()) + _lemma4_image(dsg, d)
+
+
+def dense_bracket_image(dsg, pair1, pair2):
+    """The dense image of the bracket of two h-tilde elements."""
+    (s1, d1), (s2, d2) = [(dsg.from_coords(s), dsg.from_coords(d)) for s, d in (pair1, pair2)]
+    db = s1.commutator(d2) - s2.commutator(d1) + d1.commutator(d2)
+    return dense_lemma4_image(dsg, s1.commutator(s2), db)
+
+
+def theorem2_setting(g):
+    dsg = derivations(g)
+    fsub = f_s_subspace(dsg, DerHomomorphism.identity_on_der(dsg))
+    return dsg, fsub, full_graph(g, dsg).whole
+
+
+def pipeline_basis(dsg, fsub, fg):
+    """theorem2_check's h-tilde basis, the Der(g) units and then F(g)'s
+    basis, with its images."""
+    zero = dsg.algebra.zero()
+    basis = [(dsg.algebra.basis_element(j), zero) for j in range(dsg.dim)]
+    basis += [(zero, v) for v in fsub.vectors()]
+    return basis, [lemma4_image(fg, dsg, s, d) for s, d in basis]
+
+
 class TestLemma4Oracle:
     @pytest.fixture(scope="class")
     def mixed(self):
         # theorem 2's setting on g = f(h3), with h-tilde elements (s, D)
         # whose parts are both nonzero, unlike the pipeline's basis
-        dsg = derivations(full_graph(heisenberg(1)).whole)
-        fsub = f_s_subspace(dsg, DerHomomorphism.identity_on_der(dsg))
+        dsg, fsub, fg = theorem2_setting(full_graph(heisenberg(1)).whole)
         rng = random.Random(11)
 
         def combo(vecs):
@@ -282,25 +359,48 @@ class TestLemma4Oracle:
 
         units = [dsg.algebra.basis_element(j) for j in range(dsg.dim)]
         pairs = [(combo(units), combo(fsub.vectors())) for _ in range(4)]
-        return dsg, pairs
+        return dsg, fsub, fg, pairs
+
+    @pytest.fixture(
+        scope="class", params=[nonabelian2, lambda: heisenberg(1)], ids=["f(nonabelian2)", "f(h3)"]
+    )
+    def pipeline(self, request):
+        # theorem 2's setting on g = f(nonabelian2) and f(h3), on the
+        # pipeline's basis
+        dsg, fsub, fg = theorem2_setting(full_graph(request.param()).whole)
+        return (dsg, fsub, *pipeline_basis(dsg, fsub, fg))
 
     def test_image_matches_dense(self, mixed):
-        dsg, pairs = mixed
+        dsg, _, fg, pairs = mixed
         for s, d in pairs:
             dense = dense_lemma4_image(dsg, dsg.from_coords(s), dsg.from_coords(d))
-            assert _lemma4_image(dsg, s, d) == dense
+            assert lemma4_image(fg, dsg, s, d) == dense
 
     def test_law_matches_dense(self, mixed):
-        dsg, pairs = mixed
-        images = [_lemma4_image(dsg, s, d) for s, d in pairs]
-        assert _lemma4_homomorphism_check(dsg, pairs, images) == (True, "")
-        mats = [(dsg.from_coords(s), dsg.from_coords(d)) for s, d in pairs]
-        for a, (s1, d1) in enumerate(mats):
-            for b in range(a + 1, len(mats)):
-                s2, d2 = mats[b]
-                db = s1.commutator(d2) - s2.commutator(d1) + d1.commutator(d2)
-                expect = dense_lemma4_image(dsg, s1.commutator(s2), db)
+        dsg, fsub, fg, pairs = mixed
+        images = [lemma4_image(fg, dsg, s, d) for s, d in pairs]
+        for a in range(len(pairs)):
+            for b in range(a + 1, len(pairs)):
+                expect = dense_bracket_image(dsg, pairs[a], pairs[b])
                 assert images[a].commutator(images[b]) == expect
+        # the linear check, on the basis it is written for
+        basis, basis_images = pipeline_basis(dsg, fsub, fg)
+        assert _lemma4_homomorphism_check(dsg, fsub, basis, basis_images) == (True, "")
+
+    @pytest.mark.parametrize("k", (0, 1))
+    def test_scaled_image_breaks_law(self, pipeline, k):
+        # doubling image k breaks the law; the pair the check names holds k
+        # here, so it breaks the law by the dense oracle as well
+        dsg, fsub, basis, images = pipeline
+        scaled = list(images)
+        scaled[k] = images[k].scale(2)
+        ok, detail = _lemma4_homomorphism_check(dsg, fsub, basis, scaled)
+        assert not ok
+        match = re.fullmatch(r"law fails on basis pair \((\d+), (\d+)\)", detail)
+        a, b = int(match[1]), int(match[2])
+        expect = dense_bracket_image(dsg, basis[a], basis[b])
+        assert images[a].commutator(images[b]) == expect
+        assert scaled[a].commutator(scaled[b]) != expect
 
 
 class TestTheorem3AndProps:
