@@ -21,7 +21,6 @@ from .constructions import (
 )
 from .derivations import (
     CompletenessCertificate,
-    DerHomomorphism,
     DerivationSpace,
     centralizer_in_der,
     derivation_tower,

@@ -23,7 +23,6 @@ from .derivations import (
     derivations,
     diagonal_derivation_torus,
     is_complete,
-    DerHomomorphism,
     NonzeroCenterError,
 )
 from .fileio import (
@@ -34,7 +33,7 @@ from .fileio import (
     serialize_algebra,
 )
 from .liealg import DimensionCapError, LieAlgebra
-from .linalg import q_str
+from .linalg import Matrix, q_str
 from .weights import (
     lemma3_check,
     prop2_check,
@@ -67,11 +66,19 @@ def load_source(src: str) -> LieAlgebra:
         raise UsageError(f"{src}: {e}") from None
 
 
+def _write(path: str, text: str) -> None:
+    """Write text to path; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e}") from None
+
+
 def _emit(doc: dict, out: str | None) -> None:
     text = dumps_report(doc)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write(out, text)
     sys.stdout.write(text)
 
 
@@ -119,8 +126,7 @@ def cmd_construct(args) -> int:
     g = load_source(args.src)
     text = serialize_algebra(g)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -173,11 +179,10 @@ def cmd_verify(args) -> int:
             g = load_source(args.g)
             if args.phi == "identity":
                 ds = derivations(g)
-                phi = DerHomomorphism.identity_on_der(ds)
-                rep = lemma3_check(ds.algebra, g, phi)
+                rep = lemma3_check(ds.algebra, g, ds.basis_mats)
             else:
                 s = abelian(args.s_dim)
-                rep = lemma3_check(s, g, DerHomomorphism.zero(s, g))
+                rep = lemma3_check(s, g, [Matrix.zero(g.dim, g.dim)] * s.dim)
         elif args.theorem == "prop2":
             rep = prop2_check(args.N)
         elif args.theorem == "prop3":

@@ -8,7 +8,9 @@ over LIE_DIM_CAP before it builds it.
 
 from __future__ import annotations
 
-from .derivations import DerHomomorphism, DerivationSpace, derivations
+from typing import Sequence
+
+from .derivations import DerivationSpace, check_images, derivations
 from .liealg import LieAlgebra, check_dim_cap
 from .linalg import Matrix, Q, ZERO
 
@@ -33,11 +35,23 @@ class GraphEmbedding:
         return f"GraphEmbedding(dim {self.whole.dim} = {len(self.s_slot)} + {len(self.g_slot)})"
 
 
-def semidirect(s: LieAlgebra, g: LieAlgebra, phi: DerHomomorphism) -> GraphEmbedding:
-    """s x_phi g with bracket
-    [(s1,g1),(s2,g2)] = ([s1,s2], s1(g2) - s2(g1) + [g1,g2])."""
-    if phi.source.dim != s.dim or phi.target.dim != g.dim:
-        raise ValueError("homomorphism does not map s into Der(g)")
+def semidirect(s: LieAlgebra, g: LieAlgebra, images: Sequence[Matrix]) -> GraphEmbedding:
+    """s x_phi g, for phi given by the images phi(s_k) of the basis of s,
+    with bracket [(s1,g1),(s2,g2)] = ([s1,s2], s1(g2) - s2(g1) + [g1,g2]).
+
+    The Jacobi validation of the product is the one check of phi.  The
+    triples (s_k, g_i, g_j) hold exactly when phi(s_k) is a derivation of g,
+    and the triples (s_k, s_l, g_i) exactly when phi([s_k, s_l]) =
+    [phi(s_k), phi(s_l)] on g_i; the rest are the Jacobi identities of s and
+    of g.  So the product is a Lie algebra exactly when phi is a homomorphism
+    s -> Der(g).  Raises ValueError unless there is one dim g x dim g image
+    per basis vector of s, and InvalidStructureError (a ValueError) naming
+    the failing basis triple of the product, whose indices below dim s are
+    in s, when phi is not such a homomorphism.
+    """
+    if len(images) != s.dim:
+        raise ValueError("phi needs one image per basis vector of s")
+    check_images(images, g.dim)
     p, n = s.dim, g.dim
     dim = p + n
     check_dim_cap(dim)
@@ -46,7 +60,7 @@ def semidirect(s: LieAlgebra, g: LieAlgebra, phi: DerHomomorphism) -> GraphEmbed
         for j, v in row.items():
             if i < j:
                 table[(i, j)] = v
-    for i, img in enumerate(phi.images):
+    for i, img in enumerate(images):
         for j in range(n):
             table[(i, p + j)] = {p + k: c for k, c in enumerate(img.column(j)) if c}
     for i, row in enumerate(g.sc):
@@ -65,8 +79,7 @@ def full_graph(g: LieAlgebra, ds: DerivationSpace | None = None) -> GraphEmbeddi
         ds = derivations(g)
     elif ds.base is not g and ds.base.sc != g.sc:
         raise ValueError("derivation space does not belong to this algebra")
-    phi = DerHomomorphism.identity_on_der(ds)
-    return semidirect(ds.algebra, g, phi)
+    return semidirect(ds.algebra, g, ds.basis_mats)
 
 
 def full_graph_iter(g: LieAlgebra, n: int) -> list[GraphEmbedding]:

@@ -23,8 +23,10 @@ ad(x) = v for each basis vector v of ad(g); `inner_preimage` combines these.
 Brackets of derivations are computed once, as the structure constants of
 `DerivationSpace.algebra`, each audited against its full matrix commutator.
 Downstream, a derivation is its coordinate vector in the canonical Der basis:
-`centralizer_in_der` and `f_s_subspace` take kernels of ad matrices of that
-algebra rather than forming dense n x n commutators.
+`centralizer_in_der` takes the Der coordinates of its generators, and
+`f_s_subspace` takes the images of phi and reads their Der coordinates once;
+both take kernels of ad matrices of that algebra rather than forming dense
+n x n commutators.
 """
 
 from __future__ import annotations
@@ -317,97 +319,40 @@ def is_complete(g: LieAlgebra, ds: DerivationSpace | None = None) -> Completenes
     return CompletenessCertificate(center.dim, der_dim, inner_dim, complete, witness)
 
 
-def centralizer_in_der(ds: DerivationSpace, b_mats: Sequence[Matrix]) -> Subspace:
-    """{D in Der(g) : [D, B] = 0 for all B}, in Der-coefficient coordinates:
-    the common kernel of the ad(B) of the Der algebra."""
-    for b in b_mats:
-        if not is_derivation(ds.base, b):
-            raise ValueError("centralizer generator is not a derivation")
-    rows = [
-        row
-        for b in b_mats
-        for row in ds.algebra.ad_matrix(_der_coords(ds, b)).data
-        if any(row)
-    ]
+def centralizer_in_der(ds: DerivationSpace, coords: Sequence[Sequence]) -> Subspace:
+    """{D in Der(g) : [D, B] = 0 for all B}, in Der-coefficient coordinates,
+    for B given by their Der coordinates: the common kernel of the ad(B) of
+    the Der algebra."""
+    rows = [row for c in coords for row in ds.algebra.ad_matrix(c).data if any(row)]
     if not rows:
         return Subspace.full(ds.dim)
     return nullspace(Matrix(rows))
 
 
-def _der_coords(ds: DerivationSpace, m: Matrix) -> tuple:
-    """Der coordinates of a matrix that has passed a derivation check."""
-    coords = ds.coords_of(m)
-    if coords is None:
-        raise RuntimeError("derivation outside computed Der(g)")
-    return coords
+def check_images(images: Sequence[Matrix], n: int) -> None:
+    """Refuse images of phi that are not n x n matrices, in gl(g) for
+    dim g = n."""
+    if any(m.rows != n or m.cols != n for m in images):
+        raise ValueError(f"phi needs {n} x {n} images, one per basis vector of s")
 
 
-class DerHomomorphism:
-    """Linear map from a Lie algebra into Der(target), one image matrix per
-    source basis vector, validated as a Lie homomorphism."""
-
-    __slots__ = ("source", "target", "images")
-
-    def __init__(self, source: LieAlgebra, target: LieAlgebra, images: Sequence[Matrix]):
-        if len(images) != source.dim:
-            raise ValueError("one image matrix per source basis vector required")
-        self.source = source
-        self.target = target
-        self.images = tuple(images)
-        self._validate()
-
-    def _validate(self) -> None:
-        for k, m in enumerate(self.images):
-            if not is_derivation(self.target, m):
-                raise ValueError(f"image of source basis vector {k} is not a derivation")
-        n = self.target.dim
-        flats = [m.flatten() for m in self.images]
-        for a in range(self.source.dim):
-            for b in range(a + 1, self.source.dim):
-                lhs = combine(self.source.bracket_basis(a, b), flats, n * n)
-                rhs = self.images[a].commutator(self.images[b]).flatten()
-                if tuple(lhs) != rhs:
-                    raise ValueError(
-                        f"not a Lie homomorphism on source basis pair ({a}, {b})"
-                    )
-
-    def apply(self, s_coords: Sequence) -> Matrix:
-        n = self.target.dim
-        flats = [m.flatten() for m in self.images]
-        return Matrix.unflatten(combine(s_coords, flats, n * n), n, n)
-
-    @staticmethod
-    def zero(source: LieAlgebra, target: LieAlgebra) -> "DerHomomorphism":
-        z = Matrix.zero(target.dim, target.dim)
-        return DerHomomorphism(source, target, [z] * source.dim)
-
-    @staticmethod
-    def identity_on_der(ds: DerivationSpace) -> "DerHomomorphism":
-        """The identity Der(g) -> Der(g), with Der(g) as its own algebra.
-
-        Not re-validated: it is a homomorphism by construction.  Every basis
-        matrix solves the Leibniz system, and ds.algebra is the commutator
-        table of ds.basis_mats, audited entry for entry by
-        `commutator_table`."""
-        phi = DerHomomorphism.__new__(DerHomomorphism)
-        phi.source, phi.target, phi.images = ds.algebra, ds.base, ds.basis_mats
-        return phi
-
-
-def f_s_subspace(ds: DerivationSpace, phi: DerHomomorphism) -> Subspace:
+def f_s_subspace(ds: DerivationSpace, images: Sequence[Matrix]) -> Subspace:
     """F_s(g) = {D in Der(g) : [D, phi(s_k)] inner for all k}, in
-    Der-coefficient coordinates.  A derivation is inner exactly when it is
-    orthogonal to every w in the complement of ad(g) in Q^dim, so each image
-    beta contributes the rows w . ad(beta) of the Der algebra."""
-    if phi.target is not ds.base and phi.target.sc != ds.base.sc:
-        raise ValueError("homomorphism target does not match the derivation base")
+    Der-coefficient coordinates, for the images phi(s_k).  A derivation is
+    inner exactly when it is orthogonal to every w in the complement of
+    ad(g) in Q^dim, so each image beta contributes the rows w . ad(beta) of
+    the Der algebra.  Raises ValueError when an image lies outside Der(g)."""
+    check_images(images, ds.base.dim)
+    coords = [ds.coords_of(m) for m in images]
+    if None in coords:
+        raise ValueError("an image of phi lies outside Der(g)")
     comp = ds.inner.orthogonal_complement()
     if comp.dim == 0:
         return Subspace.full(ds.dim)
     rows = [
         row
-        for img in phi.images
-        for row in (comp.basis @ ds.algebra.ad_matrix(_der_coords(ds, img))).data
+        for c in coords
+        for row in (comp.basis @ ds.algebra.ad_matrix(c)).data
         if any(row)
     ]
     if not rows:
@@ -415,15 +360,14 @@ def f_s_subspace(ds: DerivationSpace, phi: DerHomomorphism) -> Subspace:
     return nullspace(Matrix(rows))
 
 
-def z_s_subspace(g: LieAlgebra, phi: DerHomomorphism) -> Subspace:
-    """Z_s(g): central elements annihilated by every phi image."""
-    if phi.target.dim != g.dim:
-        raise ValueError("homomorphism target does not match the algebra")
+def z_s_subspace(g: LieAlgebra, images: Sequence[Matrix]) -> Subspace:
+    """Z_s(g): central elements annihilated by every image phi(s_k)."""
+    check_images(images, g.dim)
     zs = g.center()
-    if not phi.images:
+    if not images:
         return zs
-    stacked = phi.images[0]
-    for m in phi.images[1:]:
+    stacked = images[0]
+    for m in images[1:]:
         stacked = stacked.stack(m)
     return zs.intersect(nullspace(stacked))
 

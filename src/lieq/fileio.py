@@ -29,10 +29,12 @@ def serialize_algebra(g: LieAlgebra) -> str:
 
 
 def parse_algebra(text: str | bytes) -> LieAlgebra:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         doc = json.loads(text)
+    except UnicodeDecodeError as e:
+        raise AlgebraFileError(f"not valid UTF-8: {e}") from None
     except json.JSONDecodeError as e:
         raise AlgebraFileError(f"not valid JSON: {e}") from None
     if not isinstance(doc, dict):

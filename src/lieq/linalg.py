@@ -414,8 +414,13 @@ def image_with_preimages(a: int, rows: Sequence[Sequence]) -> tuple["Subspace", 
     for v in rows:
         system.add_row({j: x for j, x in enumerate(v) if x})
     top = [row for lead, row in sorted(system.reduced_rows().items()) if lead < a]
-    image = Subspace(a, Matrix([[row.get(c, ZERO) for c in range(a)] for row in top]))
-    return image, tuple(tuple(row.get(c, ZERO) for c in range(a, system.ncols)) for row in top)
+    image = Subspace(a, Matrix(_dense_rows(top, range(a))))
+    return image, tuple(map(tuple, _dense_rows(top, range(a, system.ncols))))
+
+
+def _dense_rows(rows: Iterable[dict], cols: range) -> list[list]:
+    """Sparse rows {col: value}, such as reduced rows, read densely on cols."""
+    return [[row.get(c, ZERO) for c in cols] for row in rows]
 
 
 def solve(a: Matrix, b: Sequence) -> tuple | None:
@@ -460,12 +465,9 @@ class Subspace:
     @staticmethod
     def from_system(system: SparseSystem) -> "Subspace":
         """The span of the rows fed to system, from its reduced rows."""
-        reduced = system.reduced_rows()
         n = system.ncols
-        return Subspace(
-            n,
-            Matrix([[row.get(c, ZERO) for c in range(n)] for _, row in sorted(reduced.items())]),
-        )
+        rows = (row for _, row in sorted(system.reduced_rows().items()))
+        return Subspace(n, Matrix(_dense_rows(rows, range(n))))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":

@@ -17,7 +17,6 @@ from .constructions import (
     semidirect,
 )
 from .derivations import (
-    DerHomomorphism,
     DerivationSpace,
     centralizer_in_der,
     derivations,
@@ -142,20 +141,20 @@ def theorem1_pipeline(
         raise DegeneratePairError("the pair carries a zero weight")
     p = len(torus_mats)
 
-    b_alg = abelian(p)
-    phi_b = DerHomomorphism(b_alg, g, torus_mats)
-    h1_emb = semidirect(b_alg, g, phi_b)
+    h1_emb = semidirect(abelian(p), g, torus_mats)
     h1 = h1_emb.whole
 
+    # the torus passed verify_torus, so each generator has Der coordinates
     ds = derivations(g)
-    tau_sub = centralizer_in_der(ds, torus_mats)
+    torus_coords = [ds.coords_of(b) for b in torus_mats]
+    if None in torus_coords:
+        raise RuntimeError("derivation outside computed Der(g)")
+    tau_sub = centralizer_in_der(ds, torus_coords)
     tau_mats = ds.subspace_mats(tau_sub)
     tau_alg = ds.algebra.subalgebra_structure(
         tau_sub, tuple(f"t{k}" for k in range(tau_sub.dim))
     )
-    phi_tau = DerHomomorphism(tau_alg, g, tau_mats)
-    h_emb = semidirect(tau_alg, g, phi_tau)
-    h = h_emb.whole
+    h = semidirect(tau_alg, g, tau_mats).whole
 
     dh1 = derivations(h1)
     report.dims = {
@@ -199,10 +198,7 @@ def theorem1_pipeline(
     l2 = _lemma2_form_check(dh1, h1_emb, wd)
     report.add("restriction_to_b_form", l2[0], l2[1])
 
-    torus_in_der = Subspace.from_vectors(
-        ds.dim, [ds.coords_of(b) for b in torus_mats]
-    )
-    if torus_in_der == tau_sub:
+    if Subspace.from_vectors(ds.dim, torus_coords) == tau_sub:
         cert1 = is_complete(h1, dh1)
         report.add(
             "maximal_torus_h1_complete",
@@ -266,12 +262,13 @@ def _lemma2_form_check(
 
 
 def lemma3_check(
-    s: LieAlgebra, g: LieAlgebra, phi: DerHomomorphism
+    s: LieAlgebra, g: LieAlgebra, images: Sequence[Matrix]
 ) -> PipelineReport:
+    """Lemma 3 on s x_phi g, for phi given by the images of s's basis."""
     report = PipelineReport("lemma3")
-    emb = semidirect(s, g, phi)
+    emb = semidirect(s, g, images)
     h = emb.whole
-    zs = z_s_subspace(g, phi)
+    zs = z_s_subspace(g, images)
     expected = Subspace.from_vectors(
         h.dim, [emb.embed_g(v) for v in zs.vectors()]
     )
@@ -309,8 +306,7 @@ def theorem2_check(g: LieAlgebra) -> PipelineReport:
 
     fg = full_graph(g, dsg).whole
     dsf = derivations(fg)
-    phi_id = DerHomomorphism.identity_on_der(dsg)
-    fsub = f_s_subspace(dsg, phi_id)
+    fsub = f_s_subspace(dsg, dsg.basis_mats)
     report.dims = {
         "g": g.dim,
         "Der(g)": dsg.dim,

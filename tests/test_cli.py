@@ -118,13 +118,31 @@ class TestExitCodes:
             '{"dim": 2, "brackets": [{"i": 0, "j": true, "value": []}]}',
             '{"dim": 2, "brackets": [{"i": 0, "j": 1, "value": [[true, "1"]]}]}',
             '{"dim": 2, "labels": [1, null]}',
+            b'\xff\xfe{"dim": 0}',  # not UTF-8
         ):
             with pytest.raises(AlgebraFileError):
                 parse_algebra(doc)
-            p.write_text(doc)
+            p.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
             proc = run_cli("analyze", str(p))
             assert proc.returncode == 1, doc
             assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "catalog:heisenberg:1"],
+            ["construct", "catalog:heisenberg:1"],
+            ["tower", "catalog:nonabelian2"],
+            ["verify", "prop2", "--N", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_out_is_one(self, tmp_path, argv):
+        out = tmp_path / "missing" / "report"
+        proc = run_cli(*argv, "--out", str(out))
+        assert proc.returncode == 1
+        assert f"error: cannot write {out}" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestCommands:

@@ -13,7 +13,6 @@ from lieq.constructions import (
     semidirect,
 )
 from lieq.derivations import (
-    DerHomomorphism,
     derivations,
     is_complete,
     is_derivation,
@@ -59,7 +58,7 @@ class TestHeisenberg:
 class TestSemidirect:
     def test_zero_phi_direct_sum(self):
         s, g = abelian(2), heisenberg(1)
-        emb = semidirect(s, g, DerHomomorphism.zero(s, g))
+        emb = semidirect(s, g, [Matrix.zero(3, 3)] * 2)
         w = emb.whole
         assert w.dim == 5
         # mixed brackets vanish, g block reproduced verbatim
@@ -71,28 +70,25 @@ class TestSemidirect:
     def test_grading_semidirect_dim7(self):
         gp = graded_power(heisenberg(1), 2)
         s = abelian(1)
-        phi = DerHomomorphism(s, gp.algebra, [grading_derivation(gp)])
-        emb = semidirect(s, gp.algebra, phi)
+        emb = semidirect(s, gp.algebra, [grading_derivation(gp)])
         assert emb.whole.dim == 7
         assert emb.whole.validate().ok
 
     def test_mixed_bracket_equals_phi_action(self):
         g = heisenberg(1)
         ds = derivations(g)
-        phi = DerHomomorphism.identity_on_der(ds)
-        emb = semidirect(ds.algebra, g, phi)
+        emb = semidirect(ds.algebra, g, ds.basis_mats)
         p = ds.dim
         for i in range(p):
             for j in range(g.dim):
                 got = emb.whole.bracket_basis(i, p + j)
-                expect = emb.embed_g(phi.images[i].column(j))
+                expect = emb.embed_g(ds.basis_mats[i].column(j))
                 assert got == expect
 
     def test_identity_phi_matches_full_graph(self):
         g = heisenberg(1)
         ds = derivations(g)
-        phi = DerHomomorphism.identity_on_der(ds)
-        via_semidirect = semidirect(ds.algebra, g, phi).whole
+        via_semidirect = semidirect(ds.algebra, g, ds.basis_mats).whole
         via_full_graph = full_graph(g, ds).whole
         assert via_semidirect.sc == via_full_graph.sc
 
@@ -229,9 +225,7 @@ def test_all_constructors_validate():
         heisenberg(2).validate(),
         gp.algebra.validate(),
         full_graph(heisenberg(1)).whole.validate(),
-        semidirect(
-            abelian(1), gp.algebra, DerHomomorphism(abelian(1), gp.algebra, [grading_derivation(gp)])
-        ).whole.validate(),
+        semidirect(abelian(1), gp.algebra, [grading_derivation(gp)]).whole.validate(),
         derivations(heisenberg(1)).algebra.validate(),
     ]
     assert all(r.ok for r in candidates)

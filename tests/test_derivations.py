@@ -3,6 +3,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieq.constructions import (
     abelian,
@@ -12,9 +14,9 @@ from lieq.constructions import (
     grading_derivation,
     heisenberg,
     nonabelian2,
+    semidirect,
 )
 from lieq.derivations import (
-    DerHomomorphism,
     NonzeroCenterError,
     NotInnerError,
     centralizer_in_der,
@@ -30,7 +32,7 @@ from lieq.derivations import (
     z_s_subspace,
 )
 from lieq.fileio import parse_algebra
-from lieq.liealg import DimensionCapError, LieAlgebra
+from lieq.liealg import DimensionCapError, InvalidStructureError, LieAlgebra
 from lieq.linalg import (
     Matrix,
     P,
@@ -39,6 +41,7 @@ from lieq.linalg import (
     Subspace,
     ZERO,
     clear_denominators,
+    combine,
     nullspace,
     rank_bareiss,
 )
@@ -480,7 +483,7 @@ class TestCentralizer:
         g = abelian(2)
         ds = derivations(g)
         ident = Matrix.identity(2)
-        assert centralizer_in_der(ds, [ident]).dim == 4
+        assert centralizer_in_der(ds, [ds.coords_of(ident)]).dim == 4
 
     def test_grading_derivation_block_oracle(self):
         # On h3^+2 the centralizer of the grading derivation is the space of
@@ -490,7 +493,7 @@ class TestCentralizer:
         g = gp.algebra
         ds = derivations(g)
         d = grading_derivation(gp)
-        tau = centralizer_in_der(ds, [d])
+        tau = centralizer_in_der(ds, [ds.coords_of(d)])
         # every tau element commutes with d, i.e. preserves both slots
         for m in ds.subspace_mats(tau):
             assert m.commutator(d).is_zero()
@@ -503,27 +506,25 @@ class TestCentralizer:
         assert tau.dim >= Subspace.from_vectors(36, blocky).dim
 
     def test_non_derivation_rejected(self, h3, ds_h3):
+        # a generator is given by its Der coordinates, which a
+        # non-derivation does not have
         bad = Matrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
-        with pytest.raises(ValueError):
-            centralizer_in_der(ds_h3, [bad])
+        assert ds_h3.coords_of(bad) is None
 
 
 class TestFsAndZs:
     def test_phi_zero_gives_everything(self, h3, ds_h3):
-        s = abelian(1)
-        phi = DerHomomorphism.zero(s, h3)
-        assert f_s_subspace(ds_h3, phi) == Subspace.full(ds_h3.dim)
-        assert z_s_subspace(h3, phi) == h3.center()
+        images = [Matrix.zero(3, 3)]  # phi = 0 on abelian(1)
+        assert f_s_subspace(ds_h3, images) == Subspace.full(ds_h3.dim)
+        assert z_s_subspace(h3, images) == h3.center()
 
     def test_identity_phi_on_complete_algebra(self):
         g = nonabelian2()
         ds = derivations(g)
-        phi = DerHomomorphism.identity_on_der(ds)
-        assert f_s_subspace(ds, phi) == ds.inner  # F = ad(g) when Der = ad
+        assert f_s_subspace(ds, ds.basis_mats) == ds.inner  # F = ad(g) when Der = ad
 
     def test_inner_always_inside_f(self, ds_fh3, fh3):
-        phi = DerHomomorphism.identity_on_der(ds_fh3)
-        f = f_s_subspace(ds_fh3, phi)
+        f = f_s_subspace(ds_fh3, ds_fh3.basis_mats)
         assert f.contains(ds_fh3.inner)
         assert Subspace.full(ds_fh3.dim).contains(f)
 
@@ -531,22 +532,21 @@ class TestFsAndZs:
         # diag(0, 0, 1) is a derivation of abelian(3) but not of h3, which
         # has the same dimension
         d = Matrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
-        phi = DerHomomorphism(abelian(1), abelian(3), [d])
-        with pytest.raises(ValueError, match="does not match"):
-            f_s_subspace(derivations(heisenberg(1)), phi)
+        assert is_derivation(abelian(3), d)
+        with pytest.raises(ValueError, match=r"outside Der\(g\)"):
+            f_s_subspace(derivations(heisenberg(1)), [d])
 
     def test_zs_killed_by_scaling_derivation(self, h3, ds_h3):
         # derivation with Dc = c (the one-dimensional 'b' part): kills Z_s
         d = Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
         assert is_derivation(h3, d)
-        s = abelian(1)
-        phi = DerHomomorphism(s, h3, [d])
-        assert z_s_subspace(h3, phi).dim == 0
+        assert z_s_subspace(h3, [d]).dim == 0
 
     def test_zs_kernel_intersection(self):
         g = abelian(2)
-        phi = DerHomomorphism(abelian(1), g, [Matrix([[1, 0], [0, 0]])])
-        zs = z_s_subspace(g, phi)
+        d = Matrix([[1, 0], [0, 0]])
+        assert is_derivation(g, d)
+        zs = z_s_subspace(g, [d])
         assert zs == Subspace.from_vectors(2, [g.basis_element(1)])
 
 
@@ -600,45 +600,106 @@ class TestDerivationTower:
         assert not rep.stabilized and rep.budget_exceeded
 
 
+def dense_homomorphism_check(s, g, images):
+    """Whether the images of s's basis give a homomorphism s -> Der(g),
+    checked densely, kept as an oracle for the Jacobi validation of
+    s x_phi g: each image passes `is_derivation`, then phi([s_a, s_b]) =
+    [phi(s_a), phi(s_b)] by Matrix.commutator on every basis pair."""
+    if not all(is_derivation(g, m) for m in images):
+        return False
+    n = g.dim
+    flats = [m.flatten() for m in images]
+    return all(
+        tuple(combine(s.bracket_basis(a, b), flats, n * n))
+        == images[a].commutator(images[b]).flatten()
+        for a in range(s.dim)
+        for b in range(a + 1, s.dim)
+    )
+
+
+def semidirect_accepts(s, g, images):
+    try:
+        semidirect(s, g, images)
+    except InvalidStructureError:
+        return False
+    return True
+
+
 class TestDerHomomorphism:
+    """The Jacobi validation of s x_phi g is the check that phi is a Lie
+    homomorphism s -> Der(g)."""
+
     def test_non_derivation_image_rejected(self, h3):
         bad = Matrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
-        with pytest.raises(ValueError):
-            DerHomomorphism(abelian(1), h3, [bad])
+        assert not dense_homomorphism_check(abelian(1), h3, [bad])
+        with pytest.raises(ValueError, match="Jacobi identity fails"):
+            semidirect(abelian(1), h3, [bad])
 
     def test_bracket_incompatibility_rejected(self):
         g = abelian(2)
         a = Matrix([[0, 1], [0, 0]])
         b = Matrix([[0, 0], [1, 0]])
-        # abelian source but non-commuting images
-        with pytest.raises(ValueError):
-            DerHomomorphism(abelian(2), g, [a, b])
+        # abelian source but non-commuting images, each a derivation
+        assert is_derivation(g, a) and is_derivation(g, b)
+        assert not dense_homomorphism_check(abelian(2), g, [a, b])
+        with pytest.raises(ValueError, match="Jacobi identity fails"):
+            semidirect(abelian(2), g, [a, b])
 
-    def test_apply_wrong_length(self, ds_h3):
-        phi = DerHomomorphism.identity_on_der(ds_h3)
-        with pytest.raises(ValueError):
-            phi.apply([Q(1)])
-        with pytest.raises(ValueError):
-            phi.apply([Q(1)] * (ds_h3.dim + 1))
+    def test_wrong_shape_rejected(self, h3):
+        with pytest.raises(ValueError, match="per basis vector"):
+            semidirect(abelian(2), h3, [Matrix.zero(3, 3)])
+        with pytest.raises(ValueError, match="per basis vector"):
+            semidirect(abelian(1), h3, [Matrix.zero(2, 2)])
 
-    def test_apply_linear(self, h3, ds_h3):
-        phi = DerHomomorphism.identity_on_der(ds_h3)
-        c = (Q(2), Q(-1)) + (ZERO,) * 4
-        expect = ds_h3.basis_mats[0].scale(2) - ds_h3.basis_mats[1]
-        assert phi.apply(c) == expect
+
+ORACLE_ALGEBRAS = ("heisenberg:1", "abelian:2", "nonabelian2")
+ORACLE_SOURCES = ("abelian:1", "abelian:2", "nonabelian2")
+
+
+@st.composite
+def phi_candidates(draw):
+    """(s, g, images): each image a small integer multiple of one shared
+    integer combination D0 of Der(g)'s basis, sometimes plus a small random
+    integer matrix.  Multiples of D0 commute, so both verdicts occur: an
+    abelian source is accepted without a perturbation, and nonabelian2 when
+    the image of y (with [x, y] = y) is zero as well."""
+    g = catalog(draw(st.sampled_from(ORACLE_ALGEBRAS)))
+    s = catalog(draw(st.sampled_from(ORACLE_SOURCES)))
+    n = g.dim
+    basis = derivations(g).basis_mats
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis)))
+    d0 = Matrix.zero(n, n)
+    for c, m in zip(coeffs, basis):
+        d0 = d0 + m.scale(c)
+    images = []
+    for _ in range(s.dim):
+        img = d0.scale(draw(st.integers(-2, 2)))
+        if draw(st.booleans()):
+            entries = st.integers(-1, 1)
+            img = img + Matrix(draw(st.lists(
+                st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
+            )))
+        images.append(img)
+    return s, g, images
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(phi_candidates())
+def test_semidirect_accepts_exactly_the_homomorphisms(case):
+    s, g, images = case
+    assert semidirect_accepts(s, g, images) == dense_homomorphism_check(s, g, images)
 
 
 class TestIdentityOnDer:
     @pytest.mark.parametrize("name", STRUCTURE_SOURCES)
     def test_validating_constructor_accepts(self, name):
-        # identity_on_der skips validation because the law holds by
-        # construction; the validating constructor audits that here
-        ds = derivations(load_structure_source(name))
-        checked = DerHomomorphism(ds.algebra, ds.base, ds.basis_mats)
-        phi = DerHomomorphism.identity_on_der(ds)
-        assert phi.source is checked.source
-        assert phi.target is checked.target
-        assert phi.images == checked.images
+        # the identity Der(g) -> Der(g) is a homomorphism by construction;
+        # the product's Jacobi validation and the dense oracle both agree
+        g = load_structure_source(name)
+        ds = derivations(g)
+        emb = semidirect(ds.algebra, g, ds.basis_mats)
+        assert emb.whole.validate().ok
+        assert dense_homomorphism_check(ds.algebra, g, ds.basis_mats)
 
 
 # Dense oracles for centralizer_in_der, f_s_subspace and [Der, Der]: every
@@ -655,11 +716,11 @@ def dense_centralizer(ds, b_mats):
     return nullspace(Matrix(rows)) if rows else Subspace.full(ds.dim)
 
 
-def dense_f_s(ds, phi):
+def dense_f_s(ds, images):
     """[D_k, phi(s)] tested against the complement of inner_flat in Q^(n^2)."""
     comp = ds.inner_flat.orthogonal_complement()
     rows = []
-    for img in phi.images:
+    for img in images:
         cols = [m.commutator(img).flatten() for m in ds.basis_mats]
         for w in comp.vectors():
             row = [
@@ -683,13 +744,12 @@ def dense_der_der(ds):
 
 def _graded_square_grading():
     gp = graded_power(heisenberg(1), 2)
-    phi = DerHomomorphism(abelian(1), gp.algebra, [grading_derivation(gp)])
-    return derivations(gp.algebra), phi
+    return derivations(gp.algebra), [grading_derivation(gp)]
 
 
 def _identity_on(g):
     ds = derivations(g)
-    return ds, DerHomomorphism.identity_on_der(ds)
+    return ds, ds.basis_mats
 
 
 ORACLE_CASES = {
@@ -707,13 +767,14 @@ def oracle_case(request):
 
 class TestDenseOracles:
     def test_centralizer_matches_dense(self, oracle_case):
-        ds, phi = oracle_case
-        for gens in (phi.images, phi.images[:2], phi.images[1::2]):
-            assert centralizer_in_der(ds, gens) == dense_centralizer(ds, gens)
+        ds, images = oracle_case
+        for gens in (images, images[:2], images[1::2]):
+            coords = [ds.coords_of(m) for m in gens]
+            assert centralizer_in_der(ds, coords) == dense_centralizer(ds, gens)
 
     def test_f_s_matches_dense(self, oracle_case):
-        ds, phi = oracle_case
-        assert f_s_subspace(ds, phi) == dense_f_s(ds, phi)
+        ds, images = oracle_case
+        assert f_s_subspace(ds, images) == dense_f_s(ds, images)
 
     def test_der_der_matches_dense(self, oracle_case):
         ds, _ = oracle_case
