@@ -1,0 +1,80 @@
+"""Metamorphic property: an integer change of basis P in GL_n(Z) changes no
+invariant of Der(g).
+
+A derivation D of g is, in the basis of the columns of P, the matrix
+P^-1 D P, so Der(P.g) = P^-1 Der(g) P: the dimensions of Der(g), ad(g) and
+the centre and completeness are unchanged, and every conjugated basis matrix
+is a derivation of the rebased algebra with coordinates in its Der.
+"""
+
+from functools import lru_cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lieq.constructions import catalog
+from lieq.derivations import derivations, is_complete, is_derivation
+from lieq.liealg import LieAlgebra
+from lieq.linalg import Matrix
+
+ALGEBRAS = (
+    "heisenberg:1",
+    "nonabelian2",
+    "full-graph:nonabelian2",
+    "graded-power:heisenberg:1:2",
+)
+
+
+@lru_cache(maxsize=None)
+def invariants(name):
+    g = catalog(name)
+    ds = derivations(g)
+    return g, ds, (ds.dim, ds.inner.dim, g.center().dim, is_complete(g, ds).complete)
+
+
+def elementary(n, i, j, c):
+    """I + c E_ij, i != j: unimodular, with inverse I - c E_ij."""
+    return Matrix([[c if (r, s) == (i, j) else int(r == s) for s in range(n)] for r in range(n)])
+
+
+@st.composite
+def unimodular_changes(draw):
+    """(name, P, P^-1): P a product of a few elementary integer matrices
+    with small entries, its inverse the product of the inverses reversed."""
+    name = draw(st.sampled_from(ALGEBRAS))
+    n = catalog(name).dim
+    p = pinv = Matrix.identity(n)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, n - 2))
+        j += j >= i
+        c = draw(st.sampled_from((-2, -1, 1, 2)))
+        p = p @ elementary(n, i, j, c)
+        pinv = elementary(n, i, j, -c) @ pinv
+    return name, p, pinv
+
+
+def rebased(g, p, pinv):
+    """g in the basis of the columns of p: [f_a, f_b] = p^-1 [p e_a, p e_b]."""
+    cols = [p.column(a) for a in range(g.dim)]
+    table = {}
+    for a in range(g.dim):
+        for b in range(a + 1, g.dim):
+            v = pinv.apply(g.bracket(cols[a], cols[b]))
+            table[(a, b)] = {k: c for k, c in enumerate(v) if c}
+    return LieAlgebra(g.dim, table)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(unimodular_changes())
+def test_change_of_basis_keeps_der_invariants(case):
+    name, p, pinv = case
+    assert p @ pinv == Matrix.identity(p.rows)
+    g, ds, expected = invariants(name)
+    h = rebased(g, p, pinv)
+    dh = derivations(h)
+    assert (dh.dim, dh.inner.dim, h.center().dim, is_complete(h, dh).complete) == expected
+    for d in ds.basis_mats:
+        conj = pinv @ d @ p
+        assert is_derivation(h, conj)
+        assert dh.coords_of(conj) is not None
