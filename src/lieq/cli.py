@@ -23,7 +23,6 @@ from .derivations import (
     derivations,
     diagonal_derivation_torus,
     is_complete,
-    NonzeroCenterError,
 )
 from .fileio import (
     AlgebraFileError,
@@ -136,7 +135,7 @@ def cmd_tower(args) -> int:
     g = load_source(args.src)
     try:
         rep = derivation_tower(g, max_steps=args.max_steps)
-    except (NonzeroCenterError, DimensionCapError) as e:
+    except ValueError as e:  # nonzero center, cap or a negative --max-steps
         raise UsageError(str(e)) from None
     doc = {
         "command": f"tower {args.src}",
@@ -152,11 +151,11 @@ def cmd_tower(args) -> int:
 def _theorem1_inputs(args):
     g = load_source(args.g)
     if args.torus == "grading":
-        if not args.graded_power:
+        if args.graded_power is None:
             raise UsageError("--torus grading requires --graded-power")
         gp = graded_power(g, args.graded_power)
         return gp.algebra, [grading_derivation(gp)]
-    if args.graded_power:
+    if args.graded_power is not None:
         g = graded_power(g, args.graded_power).algebra
     if args.torus == "diagonal":
         mats = diagonal_derivation_torus(g)

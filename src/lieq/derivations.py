@@ -15,10 +15,12 @@ the exact rank is audited against the modular one.  The modular rank is a
 certificate and an audit, not a second nullspace kernel: it never produces
 a basis.  A Der(g) whose dimension, known from the exact rank, exceeds
 max(LIE_DIM_CAP, 64) is refused before its basis is built.
-`is_derivation` is an independent checker (direct bracket evaluation) that
-shares no code with the solver.
+`is_derivation` is an independent checker (direct bracket evaluation over
+`sc` and the sparse columns of a matrix) that shares no code with the
+solver.
 
-ad(g) is read off the rows (ad(e_i), e_i), which also gives an x with
+ad(g) is read off the sparse rows (ad(e_j), e_j), built straight from `sc`
+(entry (k, i) of ad(e_j) is c_ji^k), which also give a sparse x with
 ad(x) = v for each basis vector v of ad(g); `inner_preimage` combines these.
 Brackets of derivations are computed once, as the structure constants of
 `DerivationSpace.algebra`, each audited against its full matrix commutator.
@@ -37,6 +39,7 @@ from typing import Iterator, Sequence
 from .liealg import DEFAULT_DIM_CAP, DimensionCapError, LieAlgebra, dim_cap
 from .linalg import (
     Matrix,
+    ONE,
     Q,
     SparseSystem,
     Subspace,
@@ -60,19 +63,27 @@ class NonzeroCenterError(ValueError):
 
 
 def is_derivation(g: LieAlgebra, m: Matrix) -> bool:
-    """Leibniz check by direct bracket evaluation on all basis pairs.
+    """Leibniz check by direct bracket evaluation on all basis pairs i < j:
+    D[e_i,e_j] - [De_i,e_j] - [e_i,De_j] = 0, summed over `sc` and the
+    sparse columns De_i of m.
 
-    Deliberately independent of the nullspace solver behind `derivations`.
+    Deliberately independent of the nullspace solver behind `derivations`:
+    it reads `sc`, not `integer_sc` or the Leibniz rows.
     """
-    if m.rows != g.dim or m.cols != g.dim:
+    n = g.dim
+    if m.rows != n or m.cols != n:
         return False
-    cols = [m.column(i) for i in range(g.dim)]
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            lhs = m.apply(g.bracket_basis(i, j))
-            rhs = g.bracket(cols[i], g.basis_element(j))
-            rhs2 = g.bracket(g.basis_element(i), cols[j])
-            if any(a != b + c for a, b, c in zip(lhs, rhs, rhs2)):
+    sc = g.sc
+    cols = [{k: x for k, row in enumerate(m.data) if (x := row[i])} for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            terms = [(k, c * x) for l, c in sc[i].get(j, {}).items() for k, x in cols[l].items()]
+            terms += [(k, -x * c) for l, x in cols[i].items() for k, c in sc[l].get(j, {}).items()]
+            terms += [(k, -x * c) for l, x in cols[j].items() for k, c in sc[i].get(l, {}).items()]
+            acc: dict = {}
+            for k, v in terms:
+                acc[k] = acc.get(k, 0) + v
+            if any(acc.values()):
                 return False
     return True
 
@@ -102,7 +113,7 @@ class DerivationSpace:
 
     def from_coords(self, coeffs: Sequence) -> Matrix:
         n = self.base.dim
-        return Matrix.unflatten(combine(coeffs, self.space.vectors(), n * n), n, n)
+        return Matrix.unflatten(combine(coeffs, self.space.rows.values(), n * n), n, n)
 
     def subspace_mats(self, sub: Subspace) -> list[Matrix]:
         """Matrices for a subspace given in Der-coefficient coordinates."""
@@ -167,17 +178,21 @@ def derivations(g: LieAlgebra) -> DerivationSpace:
     Both passes read one list of the rows, sorted by length with ties in
     (i, j, k) order; the exact path feeds every row.  The nullspace basis is
     canonicalized by RREF, which fixes the basis across runs and platforms.
-    ad(g) and preimages of its basis come from the rows (ad(e_i), e_i); on
-    the exact path, inner and its preimages come from the rows (Der
-    coordinates of each ad(g) basis vector, its preimage).  Raises
+    ad(g) and preimages of its basis come from the rows (ad(e_j), e_j),
+    read off `sc`; on the exact path, inner and its preimages come from the
+    rows (Der coordinates of each ad(g) basis vector, its preimage).  Raises
     DimensionCapError when n^2 - rank, the dimension of Der(g), exceeds
     max(LIE_DIM_CAP, 64), and RuntimeError when the exact rank is below the
     modular rank, or ad(g) is not inside the computed space; the first
     contradicts rank mod P <= rank over Q, the second the Jacobi identity.
     """
     n = g.dim
-    units = [g.basis_element(i) for i in range(n)]
-    inner_flat, pre = image_with_preimages(n * n, [g.ad_matrix(e).flatten() + e for e in units])
+    # entry (k, i) of ad(e_j) is c_ji^k
+    ad_rows = [
+        {**{k * n + i: c for i, v in g.sc[j].items() for k, c in v.items()}, n * n + j: ONE}
+        for j in range(n)
+    ]
+    inner_flat, pre = image_with_preimages(n * n, n * n + n, ad_rows)
     bound = n * n - inner_flat.dim
     rows = sorted(_leibniz_rows(g), key=len)
     rank_p = rank_mod_p(rows, bound)
@@ -191,13 +206,15 @@ def derivations(g: LieAlgebra) -> DerivationSpace:
             raise RuntimeError("Leibniz rank over Q below its rank mod P")
         _check_der_dim(n * n - sys.rank)
         space = Subspace.from_vectors(n * n, sys.nullspace_basis())
+        d = space.dim
         inner_rows = []
-        for v, x in zip(inner_flat.vectors(), pre):
-            coords = space.coords_of(v)
+        for row, x in zip(inner_flat.rows.values(), pre):
+            coords = space.coords_of_row(row)
             if coords is None:
                 raise RuntimeError("inner derivation outside computed Der(g)")
-            inner_rows.append(coords + x)
-        inner, pre = image_with_preimages(space.dim, inner_rows)
+            tagged = {t: c for t, c in enumerate(coords) if c}
+            inner_rows.append(tagged | {d + k: y for k, y in x.items()})
+        inner, pre = image_with_preimages(d, d + n, inner_rows)
     basis_mats = tuple(Matrix.unflatten(v, n, n) for v in space.vectors())
     d = len(basis_mats)
 
@@ -226,8 +243,8 @@ def commutator_table(space: Subspace, n: int) -> dict:
     `space`: [D_a, D_b] = sum_t c D_t.
 
     Each D_a is taken once as an integer matrix over one common denominator,
-    D_a = N_a / d_a, together with its pivot p_a (its first nonzero entry,
-    where N_a holds d_a).  With C = N_a N_b - N_b N_a, coordinate t of
+    D_a = N_a / d_a, together with its pivot p_a (the lead of its reduced
+    row, where N_a holds d_a).  With C = N_a N_b - N_b N_a, coordinate t of
     [D_a, D_b] is C[p_t] / (d_a d_b), because the basis is RREF.  Every
     commutator is rebuilt from its coordinates as an audit, multiplied
     through by L d_a d_b with L = lcm(d_t): sum_t C[p_t] (L / d_t) N_t = L C,
@@ -235,15 +252,15 @@ def commutator_table(space: Subspace, n: int) -> dict:
     when the span is not closed under the commutator.
     """
     flats, mats, dens = [], [], []
-    for v in space.vectors():
-        ints, den = clear_denominators(dict(enumerate(v)))
+    for row in space.rows.values():
+        ints, den = clear_denominators(row)
         rows: dict[int, dict[int, int]] = {}
         for t, x in ints.items():
             rows.setdefault(t // n, {})[t % n] = x
         flats.append(ints)
         mats.append(rows)
         dens.append(den)
-    pivots = [next(iter(ints)) for ints in flats]
+    pivots = list(space.rows)
     big_l = lcm(*dens)
     scaled = [{t: (big_l // den) * x for t, x in ints.items()} for ints, den in zip(flats, dens)]
     table = {}
@@ -349,12 +366,8 @@ def f_s_subspace(ds: DerivationSpace, images: Sequence[Matrix]) -> Subspace:
     comp = ds.inner.orthogonal_complement()
     if comp.dim == 0:
         return Subspace.full(ds.dim)
-    rows = [
-        row
-        for c in coords
-        for row in (comp.basis @ ds.algebra.ad_matrix(c)).data
-        if any(row)
-    ]
+    w = Matrix(comp.vectors())
+    rows = [row for c in coords for row in (w @ ds.algebra.ad_matrix(c)).data if any(row)]
     if not rows:
         return Subspace.full(ds.dim)
     return nullspace(Matrix(rows))
@@ -467,6 +480,8 @@ def derivation_tower(g: LieAlgebra, max_steps: int = 4) -> TowerReport:
     exceeds LIE_DIM_CAP, whether derivations() refuses it or the tower
     would build it as its next algebra.
     """
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, not {max_steps}")
     cap = dim_cap()
     if g.center().dim != 0:
         raise NonzeroCenterError("derivation tower requires a center-free algebra")

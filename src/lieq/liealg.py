@@ -251,19 +251,19 @@ class LieAlgebra:
         return Subspace.from_vectors(n, system.nullspace_basis())
 
     def product_space(self, a: Subspace, b: Subspace) -> Subspace:
-        """Span of [a, b], bracketed over `integer_sc` on the basis vectors
-        of a and b cleared of denominators: scaling a vector keeps its span.
+        """Span of [a, b], bracketed over `integer_sc` on the reduced rows of
+        a and b cleared of denominators: scaling a vector keeps its span.
         For [a, a], each unordered pair is bracketed once: [u, u] = 0 and
         [v, u] = -[u, v]."""
         isc = self.integer_sc()
-        us = [clear_denominators(dict(enumerate(u)))[0] for u in a.vectors()]
+        us = [clear_denominators(row)[0] for row in a.rows.values()]
         system = SparseSystem(self.dim)
         if a == b:
             for i, u in enumerate(us):
                 for v in us[i + 1 :]:
                     system.add_row(_integer_bracket(isc, u, v))
         else:
-            vs = [clear_denominators(dict(enumerate(v)))[0] for v in b.vectors()]
+            vs = [clear_denominators(row)[0] for row in b.rows.values()]
             for u in us:
                 for v in vs:
                     system.add_row(_integer_bracket(isc, u, v))

@@ -15,7 +15,9 @@ denominators, eliminates fraction-free over Z and back-reduces to the
 reduced row echelon form, dividing by each lead only at the end; `rref`,
 `nullspace`, `solve`, `rank` and the canonical subspaces all run on it, and
 the Der(g), center and series solvers feed it directly.  A canonical
-`Subspace` is read off its reduced rows once (`Subspace.from_system`).
+`Subspace` holds those reduced rows, {lead: {col: q}}, as its one form
+(`Subspace.from_system`); its operations read the rows, and `vectors()` is
+the dense view for callers outside the library.
 `rank_bareiss` is a second, independent elimination, kept only to audit
 rank.  `rank_mod_p` is a third, over the integers mod a fixed prime: a rank
 certificate, not a nullspace kernel.  It never yields a basis, only a lower
@@ -23,9 +25,10 @@ bound on the rank over Q, which is how Der(g) = ad(g) is proved without the
 exact elimination.
 `clear_denominators` gives the integer form over one common denominator in
 which the Der(g) structure constants and the Jacobi check are computed.
-`image_with_preimages` reads a map's image and a preimage of each image
-basis vector off one canonical subspace of the rows (f(x), x); `combine`
-forms the linear combinations that such bases and preimages are used in.
+`image_with_preimages` reads a map's image and a sparse preimage of each
+image basis vector off the reduced rows of the sparse rows (f(x), x);
+`combine` forms the linear combinations of sparse rows that such bases and
+preimages are used in.
 """
 
 from __future__ import annotations
@@ -208,8 +211,8 @@ def clear_denominators(entries: dict) -> tuple[dict, int]:
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns, computed by SparseSystem;
     zero rows pad the form to the shape of m."""
-    reduced = _system(m).reduced_rows()
-    pivots = tuple(sorted(reduced))
+    reduced = _system(m.cols, map(_sparse, m.data)).reduced_rows()
+    pivots = tuple(reduced)
     rows = [[reduced[lead].get(c, ZERO) for c in range(m.cols)] for lead in pivots]
     rows += [[ZERO] * m.cols for _ in range(m.rows - len(pivots))]
     return Matrix(rows), pivots
@@ -344,10 +347,10 @@ class SparseSystem:
         return len(self.pivot_rows)
 
     def reduced_rows(self) -> dict[int, dict[int, Scalar]]:
-        """The reduced row echelon form as {lead: {col: value}}: 1 at the
-        lead, no entry at any other lead column.  The integer pivot rows are
-        back-reduced from the last lead up; only the finished row is divided
-        by its lead."""
+        """The reduced row echelon form as {lead: {col: value}} in increasing
+        lead order: 1 at the lead, no entry at any other lead column.  The
+        integer pivot rows are back-reduced from the last lead up; only the
+        finished row is divided by its lead."""
         done: dict[int, dict[int, int]] = {}
         for lead in sorted(self.pivot_rows, reverse=True):
             row = dict(self.pivot_rows[lead])
@@ -360,7 +363,7 @@ class SparseSystem:
             done[lead] = row
         return {
             lead: {c: ONE if c == lead else Q(v, row[lead]) for c, v in row.items()}
-            for lead, row in done.items()
+            for lead, row in reversed(done.items())
         }
 
     def nullspace_basis(self) -> list[tuple]:
@@ -378,49 +381,52 @@ class SparseSystem:
         return [tuple(x) for x in basis.values()]
 
 
-def _system(m: Matrix) -> SparseSystem:
-    """SparseSystem fed the rows of m."""
-    system = SparseSystem(m.cols)
-    for row in m.data:
-        system.add_row({j: x for j, x in enumerate(row) if x})
+def _sparse(v: Sequence) -> dict:
+    """The nonzero entries of v as {index: value}."""
+    return {j: x for j, x in enumerate(v) if x}
+
+
+def _system(ncols: int, rows: Iterable[dict]) -> SparseSystem:
+    """SparseSystem fed the sparse rows {col: value}."""
+    system = SparseSystem(ncols)
+    for row in rows:
+        system.add_row(row)
     return system
+
+
+def _kernel(ncols: int, rows: Iterable[dict]) -> "Subspace":
+    """{v : row . v = 0 for every sparse row} as a canonical Subspace."""
+    return Subspace.from_vectors(ncols, _system(ncols, rows).nullspace_basis())
 
 
 def nullspace(m: Matrix) -> "Subspace":
     """Kernel {v : m v = 0} as a canonical Subspace."""
-    return Subspace.from_vectors(m.cols, _system(m).nullspace_basis())
+    return _kernel(m.cols, map(_sparse, m.data))
 
 
-def combine(coeffs: Sequence, vectors: Sequence[Sequence], n: int) -> list:
-    """sum_r c_r v_r in Q^n, one coefficient per vector."""
+def combine(coeffs: Sequence, rows: Iterable[dict], n: int) -> list:
+    """sum_r c_r v_r in Q^n, one coefficient per sparse row v_r = {col: value}."""
     out = [ZERO] * n
-    for c, v in zip(coeffs, vectors, strict=True):
+    for c, row in zip(coeffs, rows, strict=True):
         if c:
-            for k, x in enumerate(v):
-                if x:
-                    out[k] += c * x
+            for k, x in row.items():
+                out[k] += c * x
     return out
 
 
-def image_with_preimages(a: int, rows: Sequence[Sequence]) -> tuple["Subspace", tuple]:
-    """(image, preimages) of a linear map f into Q^a, from rows (f(x), x).
+def image_with_preimages(a: int, ncols: int, rows: Iterable[dict]) -> tuple["Subspace", tuple]:
+    """(image, preimages) of a linear map f into Q^a, from the sparse rows
+    (f(x), x) over ncols columns.
 
-    The canonical basis vectors of the rows' span that lead in Q^a are
-    reduced at every other such lead, so their Q^a parts are the canonical
-    basis of the image of f and their other parts are preimages, in order;
-    the remaining basis vectors span 0 x ker f.
+    The reduced rows of their span that lead in Q^a are reduced at every
+    other such lead, so their Q^a parts are the canonical basis of the image
+    of f and their other parts, shifted down by a, are sparse preimages, in
+    order; the remaining reduced rows span 0 x ker f.
     """
-    system = SparseSystem(len(rows[0]) if rows else a)
-    for v in rows:
-        system.add_row({j: x for j, x in enumerate(v) if x})
-    top = [row for lead, row in sorted(system.reduced_rows().items()) if lead < a]
-    image = Subspace(a, Matrix(_dense_rows(top, range(a))))
-    return image, tuple(map(tuple, _dense_rows(top, range(a, system.ncols))))
-
-
-def _dense_rows(rows: Iterable[dict], cols: range) -> list[list]:
-    """Sparse rows {col: value}, such as reduced rows, read densely on cols."""
-    return [[row.get(c, ZERO) for c in cols] for row in rows]
+    top = {lead: row for lead, row in _system(ncols, rows).reduced_rows().items() if lead < a}
+    image = {lead: {c: x for c, x in row.items() if c < a} for lead, row in top.items()}
+    pre = tuple({c - a: x for c, x in row.items() if c >= a} for row in top.values())
+    return Subspace(a, image), pre
 
 
 def solve(a: Matrix, b: Sequence) -> tuple | None:
@@ -438,20 +444,20 @@ def solve(a: Matrix, b: Sequence) -> tuple | None:
 
 
 class Subspace:
-    """Subspace of Q^n held as an RREF row basis: the canonical form.
+    """Subspace of Q^n held as its reduced row echelon basis: the canonical
+    form.
 
-    Equality of subspaces is entry-wise equality of the basis matrices.  The
-    lead column of each basis row is found once, here.
+    `rows` maps each lead column, in increasing order, to its sparse row
+    {col: value}, with 1 at the lead and no entry at any other lead, as
+    `SparseSystem.reduced_rows` gives them; the entries of a row are in no
+    particular column order.  Equal subspaces have equal rows.
     """
 
-    __slots__ = ("ambient_dim", "basis", "_leads")
+    __slots__ = ("ambient_dim", "rows")
 
-    def __init__(self, ambient_dim: int, basis: Matrix):
-        if basis.cols not in (ambient_dim, 0):
-            raise ValueError("basis width != ambient dimension")
+    def __init__(self, ambient_dim: int, rows: dict[int, dict]):
         self.ambient_dim = ambient_dim
-        self.basis = basis
-        self._leads = tuple(next(j for j, x in enumerate(row) if x) for row in basis.data)
+        self.rows = rows
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -465,34 +471,36 @@ class Subspace:
     @staticmethod
     def from_system(system: SparseSystem) -> "Subspace":
         """The span of the rows fed to system, from its reduced rows."""
-        n = system.ncols
-        rows = (row for _, row in sorted(system.reduced_rows().items()))
-        return Subspace(n, Matrix(_dense_rows(rows, range(n))))
+        return Subspace(system.ncols, system.reduced_rows())
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix([]))
+        return Subspace(ambient_dim, {})
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix.identity(ambient_dim))
+        return Subspace(ambient_dim, {i: {i: ONE} for i in range(ambient_dim)})
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
 
     def vectors(self) -> tuple:
-        return self.basis.data
+        """The canonical basis, densely."""
+        cols = range(self.ambient_dim)
+        return tuple(tuple(row.get(c, ZERO) for c in cols) for row in self.rows.values())
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        # frozensets: the entries of a row are in no fixed order
+        rows = frozenset((lead, frozenset(row.items())) for lead, row in self.rows.items())
+        return hash((self.ambient_dim, rows))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -502,50 +510,44 @@ class Subspace:
 
     def coords_of(self, v: Sequence) -> tuple | None:
         """Coordinates of v in the canonical basis, or None if outside.
-
-        Because the basis is RREF, the coordinates are just the entries of v
-        at the pivot columns; the result is verified by reconstruction.
-        Raises ValueError when v does not have the ambient length.
-        """
+        Raises ValueError when v does not have the ambient length."""
         if len(v) != self.ambient_dim:
             raise ValueError("vector length != ambient dimension")
-        v = [as_q(x) for x in v]
-        coords = tuple(v[lead] for lead in self._leads)
-        if combine(coords, self.basis.data, self.ambient_dim) != v:
-            return None
-        return coords
+        return self.coords_of_row({j: q for j, x in enumerate(v) if (q := as_q(x))})
+
+    def coords_of_row(self, row: dict) -> tuple | None:
+        """Coordinates of the sparse vector row {col: value}, with no zero
+        values, or None if outside.  Because the basis is reduced, they are
+        the entries of row at the leads; the result is verified by
+        reconstruction."""
+        coords = tuple(row.get(lead, ZERO) for lead in self.rows)
+        recon = combine(coords, self.rows.values(), self.ambient_dim)
+        return coords if _sparse(recon) == row else None
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(self.contains_vector(v) for v in other.vectors())
+        return all(self.coords_of_row(row) is not None for row in other.rows.values())
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace.from_vectors(
-            self.ambient_dim, list(self.vectors()) + list(other.vectors())
-        )
+        rows = [*self.rows.values(), *other.rows.values()]
+        return Subspace.from_system(_system(self.ambient_dim, rows))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: rref [[A A],[B 0]]; rows with zero left half carry the
-        intersection in the right half."""
+        """Zassenhaus: the reduced rows of the span of the rows (a, a) and
+        (b, 0) that lead in the right half carry the intersection there."""
         self._check_ambient(other)
         n = self.ambient_dim
-        rows = [list(v) + list(v) for v in self.vectors()]
-        rows += [list(v) + [ZERO] * n for v in other.vectors()]
-        if not rows:
-            return Subspace.zero(n)
-        r, pivots = rref(Matrix(rows))
-        inter = [
-            row[n:]
-            for row in r.data[: len(pivots)]
-            if all(x == 0 for x in row[:n])
-        ]
-        return Subspace.from_vectors(n, inter)
+        rows = [{**row, **{n + c: x for c, x in row.items()}} for row in self.rows.values()]
+        reduced = _system(2 * n, rows + list(other.rows.values())).reduced_rows()
+        return Subspace(n, {
+            lead - n: {c - n: x for c, x in row.items()}
+            for lead, row in reduced.items()
+            if lead >= n
+        })
 
     def orthogonal_complement(self) -> "Subspace":
-        if self.dim == 0:
-            return Subspace.full(self.ambient_dim)
-        return nullspace(self.basis)
+        return _kernel(self.ambient_dim, self.rows.values())
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -751,9 +753,9 @@ def refine_eigenspaces(
     """Simultaneous eigenspaces of Q^n under mats with the given spectra.
 
     Requires commuting semisimple mats with these rational spectra, so each
-    part is b-invariant and its eigenspaces fill it.  A part with basis V
-    splits, for each lam of b, into the lift of the kernel of the n x r
-    matrix with columns (b - lam) v; empty kernels are skipped.
+    part is b-invariant and its eigenspaces fill it.  A part splits, for
+    each lam of b, into its intersection with ker(b - lam), computed once
+    per (b, lam); empty intersections are skipped.
 
     Returns (functional, subspace) pairs; the functional records one
     eigenvalue per generator, in list order.  Parts are sorted
@@ -761,16 +763,14 @@ def refine_eigenspaces(
     """
     parts: list[tuple[tuple, Subspace]] = [((), Subspace.full(n))]
     for b, spectrum in zip(mats, spectra, strict=True):
-        new_parts = []
-        for fun, sub in parts:
-            vecs = sub.vectors()
-            images = [b.apply(v) for v in vecs]
-            for lam in spectrum:
-                shifted = Matrix.from_columns(
-                    [[x - lam * y for x, y in zip(bv, v)] for bv, v in zip(images, vecs)]
-                )
-                lifted = [combine(c, vecs, n) for c in nullspace(shifted).vectors()]
-                if lifted:
-                    new_parts.append((fun + (lam,), Subspace.from_vectors(n, lifted)))
-        parts = new_parts
+        kernels = [
+            (lam, _kernel(n, ({**_sparse(row), i: row[i] - lam} for i, row in enumerate(b.data))))
+            for lam in spectrum
+        ]
+        parts = [
+            (fun + (lam,), part)
+            for fun, sub in parts
+            for lam, ker in kernels
+            if (part := sub.intersect(ker)).dim
+        ]
     return sorted(parts, key=lambda p: p[0])

@@ -30,7 +30,7 @@ from .derivations import (
 from .liealg import LieAlgebra
 from .linalg import (  # refine_eigenspaces is re-exported; verify_torus calls it
     Matrix,
-    Q,
+    ONE,
     Subspace,
     ZERO,
     combine,
@@ -224,10 +224,11 @@ def _lemma2_form_check(
     p = len(h1_emb.s_slot)
     n = len(h1_emb.g_slot)
     # change of basis into the concatenated weight-part bases, which fill g:
-    # to_parts[k] holds the coordinates of e_k
-    part_vecs = [v for _, sub in wd.parts for v in sub.vectors()]
-    units = Matrix.identity(n).data
-    _, to_parts = image_with_preimages(n, [v + e for v, e in zip(part_vecs, units)])
+    # the rows (v_k, e_k) tag part row k by e_k, and to_parts[i] holds the
+    # coordinates of e_i, as a sparse row
+    part_rows = [row for _, sub in wd.parts for row in sub.rows.values()]
+    tagged = [row | {n + k: ONE} for k, row in enumerate(part_rows)]
+    _, to_parts = image_with_preimages(n, 2 * n, tagged)
     offsets = []
     off = 0
     for _, sub in wd.parts:
@@ -382,10 +383,11 @@ def _lemma4_homomorphism_check(
     and the left side is the commutator of the image matrices.  On this
     basis (the Der(g) units, then fsub's) the map is linear, so D_{bracket}
     combines the images with [s1,s2] and the fsub coordinates of the rest,
-    which exist since F(g) is an ideal of Der(g)."""
+    which exist since F(g) is an ideal of Der(g).  The images are combined
+    as sparse rows of their nonzero entries."""
     br = dsg.algebra.bracket
     size = (dsg.dim + dsg.base.dim) ** 2
-    flats = [m.flatten() for m in images]
+    flats = [{t: x for t, x in enumerate(m.flatten()) if x} for m in images]
     for a, (s1, d1) in enumerate(basis):
         for b in range(a + 1, len(basis)):
             s2, d2 = basis[b]

@@ -99,6 +99,22 @@ class TestExitCodes:
             assert "error" in proc.stderr
             assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("torus", ("diagonal", "grading"))
+    def test_graded_power_zero_is_one(self, torus, capsys):
+        # 0 is a value, not an absent --graded-power: graded_power refuses it
+        argv = ["verify", "theorem1", "--g", "catalog:heisenberg:1", "--graded-power", "0"]
+        assert run_command([*argv, "--torus", torus]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n must be >= 1\n"
+
+    def test_negative_max_steps_is_one(self, capsys):
+        argv = ["tower", "catalog:full-graph:heisenberg:1", "--max-steps", "-1"]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max_steps must be >= 0, not -1\n"
+
     @pytest.mark.parametrize("theorem", ("theorem1", "theorem2", "lemma3"))
     def test_verify_without_source_is_one(self, theorem):
         proc = run_cli("verify", theorem)

@@ -41,7 +41,6 @@ from lieq.linalg import (
     Subspace,
     ZERO,
     clear_denominators,
-    combine,
     nullspace,
     rank_bareiss,
 )
@@ -179,6 +178,115 @@ class TestDerivations:
         again = derivations(heisenberg(1))
         assert again.space == ds_h3.space
         assert again.basis_mats == ds_h3.basis_mats
+
+
+def dense_is_derivation(g, m):
+    """The dense Leibniz check that is_derivation replaced, kept as an
+    oracle: Matrix.apply and LieAlgebra.bracket on every basis pair."""
+    if m.rows != g.dim or m.cols != g.dim:
+        return False
+    cols = [m.column(i) for i in range(g.dim)]
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            lhs = m.apply(g.bracket_basis(i, j))
+            rhs = g.bracket(cols[i], g.basis_element(j))
+            rhs2 = g.bracket(g.basis_element(i), cols[j])
+            if any(a != b + c for a, b, c in zip(lhs, rhs, rhs2)):
+                return False
+    return True
+
+
+def bumped(m, i, j, by):
+    """m with by added to entry (i, j)."""
+    return Matrix([[x + by if (r, c) == (i, j) else x for c, x in enumerate(row)]
+                   for r, row in enumerate(m.data)])
+
+
+def theorem1_torus(name, torus):
+    g = catalog(name)
+    if torus == "diagonal":
+        return g, diagonal_derivation_torus(g)
+    gp = graded_power(g, 3 if name == "heisenberg:1" else 2)
+    return gp.algebra, [grading_derivation(gp)]
+
+
+THEOREM1_TORI = (
+    ("heisenberg:1", "diagonal"),
+    ("heisenberg:2", "diagonal"),
+    ("graded-power:heisenberg:1:3", "diagonal"),
+    ("heisenberg:1", "grading"),
+    ("nonabelian2", "grading"),
+)
+
+
+class TestIsDerivationOracle:
+    """The sparse is_derivation against the dense check it replaced: on
+    derivations, on derivations with one entry changed, and on random
+    small integer matrices."""
+
+    @staticmethod
+    def agree_on_perturbations(g, mats, rng):
+        n = g.dim
+        for m in mats:
+            assert is_derivation(g, m) and dense_is_derivation(g, m)
+            for _ in range(3):
+                by = Q(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3))
+                m2 = bumped(m, rng.randrange(n), rng.randrange(n), by)
+                assert is_derivation(g, m2) == dense_is_derivation(g, m2)
+        for _ in range(5):
+            m2 = Matrix([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)])
+            assert is_derivation(g, m2) == dense_is_derivation(g, m2)
+
+    @pytest.mark.parametrize("name", STRUCTURE_SOURCES)
+    def test_basis_and_perturbed(self, name):
+        g = load_structure_source(name)
+        self.agree_on_perturbations(g, derivations(g).basis_mats, random.Random(name))
+
+    @pytest.mark.parametrize("name, torus", THEOREM1_TORI)
+    def test_theorem1_tori(self, name, torus):
+        g, mats = theorem1_torus(name, torus)
+        self.agree_on_perturbations(g, mats, random.Random(name + torus))
+
+    def test_some_perturbations_stay_derivations(self):
+        # on abelian(2) every matrix is a derivation: both checks accept
+        g = abelian(2)
+        m = bumped(Matrix.zero(2, 2), 0, 1, Q(3))
+        assert is_derivation(g, m) and dense_is_derivation(g, m)
+        # adding a derivation keeps a derivation, on a nonabelian algebra
+        g = heisenberg(1)
+        ds = derivations(g)
+        m = ds.basis_mats[0] + ds.basis_mats[1].scale(Q(-2, 3))
+        assert is_derivation(g, m) and dense_is_derivation(g, m)
+
+
+CATALOG_ANALYZE = (
+    "heisenberg:1",
+    "heisenberg:2",
+    "abelian:4",
+    "graded-power:heisenberg:1:2",
+    "full-graph:heisenberg:1",
+    "full-graph:full-graph:nonabelian2",
+)
+
+
+@pytest.mark.parametrize("name", CATALOG_ANALYZE)
+def test_derivations_reads_ad_off_sc(name, monkeypatch):
+    # no ad matrix is built; ad(g) read off sc equals the span of the ad
+    # matrices
+    g = catalog(name)
+    calls = []
+    original = LieAlgebra.ad_matrix
+
+    def counting(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(LieAlgebra, "ad_matrix", counting)
+    ds = derivations(g)
+    assert calls == []
+    n = g.dim
+    flats = [original(g, g.basis_element(i)).flatten() for i in range(n)]
+    assert ds.inner_flat == Subspace.from_vectors(n * n, flats)
 
 
 class TestRankBound:
@@ -599,6 +707,18 @@ class TestDerivationTower:
         rep = derivation_tower(fh3, max_steps=0)
         assert not rep.stabilized and rep.budget_exceeded
 
+    def test_negative_max_steps_rejected(self, fh3):
+        with pytest.raises(ValueError, match="max_steps must be >= 0"):
+            derivation_tower(fh3, max_steps=-1)
+
+
+def dense_combine(coeffs, vectors, n):
+    """sum_r c_r v_r in Q^n for dense vectors v_r."""
+    out = [ZERO] * n
+    for c, v in zip(coeffs, vectors, strict=True):
+        out = [a + c * x for a, x in zip(out, v)]
+    return out
+
 
 def dense_homomorphism_check(s, g, images):
     """Whether the images of s's basis give a homomorphism s -> Der(g),
@@ -610,7 +730,7 @@ def dense_homomorphism_check(s, g, images):
     n = g.dim
     flats = [m.flatten() for m in images]
     return all(
-        tuple(combine(s.bracket_basis(a, b), flats, n * n))
+        tuple(dense_combine(s.bracket_basis(a, b), flats, n * n))
         == images[a].commutator(images[b]).flatten()
         for a in range(s.dim)
         for b in range(a + 1, s.dim)

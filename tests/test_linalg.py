@@ -99,32 +99,43 @@ class TestSolve:
                 assert list(a.apply(x)) == [Q(v) for v in b]
 
 
+def sparse(v):
+    return {j: x for j, x in enumerate(v) if x}
+
+
+def dense(row, n):
+    return tuple(row.get(c, Q(0)) for c in range(n))
+
+
 class TestImageWithPreimages:
     def test_image_preimages_and_kernel(self):
-        # f: Q^4 -> Q^3 of rank 2 with fractional entries, read off the rows
-        # (f(e_j), e_j); oracles: the column space and Matrix.apply
+        # f: Q^4 -> Q^3 of rank 2 with fractional entries, read off the
+        # sparse rows (f(e_j), e_j); oracles: the column space and
+        # Matrix.apply
         rng = random.Random(5)
         for _ in range(20):
             u = [Q(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(3)]
             w = [Q(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(3)]
             c = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(4)]
             f = Matrix.from_columns([[a * x + b * y for x, y in zip(u, w)] for a, b in c])
-            units = Matrix.identity(4).data
-            image, pre = image_with_preimages(3, [f.column(j) + units[j] for j in range(4)])
+            rows = [sparse(f.column(j)) | {3 + j: Q(1)} for j in range(4)]
+            image, pre = image_with_preimages(3, 7, rows)
             assert image == Subspace.from_vectors(3, [f.column(j) for j in range(4)])
             assert len(pre) == image.dim
             for v, x in zip(image.vectors(), pre):
-                assert f.apply(x) == v
+                # sparse preimages, no dense copy
+                assert isinstance(x, dict) and all(x.values())
+                assert f.apply(dense(x, 4)) == v
 
     def test_no_rows(self):
-        image, pre = image_with_preimages(2, [])
+        image, pre = image_with_preimages(2, 2, [])
         assert image == Subspace.zero(2) and pre == ()
 
     def test_combine(self):
-        vecs = [(Q(1), Q(0), Q(2)), (Q(0), Q(1, 3), Q(-1))]
-        assert combine([2, Q(3)], vecs, 3) == [Q(2), Q(1), Q(1)]
+        rows = [{0: Q(1), 2: Q(2)}, {2: Q(-1), 1: Q(1, 3)}]
+        assert combine([2, Q(3)], rows, 3) == [Q(2), Q(1), Q(1)]
         with pytest.raises(ValueError):
-            combine([1], vecs, 3)
+            combine([1], rows, 3)
 
 
 class TestSubspace:
@@ -361,13 +372,15 @@ class TestSubspaceFromSystem:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(sparse_systems())
     def test_basis_is_nonzero_rref_rows(self, case):
-        system, dense = _solved(*case)
-        r, pivots = rref(dense)
-        expected = Matrix(r.data[: len(pivots)])
-        assert Subspace.from_system(system).basis == expected
-        assert Subspace.from_vectors(dense.cols, dense.data).basis == expected
+        system, m = _solved(*case)
+        r, pivots = rref(m)
+        expected = r.data[: len(pivots)]
+        for s in (Subspace.from_system(system), Subspace.from_vectors(m.cols, m.data)):
+            assert s.vectors() == expected
+            assert tuple(s.rows) == pivots
+            assert all(dense(row, m.cols) == v for row, v in zip(s.rows.values(), expected))
 
-    def test_from_vectors_coerces_each_entry_and_builds_one_matrix(self, monkeypatch):
+    def test_from_vectors_coerces_each_entry_and_builds_no_matrix(self, monkeypatch):
         built = []
         init = Matrix.__init__
 
@@ -377,12 +390,99 @@ class TestSubspaceFromSystem:
 
         monkeypatch.setattr(Matrix, "__init__", counting_init)
         s = Subspace.from_vectors(3, [("1/2", 0, 1.5), (1, "0", 3), (0, Q(2, 3), 0)])
-        assert built == [2]
+        assert built == []
         assert s.vectors() == ((1, 0, 3), (0, 1, 0))
 
     def test_zero_vectors_give_the_zero_subspace(self):
         assert Subspace.from_vectors(3, [(0, 0, 0)]) == Subspace.zero(3)
         assert Subspace.from_vectors(3, []) == Subspace.zero(3)
+
+
+# The dense formulations that the sparse rows of Subspace replaced, kept as
+# oracles: they read the dense basis vectors only.
+
+
+def dense_combine(coeffs, vectors, n):
+    out = [Q(0)] * n
+    for c, v in zip(coeffs, vectors, strict=True):
+        out = [a + c * x for a, x in zip(out, v)]
+    return out
+
+
+def dense_coords_of(s, v):
+    """The entries of v at the first nonzero column of each basis vector,
+    checked by dense reconstruction."""
+    vecs = s.vectors()
+    v = [Q(x) for x in v]
+    coords = tuple(v[next(j for j, x in enumerate(u) if x)] for u in vecs)
+    return coords if dense_combine(coords, vecs, s.ambient_dim) == v else None
+
+
+def dense_intersect(a, b):
+    """Zassenhaus by a dense rref of [[A A], [B 0]], then from_vectors."""
+    n = a.ambient_dim
+    rows = [list(v) + list(v) for v in a.vectors()]
+    rows += [list(v) + [Q(0)] * n for v in b.vectors()]
+    if not rows:
+        return Subspace.zero(n)
+    r, pivots = rref(Matrix(rows))
+    return Subspace.from_vectors(n, [row[n:] for row in r.data[: len(pivots)] if not any(row[:n])])
+
+
+def dense_complement(a):
+    return nullspace(Matrix(a.vectors())) if a.dim else Subspace.full(a.ambient_dim)
+
+
+def dense_contains(a, b):
+    return all(dense_coords_of(a, v) is not None for v in b.vectors())
+
+
+@st.composite
+def subspace_pairs(draw):
+    """(n, A, B, coefficients, probe): spanning vectors of two subspaces of
+    Q^n, n <= 6, with sparse rational entries and up to two shared vectors,
+    integer coefficients for a combination of A, and one more vector."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(Q(0)), st.builds(Q, st.integers(-4, 4), st.integers(1, 3)))
+    vec = st.lists(entry, min_size=n, max_size=n)
+    shared = draw(st.lists(vec, max_size=2))
+    a = shared + draw(st.lists(vec, max_size=n))
+    b = shared + draw(st.lists(vec, max_size=n))
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(a), max_size=len(a)))
+    return n, a, b, coeffs, draw(vec)
+
+
+class TestSubspaceOracles:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(subspace_pairs())
+    def test_operations_match_dense_oracles(self, case):
+        n, va, vb, coeffs, probe = case
+        a, b = Subspace.from_vectors(n, va), Subspace.from_vectors(n, vb)
+        inter = a.intersect(b)
+        assert inter == dense_intersect(a, b)
+        assert a.sum(b) == Subspace.from_vectors(n, a.vectors() + b.vectors())
+        assert a.orthogonal_complement() == dense_complement(a)
+        for v in (probe, dense_combine(coeffs, va, n), *va, *vb):
+            assert a.coords_of(v) == dense_coords_of(a, v)
+            assert a.contains_vector(v) == (dense_coords_of(a, v) is not None)
+        for x, y in ((a, b), (b, a), (a, inter), (b, inter), (a.sum(b), a), (inter, a)):
+            assert x.contains(y) == dense_contains(x, y)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(subspace_pairs(), st.data())
+    def test_shuffled_rescaled_span_is_equal_and_hashes_equal(self, case, data):
+        n, va, _, _, _ = case
+        order = data.draw(st.permutations(range(len(va))))
+        nonzero = st.builds(Q, st.integers(1, 5), st.integers(1, 4))
+        scales = data.draw(st.lists(nonzero, min_size=len(va), max_size=len(va)))
+        a = Subspace.from_vectors(n, va)
+        b = Subspace.from_vectors(n, [[c * x for x in va[k]] for k, c in zip(order, scales)])
+        assert a == b and hash(a) == hash(b)
+
+    def test_hash_ignores_the_entry_order_of_a_row(self):
+        a = Subspace(3, {0: {0: Q(1), 2: Q(5)}, 1: {1: Q(1)}})
+        b = Subspace(3, {0: {2: Q(5), 0: Q(1)}, 1: {1: Q(1)}})
+        assert a == b and hash(a) == hash(b)
 
 
 @st.composite

@@ -22,7 +22,15 @@ from lieq.derivations import (
     verify_torus,
 )
 from lieq.liealg import LieAlgebra
-from lieq.linalg import Matrix, Q, Subspace, ZERO, refine_eigenspaces, split_semisimple_check
+from lieq.linalg import (
+    Matrix,
+    Q,
+    Subspace,
+    ZERO,
+    nullspace,
+    refine_eigenspaces,
+    split_semisimple_check,
+)
 from lieq.weights import (
     DegeneratePairError,
     _lemma4_homomorphism_check,
@@ -154,6 +162,60 @@ class TestRebasedTorus:
         assert rep.ok and rep2.ok
         assert rep.dims == rep2.dims
         assert [c.name for c in rep.checks] == [c.name for c in rep2.checks]
+
+
+def dense_refine_eigenspaces(n, mats, spectra):
+    """The per-part kernel-lift refinement that refine_eigenspaces replaced,
+    kept as an oracle: a part with basis V splits, for each lam, into the
+    lift of the kernel of the matrix with columns (b - lam) v."""
+    parts = [((), Subspace.full(n))]
+    for b, spectrum in zip(mats, spectra, strict=True):
+        new_parts = []
+        for fun, sub in parts:
+            vecs = sub.vectors()
+            images = [b.apply(v) for v in vecs]
+            for lam in spectrum:
+                shifted = Matrix.from_columns(
+                    [[x - lam * y for x, y in zip(bv, v)] for bv, v in zip(images, vecs)]
+                )
+                lifted = [
+                    [sum((c * v[k] for c, v in zip(coeffs, vecs)), ZERO) for k in range(n)]
+                    for coeffs in nullspace(shifted).vectors()
+                ]
+                if lifted:
+                    new_parts.append((fun + (lam,), Subspace.from_vectors(n, lifted)))
+        parts = new_parts
+    return sorted(parts, key=lambda p: p[0])
+
+
+def _rebased_h3_cube_torus():
+    g = graded_power(heisenberg(1), 3).algebra
+    n = g.dim
+    p = Matrix([[1 if j in (i, i + 1) else 0 for j in range(n)] for i in range(n)])
+    pinv = Matrix([[(-1) ** (j - i) if j >= i else 0 for j in range(n)] for i in range(n)])
+    return n, [pinv @ d @ p for d in diagonal_derivation_torus(g)]
+
+
+REFINE_CASES = {
+    "h3^(2) grading": lambda: (6, [grading_derivation(graded_power(heisenberg(1), 2))]),
+    "h5 diagonal": lambda: (5, diagonal_derivation_torus(heisenberg(2))),
+    "h3^(3) diagonal": lambda: (
+        9, diagonal_derivation_torus(graded_power(heisenberg(1), 3).algebra)
+    ),
+    "h3^(3) diagonal, rebased": _rebased_h3_cube_torus,
+    # one generator twice, and the zero matrix as the one generator
+    "repeated generator": lambda: (5, diagonal_derivation_torus(heisenberg(2))[:1] * 2),
+    "zero generator": lambda: (2, [Matrix.zero(2, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", list(REFINE_CASES))
+def test_refine_eigenspaces_matches_kernel_lift(name):
+    n, mats = REFINE_CASES[name]()
+    spectra = [split_semisimple_check(b).eigenvalues for b in mats]
+    parts = refine_eigenspaces(n, mats, spectra)
+    assert parts == dense_refine_eigenspaces(n, mats, spectra)
+    assert sum(sub.dim for _, sub in parts) == n
 
 
 class TestNondegeneratePair:
