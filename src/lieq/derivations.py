@@ -27,8 +27,8 @@ Brackets of derivations are computed once, as the structure constants of
 Downstream, a derivation is its coordinate vector in the canonical Der basis:
 `centralizer_in_der` takes the Der coordinates of its generators, and
 `f_s_subspace` takes the images of phi and reads their Der coordinates once;
-both take kernels of ad matrices of that algebra rather than forming dense
-n x n commutators.
+both take kernels of sparse ad rows of that algebra, read off its `sc`,
+rather than forming dense n x n commutators or ad matrices.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .linalg import (
     clear_denominators,
     combine,
     image_with_preimages,
-    nullspace,
     rank_mod_p,
     refine_eigenspaces,
     split_semisimple_check,
@@ -199,13 +198,11 @@ def derivations(g: LieAlgebra) -> DerivationSpace:
     if rank_p == bound:
         space, inner = inner_flat, Subspace.full(inner_flat.dim)
     else:
-        sys = SparseSystem(n * n)
-        for row in rows:
-            sys.add_row(row)
+        sys = SparseSystem(n * n, rows)
         if sys.rank < rank_p:
             raise RuntimeError("Leibniz rank over Q below its rank mod P")
         _check_der_dim(n * n - sys.rank)
-        space = Subspace.from_vectors(n * n, sys.nullspace_basis())
+        space = sys.kernel()
         d = space.dim
         inner_rows = []
         for row, x in zip(inner_flat.rows.values(), pre):
@@ -329,8 +326,7 @@ def is_complete(g: LieAlgebra, ds: DerivationSpace | None = None) -> Completenes
             witness = ("central", center.vectors()[0])
         else:
             for k in range(der_dim):
-                unit = tuple(Q(1) if i == k else ZERO for i in range(der_dim))
-                if not ds.inner.contains_vector(unit):
+                if ds.inner.coords_of_row({k: ONE}) is None:
                     witness = ("outer", ds.basis_mats[k])
                     break
     return CompletenessCertificate(center.dim, der_dim, inner_dim, complete, witness)
@@ -338,12 +334,10 @@ def is_complete(g: LieAlgebra, ds: DerivationSpace | None = None) -> Completenes
 
 def centralizer_in_der(ds: DerivationSpace, coords: Sequence[Sequence]) -> Subspace:
     """{D in Der(g) : [D, B] = 0 for all B}, in Der-coefficient coordinates,
-    for B given by their Der coordinates: the common kernel of the ad(B) of
-    the Der algebra."""
-    rows = [row for c in coords for row in ds.algebra.ad_matrix(c).data if any(row)]
-    if not rows:
-        return Subspace.full(ds.dim)
-    return nullspace(Matrix(rows))
+    for B given by their Der coordinates: the common kernel of the rows of
+    ad(B) in the Der algebra, read off its structure constants."""
+    rows = (row for c in coords for row in ds.algebra.ad_rows(c).values())
+    return SparseSystem(ds.dim, rows).kernel()
 
 
 def check_images(images: Sequence[Matrix], n: int) -> None:
@@ -358,31 +352,31 @@ def f_s_subspace(ds: DerivationSpace, images: Sequence[Matrix]) -> Subspace:
     Der-coefficient coordinates, for the images phi(s_k).  A derivation is
     inner exactly when it is orthogonal to every w in the complement of
     ad(g) in Q^dim, so each image beta contributes the rows w . ad(beta) of
-    the Der algebra.  Raises ValueError when an image lies outside Der(g)."""
+    the Der algebra, summed over the sparse rows of both.  Raises ValueError
+    when an image lies outside Der(g)."""
     check_images(images, ds.base.dim)
     coords = [ds.coords_of(m) for m in images]
     if None in coords:
         raise ValueError("an image of phi lies outside Der(g)")
-    comp = ds.inner.orthogonal_complement()
-    if comp.dim == 0:
-        return Subspace.full(ds.dim)
-    w = Matrix(comp.vectors())
-    rows = [row for c in coords for row in (w @ ds.algebra.ad_matrix(c)).data if any(row)]
-    if not rows:
-        return Subspace.full(ds.dim)
-    return nullspace(Matrix(rows))
+    comp = ds.inner.orthogonal_complement().rows.values()
+    rows = []
+    for c in coords:
+        ad = ds.algebra.ad_rows(c)
+        for w in comp:
+            row: dict = {}
+            for k, x in w.items():
+                for j, y in ad.get(k, {}).items():
+                    row[j] = row.get(j, ZERO) + x * y
+            rows.append(row)
+    return SparseSystem(ds.dim, rows).kernel()
 
 
 def z_s_subspace(g: LieAlgebra, images: Sequence[Matrix]) -> Subspace:
-    """Z_s(g): central elements annihilated by every image phi(s_k)."""
+    """Z_s(g): central elements annihilated by every image phi(s_k), that
+    is, the centre met with the kernel of the rows of the images."""
     check_images(images, g.dim)
-    zs = g.center()
-    if not images:
-        return zs
-    stacked = images[0]
-    for m in images[1:]:
-        stacked = stacked.stack(m)
-    return zs.intersect(nullspace(stacked))
+    rows = ({j: x for j, x in enumerate(row) if x} for m in images for row in m.data)
+    return g.center().intersect(SparseSystem(g.dim, rows).kernel())
 
 
 class TorusReport:
@@ -439,7 +433,7 @@ def diagonal_derivation_torus(g: LieAlgebra) -> list[Matrix]:
     torus on g (for many graded nilpotent algebras, a maximal one).
     """
     n = g.dim
-    sys = SparseSystem(n)
+    rows = []
     for i, row_i in enumerate(g.sc):
         for j, v in row_i.items():
             if i < j:
@@ -447,11 +441,10 @@ def diagonal_derivation_torus(g: LieAlgebra) -> list[Matrix]:
                     row = {k: 1}
                     row[i] = row.get(i, 0) - 1
                     row[j] = row.get(j, 0) - 1
-                    sys.add_row(row)
-    sub = Subspace.from_vectors(n, sys.nullspace_basis())
+                    rows.append(row)
     return [
-        Matrix([[t[i] if i == j else ZERO for j in range(n)] for i in range(n)])
-        for t in sub.vectors()
+        Matrix([[t.get(i, ZERO) if i == j else ZERO for j in range(n)] for i in range(n)])
+        for t in SparseSystem(n, rows).kernel().rows.values()
     ]
 
 

@@ -37,6 +37,8 @@ def parse_algebra(text: str | bytes) -> LieAlgebra:
         raise AlgebraFileError(f"not valid UTF-8: {e}") from None
     except json.JSONDecodeError as e:
         raise AlgebraFileError(f"not valid JSON: {e}") from None
+    except RecursionError:
+        raise AlgebraFileError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise AlgebraFileError("top level must be an object")
     try:

@@ -174,19 +174,28 @@ class LieAlgebra:
                         out[k] += c * ck
         return tuple(out)
 
-    def ad_matrix(self, x: Sequence) -> Matrix:
-        """Matrix of y -> [x, y] in the basis of the algebra."""
-        n = self.dim
-        if len(x) != n:
+    def ad_rows(self, x: Sequence) -> dict[int, dict[int, Q]]:
+        """The rows of ad(x), the map y -> [x, y], read off `sc` as
+        {k: {j: value}}: entry (k, j) is sum_i x_i c_ij^k.  Entries that
+        cancel stay as zeros."""
+        if len(x) != self.dim:
             raise ValueError("element length != dimension")
-        out = [[ZERO] * n for _ in range(n)]
+        out: dict[int, dict[int, Q]] = {}
         for i, a in enumerate(x):
             if a:
                 a = as_q(a)
                 for j, v in self.sc[i].items():
                     for k, c in v.items():
-                        out[k][j] += a * c
-        return Matrix(out)
+                        row = out.setdefault(k, {})
+                        row[j] = row.get(j, ZERO) + a * c
+        return out
+
+    def ad_matrix(self, x: Sequence) -> Matrix:
+        """Matrix of y -> [x, y] in the basis of the algebra: the dense view
+        of `ad_rows`."""
+        cols = range(self.dim)
+        rows = self.ad_rows(x)
+        return Matrix([[row.get(j, ZERO) for j in cols] for row in (rows.get(k, {}) for k in cols)])
 
     def integer_sc(self) -> list[dict[int, dict[int, int]]]:
         """`sc` scaled by the lcm d of its denominators, in int; built once
@@ -245,10 +254,7 @@ class LieAlgebra:
             for j, v in isc[i].items():
                 for k, c in v.items():
                     rows.setdefault((j, k), {})[i] = c
-        system = SparseSystem(n)
-        for key in sorted(rows):
-            system.add_row(rows[key])
-        return Subspace.from_vectors(n, system.nullspace_basis())
+        return SparseSystem(n, (rows[key] for key in sorted(rows))).kernel()
 
     def product_space(self, a: Subspace, b: Subspace) -> Subspace:
         """Span of [a, b], bracketed over `integer_sc` on the reduced rows of
@@ -257,27 +263,19 @@ class LieAlgebra:
         [v, u] = -[u, v]."""
         isc = self.integer_sc()
         us = [clear_denominators(row)[0] for row in a.rows.values()]
-        system = SparseSystem(self.dim)
         if a == b:
-            for i, u in enumerate(us):
-                for v in us[i + 1 :]:
-                    system.add_row(_integer_bracket(isc, u, v))
+            pairs = ((u, v) for i, u in enumerate(us) for v in us[i + 1 :])
         else:
             vs = [clear_denominators(row)[0] for row in b.rows.values()]
-            for u in us:
-                for v in vs:
-                    system.add_row(_integer_bracket(isc, u, v))
-        return Subspace.from_system(system)
+            pairs = ((u, v) for u in us for v in vs)
+        rows = (_integer_bracket(isc, u, v) for u, v in pairs)
+        return Subspace.from_system(SparseSystem(self.dim, rows))
 
     def derived_subalgebra(self) -> Subspace:
         """[g, g]: the span of the brackets [e_i, e_j], i < j, read off
         `integer_sc`."""
-        system = SparseSystem(self.dim)
-        for i, row in enumerate(self.integer_sc()):
-            for j, v in row.items():
-                if i < j:
-                    system.add_row(v)
-        return Subspace.from_system(system)
+        rows = (v for i, row in enumerate(self.integer_sc()) for j, v in row.items() if i < j)
+        return Subspace.from_system(SparseSystem(self.dim, rows))
 
     def series(self) -> "SeriesReport":
         """Derived and lower central series; both have [g, g] as their

@@ -10,14 +10,17 @@ Scalars are coerced by `as_q` at the API boundaries (Matrix(), Polynomial,
 the vectors and coefficients passed in); arithmetic on them stays in the
 scalar type.
 
-There is one elimination kernel.  `SparseSystem` clears each row's
-denominators, eliminates fraction-free over Z and back-reduces to the
-reduced row echelon form, dividing by each lead only at the end; `rref`,
-`nullspace`, `solve`, `rank` and the canonical subspaces all run on it, and
-the Der(g), center and series solvers feed it directly.  A canonical
-`Subspace` holds those reduced rows, {lead: {col: q}}, as its one form
-(`Subspace.from_system`); its operations read the rows, and `vectors()` is
-the dense view for callers outside the library.
+There is one elimination kernel.  `SparseSystem(ncols, rows)` clears each
+sparse row's denominators, eliminates fraction-free over Z and back-reduces
+to the reduced row echelon form, dividing by each lead only at the end;
+`rref`, `nullspace`, `solve`, `rank` and the canonical subspaces all run on
+it, and the Der(g), center and series solvers feed it directly.  A
+canonical `Subspace` holds those reduced rows, {lead: {col: q}}, as its one
+form (`Subspace.from_system`); its operations read the rows, and
+`vectors()` is the dense view for callers outside the library.  Every
+kernel is `SparseSystem.kernel()`: the nullspace basis read sparsely off
+the reduced rows, then reduced to its canonical Subspace by one more
+elimination; no rows give the whole space.
 `rank_bareiss` is a second, independent elimination, kept only to audit
 rank.  `rank_mod_p` is a third, over the integers mod a fixed prime: a rank
 certificate, not a nullspace kernel.  It never yields a basis, only a lower
@@ -190,11 +193,6 @@ class Matrix:
             raise ValueError("shape mismatch")
         return Matrix([v[i * cols : (i + 1) * cols] for i in range(rows)])
 
-    def stack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return Matrix(list(self.data) + list(other.data))
-
 
 def clear_denominators(entries: dict) -> tuple[dict, int]:
     """(ints, den): den is the lcm of the denominators of the values, and
@@ -211,7 +209,7 @@ def clear_denominators(entries: dict) -> tuple[dict, int]:
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns, computed by SparseSystem;
     zero rows pad the form to the shape of m."""
-    reduced = _system(m.cols, map(_sparse, m.data)).reduced_rows()
+    reduced = SparseSystem(m.cols, map(_sparse, m.data)).reduced_rows()
     pivots = tuple(reduced)
     rows = [[reduced[lead].get(c, ZERO) for c in range(m.cols)] for lead in pivots]
     rows += [[ZERO] * m.cols for _ in range(m.rows - len(pivots))]
@@ -310,8 +308,9 @@ class SparseSystem:
     fraction-free over Z: the one row reduction of this module apart from
     the rank_bareiss oracle.
 
-    Rows are fed one at a time as {col: value} dicts with rational or int
-    values.  Each row is cleared of denominators once and reduced against
+    The rows, {col: value} dicts with rational or int values, are fed one
+    at a time through `add_row`, first those given to the constructor.  Each
+    row is cleared of denominators once and reduced against
     the pivot rows seen so far (forward echelon), in the style of Bareiss:
     r <- (a/g) r - (b/g) p with a, b the leads of the pivot row p and of r and
     g = gcd(a, b); r is divided by its content before each step.  Pivot rows
@@ -322,9 +321,11 @@ class SparseSystem:
     whose rows are very sparse.
     """
 
-    def __init__(self, ncols: int):
+    def __init__(self, ncols: int, rows: Iterable[dict]):
         self.ncols = ncols
         self.pivot_rows: dict[int, dict[int, int]] = {}
+        for row in rows:
+            self.add_row(row)
 
     def add_row(self, row: dict) -> None:
         row, _ = clear_denominators(row)
@@ -366,19 +367,22 @@ class SparseSystem:
             for lead, row in reversed(done.items())
         }
 
-    def nullspace_basis(self) -> list[tuple]:
-        """Basis of the solution space, one vector per free column: 1 at its
-        free column, 0 at the other free columns and, at each lead column,
-        minus that reduced row's entry in the free column."""
+    def nullspace_basis(self) -> list[dict]:
+        """Basis of the solution space as sparse rows {col: value}, one per
+        free column: 1 at its free column and, at each lead whose reduced
+        row has an entry in the free column, minus that entry."""
         reduced = self.reduced_rows()
-        basis = {c: [ZERO] * self.ncols for c in range(self.ncols) if c not in reduced}
-        for fc, x in basis.items():
-            x[fc] = ONE
+        basis = {c: {c: ONE} for c in range(self.ncols) if c not in reduced}
         for lead, row in reduced.items():
             for c, v in row.items():
                 if c != lead:
                     basis[c][lead] = -v
-        return [tuple(x) for x in basis.values()]
+        return list(basis.values())
+
+    def kernel(self) -> "Subspace":
+        """The solution space as a canonical Subspace: the nullspace basis
+        reduced by one more elimination."""
+        return Subspace.from_system(SparseSystem(self.ncols, self.nullspace_basis()))
 
 
 def _sparse(v: Sequence) -> dict:
@@ -386,22 +390,17 @@ def _sparse(v: Sequence) -> dict:
     return {j: x for j, x in enumerate(v) if x}
 
 
-def _system(ncols: int, rows: Iterable[dict]) -> SparseSystem:
-    """SparseSystem fed the sparse rows {col: value}."""
-    system = SparseSystem(ncols)
-    for row in rows:
-        system.add_row(row)
-    return system
-
-
-def _kernel(ncols: int, rows: Iterable[dict]) -> "Subspace":
-    """{v : row . v = 0 for every sparse row} as a canonical Subspace."""
-    return Subspace.from_vectors(ncols, _system(ncols, rows).nullspace_basis())
+def _coerced_row(v: Sequence, n: int) -> dict:
+    """The nonzero entries of v, coerced by as_q, as {index: value}.  Raises
+    ValueError when v does not have length n."""
+    if len(v) != n:
+        raise ValueError("vector length != ambient dimension")
+    return {j: q for j, x in enumerate(v) if (q := as_q(x))}
 
 
 def nullspace(m: Matrix) -> "Subspace":
     """Kernel {v : m v = 0} as a canonical Subspace."""
-    return _kernel(m.cols, map(_sparse, m.data))
+    return SparseSystem(m.cols, map(_sparse, m.data)).kernel()
 
 
 def combine(coeffs: Sequence, rows: Iterable[dict], n: int) -> list:
@@ -423,7 +422,7 @@ def image_with_preimages(a: int, ncols: int, rows: Iterable[dict]) -> tuple["Sub
     of f and their other parts, shifted down by a, are sparse preimages, in
     order; the remaining reduced rows span 0 x ker f.
     """
-    top = {lead: row for lead, row in _system(ncols, rows).reduced_rows().items() if lead < a}
+    top = {lead: row for lead, row in SparseSystem(ncols, rows).reduced_rows().items() if lead < a}
     image = {lead: {c: x for c, x in row.items() if c < a} for lead, row in top.items()}
     pre = tuple({c - a: x for c, x in row.items() if c >= a} for row in top.values())
     return Subspace(a, image), pre
@@ -461,12 +460,8 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        system = SparseSystem(ambient_dim)
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length != ambient dimension")
-            system.add_row({j: q for j, x in enumerate(v) if (q := as_q(x))})
-        return Subspace.from_system(system)
+        rows = (_coerced_row(v, ambient_dim) for v in vectors)
+        return Subspace.from_system(SparseSystem(ambient_dim, rows))
 
     @staticmethod
     def from_system(system: SparseSystem) -> "Subspace":
@@ -511,9 +506,7 @@ class Subspace:
     def coords_of(self, v: Sequence) -> tuple | None:
         """Coordinates of v in the canonical basis, or None if outside.
         Raises ValueError when v does not have the ambient length."""
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length != ambient dimension")
-        return self.coords_of_row({j: q for j, x in enumerate(v) if (q := as_q(x))})
+        return self.coords_of_row(_coerced_row(v, self.ambient_dim))
 
     def coords_of_row(self, row: dict) -> tuple | None:
         """Coordinates of the sparse vector row {col: value}, with no zero
@@ -531,7 +524,7 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
         rows = [*self.rows.values(), *other.rows.values()]
-        return Subspace.from_system(_system(self.ambient_dim, rows))
+        return Subspace.from_system(SparseSystem(self.ambient_dim, rows))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: the reduced rows of the span of the rows (a, a) and
@@ -539,7 +532,7 @@ class Subspace:
         self._check_ambient(other)
         n = self.ambient_dim
         rows = [{**row, **{n + c: x for c, x in row.items()}} for row in self.rows.values()]
-        reduced = _system(2 * n, rows + list(other.rows.values())).reduced_rows()
+        reduced = SparseSystem(2 * n, rows + list(other.rows.values())).reduced_rows()
         return Subspace(n, {
             lead - n: {c - n: x for c, x in row.items()}
             for lead, row in reduced.items()
@@ -547,7 +540,7 @@ class Subspace:
         })
 
     def orthogonal_complement(self) -> "Subspace":
-        return _kernel(self.ambient_dim, self.rows.values())
+        return SparseSystem(self.ambient_dim, self.rows.values()).kernel()
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -763,10 +756,10 @@ def refine_eigenspaces(
     """
     parts: list[tuple[tuple, Subspace]] = [((), Subspace.full(n))]
     for b, spectrum in zip(mats, spectra, strict=True):
-        kernels = [
-            (lam, _kernel(n, ({**_sparse(row), i: row[i] - lam} for i, row in enumerate(b.data))))
-            for lam in spectrum
-        ]
+        kernels = []
+        for lam in spectrum:
+            shifted = ({**_sparse(row), i: row[i] - lam} for i, row in enumerate(b.data))
+            kernels.append((lam, SparseSystem(n, shifted).kernel()))
         parts = [
             (fun + (lam,), part)
             for fun, sub in parts

@@ -144,6 +144,32 @@ class TestExitCodes:
             assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
+        "doc",
+        [
+            "[" * 100000,
+            '{"dim": 2, "brackets": [{"i": 0, "j": 1, "value": '
+            + "[" * 100000 + "]" * 100000 + "}]}",
+        ],
+        ids=["top-level", "bracket-value"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze"], ["construct"], ["verify", "theorem2", "--g"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_deeply_nested_file_is_one(self, doc, argv, tmp_path, capsys):
+        # the JSON decoder recurses once per bracket; the loader reports
+        # the recursion limit as a malformed file, not a traceback
+        p = tmp_path / "deep.json"
+        p.write_text(doc)
+        with pytest.raises(AlgebraFileError, match="nested too deeply"):
+            parse_algebra(doc)
+        assert run_command([*argv, str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {p}: not valid JSON: nested too deeply\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["analyze", "catalog:heisenberg:1"],
@@ -246,9 +272,9 @@ class TestCommands:
         created = []
         init = SparseSystem.__init__
 
-        def counting_init(self, ncols):
+        def counting_init(self, ncols, rows):
             created.append(ncols)
-            init(self, ncols)
+            init(self, ncols, rows)
 
         monkeypatch.setattr(SparseSystem, "__init__", counting_init)
         start = time.perf_counter()

@@ -851,6 +851,14 @@ def dense_f_s(ds, images):
     return nullspace(Matrix(rows)) if rows else Subspace.full(ds.dim)
 
 
+def dense_z_s(g, images):
+    """The centre meets the nullspace of the images stacked into one matrix."""
+    zs = g.center()
+    if not images:
+        return zs
+    return zs.intersect(nullspace(Matrix([row for m in images for row in m.data])))
+
+
 def dense_der_der(ds):
     """Span of the commutators of the Der basis matrices, in Q^(n^2)."""
     mats = ds.basis_mats
@@ -895,6 +903,34 @@ class TestDenseOracles:
     def test_f_s_matches_dense(self, oracle_case):
         ds, images = oracle_case
         assert f_s_subspace(ds, images) == dense_f_s(ds, images)
+
+    def test_z_s_matches_dense(self, oracle_case):
+        ds, images = oracle_case
+        for gens in (images, images[:1], images[:2], images[1::2], []):
+            assert z_s_subspace(ds.base, gens) == dense_z_s(ds.base, gens)
+
+    def test_kernels_build_no_matrix(self, oracle_case, monkeypatch):
+        # the kernels read sparse ad rows off the Der algebra's structure
+        # constants and the rows of the images: no ad matrix, no Matrix
+        ds, images = oracle_case
+        coords = [ds.coords_of(m) for m in images]
+        calls = []
+        ad_matrix, init = LieAlgebra.ad_matrix, Matrix.__init__
+
+        def counting_ad(self, x):
+            calls.append("ad_matrix")
+            return ad_matrix(self, x)
+
+        def counting_init(self, data):
+            calls.append("Matrix")
+            init(self, data)
+
+        monkeypatch.setattr(LieAlgebra, "ad_matrix", counting_ad)
+        monkeypatch.setattr(Matrix, "__init__", counting_init)
+        centralizer_in_der(ds, coords)
+        f_s_subspace(ds, images)
+        z_s_subspace(ds.base, images)
+        assert calls == []
 
     def test_der_der_matches_dense(self, oracle_case):
         ds, _ = oracle_case

@@ -2,7 +2,8 @@
 
 Each module imports only from modules earlier in LAYERS, so the imports
 have no cycle, and every import sits at module level, where it runs once
-and shows the dependency.
+and shows the dependency.  No module but linalg reads a nullspace basis or
+calls `nullspace`: every kernel goes through `SparseSystem.kernel()`.
 """
 
 import ast
@@ -64,3 +65,24 @@ def test_imports_only_earlier_layers(module):
         if LAYERS.index(layer) >= rank
     ]
     assert late == [], f"{module}.py imports from later layers: {late}"
+
+
+def _kernel_uses(tree):
+    """Lines that reference `nullspace_basis` or call `nullspace`."""
+    for node in ast.walk(tree):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if name == "nullspace_basis":
+            yield node.lineno
+        elif isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if called == "nullspace":
+                yield node.lineno
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES + ["__init__"] if m != "linalg"])
+def test_kernels_only_in_linalg(module):
+    # every other module takes a kernel through SparseSystem.kernel(), so
+    # how a kernel is computed is decided in linalg alone
+    uses = sorted(set(_kernel_uses(_tree(module))))
+    assert uses == [], f"{module}.py reaches for a kernel at lines {uses}"

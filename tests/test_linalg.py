@@ -258,9 +258,7 @@ def sparse_systems(draw):
 
 
 def _solved(ncols, rows):
-    system = SparseSystem(ncols)
-    for row in rows:
-        system.add_row(dict(row))
+    system = SparseSystem(ncols, (dict(row) for row in rows))
     dense = Matrix([[row.get(c, 0) for c in range(ncols)] for row in rows])
     return system, dense
 
@@ -333,18 +331,25 @@ class TestSparseSystem:
             else:
                 assert not any(row)
         # same rank after stacking: r spans no more than the rows of dense
-        assert rank_bareiss(dense.stack(r)) == len(pivots)
+        assert rank_bareiss(Matrix([*dense.data, *r.data])) == len(pivots)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(sparse_systems())
     def test_rows_annihilate_nullspace_basis(self, case):
+        # the sparse basis rows, and the canonical kernel read off them
         ncols, rows = case
-        system, _ = _solved(ncols, rows)
+        system, dense = _solved(ncols, rows)
         basis = system.nullspace_basis()
         assert len(basis) == ncols - system.rank
         for x in basis:
+            assert isinstance(x, dict) and all(x.values())
             for row in rows:
-                assert sum((v * x[c] for c, v in row.items()), Q(0)) == 0
+                assert sum((v * x.get(c, 0) for c, v in row.items()), Q(0)) == 0
+        kernel = system.kernel()
+        assert kernel.dim == ncols - rank_bareiss(dense)
+        for v in kernel.vectors():
+            for row in rows:
+                assert sum((x * v[c] for c, x in row.items()), Q(0)) == 0
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(sparse_systems())
@@ -353,7 +358,7 @@ class TestSparseSystem:
         system, _ = _solved(ncols, rows)
         free = [c for c in range(ncols) if c not in system.pivot_rows]
         for fc, x in zip(free, system.nullspace_basis()):
-            assert [x[c] for c in free] == [Q(1) if c == fc else Q(0) for c in free]
+            assert [x.get(c, 0) for c in free] == [Q(1) if c == fc else Q(0) for c in free]
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(sparse_systems())
