@@ -139,40 +139,14 @@ class LieAlgebra:
     def basis_element(self, i: int) -> Element:
         return tuple(Q(1) if j == i else ZERO for j in range(self.dim))
 
-    def bracket_basis(self, i: int, j: int) -> Element:
-        """[e_i, e_j] for arbitrary i, j (antisymmetry applied)."""
-        v = self.sc[i].get(j)
-        if v is None:
-            return self._zero
-        out = [ZERO] * self.dim
-        for k, c in v.items():
-            out[k] = c
-        return tuple(out)
-
     def bracket(self, x: Sequence, y: Sequence) -> Element:
-        if len(x) != self.dim or len(y) != self.dim:
+        """[x, y], the view of `ad_rows`: [x, y]_k = sum_j ad(x)_kj y_j."""
+        if len(y) != self.dim:
             raise ValueError("element length != dimension")
-        sc = self.sc
-        ys = [(j, b) for j, b in enumerate(y) if b]
-        out = [ZERO] * self.dim
-        for i, a in enumerate(x):
-            row = sc[i]
-            if not a or not row:
-                continue
-            for j, b in ys:
-                v = row.get(j)
-                if v is None:
-                    continue
-                if j > i:
-                    c = a * b - x[j] * y[i]
-                elif x[j] and y[i]:
-                    continue  # counted with the ordered pair (j, i)
-                else:
-                    c = a * b
-                if c:
-                    for k, ck in v.items():
-                        out[k] += c * ck
-        return tuple(out)
+        rows = self.ad_rows(x)
+        return tuple(
+            sum((c * y[j] for j, c in rows.get(k, {}).items()), ZERO) for k in range(self.dim)
+        )
 
     def ad_rows(self, x: Sequence) -> dict[int, dict[int, Q]]:
         """The rows of ad(x), the map y -> [x, y], read off `sc` as

@@ -617,9 +617,6 @@ class Polynomial:
             a, b = b, a.divmod(b)[1]
         return a.monic()
 
-    def is_squarefree(self) -> bool:
-        return self.gcd(self.derivative()).degree <= 0
-
     def rational_roots(self) -> list:
         """All rational roots, by the rational-root theorem (complete over Q).
         A root p/q has p | a0, q | an and |p/q| <= 2 max_k |a_(n-k)/an|^(1/k)
@@ -648,25 +645,6 @@ class Polynomial:
                     if cand not in roots and self.eval_scalar(cand) == 0:
                         roots.append(cand)
         return sorted(roots)
-
-    def splits_rationally(self) -> tuple[bool, list]:
-        """Whether the polynomial is a product of rational linear factors;
-        verified by deflating every found root."""
-        if self.degree <= 0:
-            return True, []
-        roots = self.rational_roots()
-        rem = self.monic()
-        used = []
-        for r in roots:
-            lin = Polynomial([-r, ONE])
-            while True:
-                q, rr = rem.divmod(lin)
-                if rr.is_zero():
-                    rem = q
-                    used.append(r)
-                else:
-                    break
-        return rem.degree <= 0, used
 
 
 def _ceil_root(num: int, den: int, k: int) -> int:
@@ -730,14 +708,14 @@ class SemisimplicityReport:
 
 
 def split_semisimple_check(m: Matrix) -> SemisimplicityReport:
-    """Semisimple  <=>  squarefree minimal polynomial; eigenvalues are
-    reported only when the minimal polynomial splits over Q (split flag).
-    """
+    """From the radical r = p / gcd(p, p') of the minimal polynomial p:
+    m is semisimple iff deg r = deg p, and split iff p has deg r distinct
+    rational roots, which are then its eigenvalues (split flag)."""
     p = minimal_polynomial(m)
-    squarefree = p.is_squarefree()
-    splits, roots = p.splits_rationally()
-    eig = sorted(set(roots)) if splits else None
-    return SemisimplicityReport(squarefree, splits, eig, p)
+    deg_r = p.degree - p.gcd(p.derivative()).degree
+    roots = p.rational_roots()
+    split = len(roots) == deg_r
+    return SemisimplicityReport(deg_r == p.degree, split, roots if split else None, p)
 
 
 def refine_eigenspaces(

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .constructions import (
-    GraphEmbedding,
     abelian,
     full_graph,
     heisenberg,
@@ -30,11 +29,9 @@ from .derivations import (
 from .liealg import LieAlgebra
 from .linalg import (  # refine_eigenspaces is re-exported; verify_torus calls it
     Matrix,
-    ONE,
     Subspace,
     ZERO,
     combine,
-    image_with_preimages,
     q_str,
     refine_eigenspaces,
 )
@@ -135,20 +132,25 @@ class PipelineReport:
 def theorem1_pipeline(
     g: LieAlgebra, torus_mats: Sequence[Matrix]
 ) -> PipelineReport:
+    """Theorem 1 for the torus b spanned by torus_mats.  Raises TorusError
+    when they are not a torus, DegeneratePairError when a weight is zero,
+    and ValueError when they are not a basis of b."""
     report = PipelineReport("theorem1")
-    nondeg, wd = is_nondegenerate_pair(g, torus_mats)
+    nondeg, _ = is_nondegenerate_pair(g, torus_mats)
     if not nondeg:
         raise DegeneratePairError("the pair carries a zero weight")
     p = len(torus_mats)
-
-    h1_emb = semidirect(abelian(p), g, torus_mats)
-    h1 = h1_emb.whole
 
     # the torus passed verify_torus, so each generator has Der coordinates
     ds = derivations(g)
     torus_coords = [ds.coords_of(b) for b in torus_mats]
     if None in torus_coords:
         raise RuntimeError("derivation outside computed Der(g)")
+    b_sub = Subspace.from_vectors(ds.dim, torus_coords)
+    if b_sub.dim != p:
+        raise ValueError("the torus generators are linearly dependent")
+    h1_emb = semidirect(abelian(p), g, torus_mats)
+    h1 = h1_emb.whole
     tau_sub = centralizer_in_der(ds, torus_coords)
     tau_mats = ds.subspace_mats(tau_sub)
     tau_alg = ds.algebra.subalgebra_structure(
@@ -195,10 +197,10 @@ def theorem1_pipeline(
         cert.complete,
         f"center {cert.center_dim}, der {cert.der_dim}, inner {cert.inner_dim}",
     )
-    l2 = _lemma2_form_check(dh1, h1_emb, wd)
+    l2 = _lemma2_form_check(dh1, torus_mats)
     report.add("restriction_to_b_form", l2[0], l2[1])
 
-    if Subspace.from_vectors(ds.dim, torus_coords) == tau_sub:
+    if b_sub == tau_sub:
         cert1 = is_complete(h1, dh1)
         report.add(
             "maximal_torus_h1_complete",
@@ -216,44 +218,20 @@ def _on_g_slot(t0: Matrix, p: int) -> Matrix:
     return Matrix([[ZERO] * width] * p + [[ZERO] * p + list(row) for row in t0.data])
 
 
-def _lemma2_form_check(
-    dh1: DerivationSpace, h1_emb: GraphEmbedding, wd: WeightDecomposition
-) -> tuple[bool, str]:
-    """Every derivation D of h1 satisfies D b = b' + sum alpha(b) x_alpha on
-    the torus slot, with x_alpha independent of b."""
-    p = len(h1_emb.s_slot)
-    n = len(h1_emb.g_slot)
-    # change of basis into the concatenated weight-part bases, which fill g:
-    # the rows (v_k, e_k) tag part row k by e_k, and to_parts[i] holds the
-    # coordinates of e_i, as a sparse row
-    part_rows = [row for _, sub in wd.parts for row in sub.rows.values()]
-    tagged = [row | {n + k: ONE} for k, row in enumerate(part_rows)]
-    _, to_parts = image_with_preimages(n, 2 * n, tagged)
-    offsets = []
-    off = 0
-    for _, sub in wd.parts:
-        offsets.append((off, off + sub.dim))
-        off += sub.dim
+def _lemma2_form_check(dh1: DerivationSpace, torus_mats: Sequence[Matrix]) -> tuple[bool, str]:
+    """Every derivation D of h1 = b x g satisfies D b = b' + sum alpha(b)
+    x_alpha on the torus slot, with x_alpha independent of b.  As b acts on
+    g_alpha by alpha(b), that says the g-parts of D b_1, ..., D b_p are
+    b_1 X, ..., b_p X for one X in g: stacked, they lie in the span of the
+    stacked columns (b_1 e_i, ..., b_p e_i) in Q^(p n)."""
+    p = len(torus_mats)
+    n = dh1.base.dim - p
+    stacked = Subspace.from_vectors(
+        p * n, ([x for b in torus_mats for x in b.column(i)] for i in range(n))
+    )
     for didx, d in enumerate(dh1.basis_mats):
-        # g-components of D applied to each torus-slot basis vector
-        gcomps = [combine(d.column(j)[p:], to_parts, n) for j in range(p)]
-        for pidx, (fun, _) in enumerate(wd.parts):
-            lo, hi = offsets[pidx]
-            blocks = [tuple(gc[lo:hi]) for gc in gcomps]
-            j0 = next((j for j, a in enumerate(fun) if a != 0), None)
-            if j0 is None:
-                # zero functional cannot occur for a non-degenerate pair
-                if any(any(b) for b in blocks):
-                    return False, f"derivation {didx}: zero-weight component present"
-                continue
-            x_alpha = tuple(v / fun[j0] for v in blocks[j0])
-            for j, blk in enumerate(blocks):
-                expect = tuple(fun[j] * v for v in x_alpha)
-                if blk != expect:
-                    return (
-                        False,
-                        f"derivation {didx}: torus slot {j} breaks the alpha(b) x_alpha form",
-                    )
+        if not stacked.contains_vector([x for j in range(p) for x in d.column(j)[p:]]):
+            return False, f"derivation {didx}: the torus slot breaks the alpha(b) x_alpha form"
     return True, ""
 
 

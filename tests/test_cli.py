@@ -8,8 +8,10 @@ import pytest
 
 from lieq.cli import run_command
 from lieq.constructions import catalog, full_graph, heisenberg
+from lieq.derivations import diagonal_derivation_torus
 from lieq.fileio import AlgebraFileError, parse_algebra, serialize_algebra
 from lieq.linalg import SparseSystem
+from lieq.weights import theorem1_pipeline
 
 
 def run_cli(*args):
@@ -43,7 +45,7 @@ class TestFileFormat:
             }
         )
         g = parse_algebra(text)
-        assert g.bracket_basis(0, 1) == g.basis_element(2)
+        assert g.bracket(g.basis_element(0), g.basis_element(1)) == g.basis_element(2)
 
     def test_jacobi_violation_rejected(self):
         text = json.dumps(
@@ -107,6 +109,24 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: n must be >= 1\n"
+
+    @pytest.mark.parametrize("pick", ((0, 1, 0), (0, 1, None)), ids=("repeated", "sum"))
+    def test_dependent_torus_generators_raise(self, pick):
+        # None stands for t0 + t1: a torus of dimension 2 with 3 generators
+        h3 = heisenberg(1)
+        t0, t1 = diagonal_derivation_torus(h3)
+        mats = [t0 + t1 if k is None else (t0, t1)[k] for k in pick]
+        with pytest.raises(ValueError, match="^the torus generators are linearly dependent$"):
+            theorem1_pipeline(h3, mats)
+
+    def test_dependent_torus_generators_is_one(self, capsys):
+        # the grading derivation of the zero algebra is zero: one generator
+        # that spans no torus of dimension 1
+        argv = ["verify", "theorem1", "--g", "catalog:abelian:0", "--graded-power", "2"]
+        assert run_command([*argv, "--torus", "grading"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the torus generators are linearly dependent\n"
 
     def test_negative_max_steps_is_one(self, capsys):
         argv = ["tower", "catalog:full-graph:heisenberg:1", "--max-steps", "-1"]

@@ -27,7 +27,7 @@ class TestHeisenberg:
         g = heisenberg(1)
         assert g.dim == 3
         assert g.labels == ("x1", "y1", "c")
-        assert g.bracket_basis(0, 1) == (ZERO, ZERO, Q(1))
+        assert g.bracket(g.basis_element(0), g.basis_element(1)) == (ZERO, ZERO, Q(1))
 
     def test_n2_pairing(self):
         g = heisenberg(2)
@@ -62,10 +62,11 @@ class TestSemidirect:
         w = emb.whole
         assert w.dim == 5
         # mixed brackets vanish, g block reproduced verbatim
+        e, f = w.basis_element, g.basis_element
         for i in range(2):
             for j in range(2, 5):
-                assert w.bracket_basis(i, j) == w.zero()
-        assert w.bracket_basis(2, 3) == emb.embed_g(g.bracket_basis(0, 1))
+                assert w.bracket(e(i), e(j)) == w.zero()
+        assert w.bracket(e(2), e(3)) == emb.embed_g(g.bracket(f(0), f(1)))
 
     def test_grading_semidirect_dim7(self):
         gp = graded_power(heisenberg(1), 2)
@@ -79,9 +80,10 @@ class TestSemidirect:
         ds = derivations(g)
         emb = semidirect(ds.algebra, g, ds.basis_mats)
         p = ds.dim
+        e = emb.whole.basis_element
         for i in range(p):
             for j in range(g.dim):
-                got = emb.whole.bracket_basis(i, p + j)
+                got = emb.whole.bracket(e(i), e(p + j))
                 expect = emb.embed_g(ds.basis_mats[i].column(j))
                 assert got == expect
 
@@ -97,9 +99,10 @@ class TestSemidirect:
         ds = derivations(g)
         emb = full_graph(g, ds)
         p = ds.dim
+        e, f = emb.whole.basis_element, g.basis_element
         for i, row in enumerate(g.sc):
             for j in row:
-                assert emb.whole.bracket_basis(p + i, p + j) == emb.embed_g(g.bracket_basis(i, j))
+                assert emb.whole.bracket(e(p + i), e(p + j)) == emb.embed_g(g.bracket(f(i), f(j)))
 
 
 class TestFullGraph:
@@ -107,7 +110,8 @@ class TestFullGraph:
         emb = full_graph(abelian(1))
         assert emb.whole.dim == 2
         # [D, x] = x: nonabelian
-        assert emb.whole.bracket_basis(0, 1) != emb.whole.zero()
+        w = emb.whole
+        assert w.bracket(w.basis_element(0), w.basis_element(1)) != w.zero()
 
     def test_heisenberg_dim9(self):
         assert full_graph(heisenberg(1)).whole.dim == 9
@@ -161,10 +165,10 @@ class TestGradedPower:
         assert g.dim == 6
         assert g.labels == ("x1@1", "y1@1", "c@1", "x1@2", "y1@2", "c@2")
         # [x@1, y@1] = c@2; slot-2 brackets vanish
-        assert g.bracket_basis(0, 1) == g.basis_element(5)
+        assert g.bracket(g.basis_element(0), g.basis_element(1)) == g.basis_element(5)
         for i in range(3, 6):
             for j in range(i + 1, 6):
-                assert g.bracket_basis(i, j) == g.zero()
+                assert g.bracket(g.basis_element(i), g.basis_element(j)) == g.zero()
 
     def test_grading_respected(self):
         g0 = heisenberg(2)

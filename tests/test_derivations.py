@@ -161,7 +161,7 @@ class TestDerivations:
         alg = ds_h3.algebra
         for a in range(alg.dim):
             for b in range(a + 1, alg.dim):
-                coords = alg.bracket_basis(a, b)
+                coords = alg.bracket(alg.basis_element(a), alg.basis_element(b))
                 recon = ds_h3.from_coords(coords)
                 assert recon == ds_h3.basis_mats[a].commutator(ds_h3.basis_mats[b])
 
@@ -188,7 +188,7 @@ def dense_is_derivation(g, m):
     cols = [m.column(i) for i in range(g.dim)]
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            lhs = m.apply(g.bracket_basis(i, j))
+            lhs = m.apply(g.bracket(g.basis_element(i), g.basis_element(j)))
             rhs = g.bracket(cols[i], g.basis_element(j))
             rhs2 = g.bracket(g.basis_element(i), cols[j])
             if any(a != b + c for a, b, c in zip(lhs, rhs, rhs2)):
@@ -727,10 +727,10 @@ def dense_homomorphism_check(s, g, images):
     [phi(s_a), phi(s_b)] by Matrix.commutator on every basis pair."""
     if not all(is_derivation(g, m) for m in images):
         return False
-    n = g.dim
+    n, e = g.dim, s.basis_element
     flats = [m.flatten() for m in images]
     return all(
-        tuple(dense_combine(s.bracket_basis(a, b), flats, n * n))
+        tuple(dense_combine(s.bracket(e(a), e(b)), flats, n * n))
         == images[a].commutator(images[b]).flatten()
         for a in range(s.dim)
         for b in range(a + 1, s.dim)

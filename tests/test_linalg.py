@@ -601,8 +601,6 @@ class TestPolynomial:
     def test_gcd(self):
         p = Polynomial([0, 0, 1])  # x^2
         assert p.gcd(p.derivative()) == Polynomial([0, 1])
-        assert not p.is_squarefree()
-        assert Polynomial([-2, 1]).is_squarefree()
 
     def test_rational_roots(self):
         # (2x - 1)(x + 3) = 2x^2 + 5x - 3
@@ -636,12 +634,6 @@ class TestPolynomial:
         expected = sorted({Q(p, q) for p, q in roots})
         assert poly.rational_roots() == expected == _rational_roots_oracle(ints)
 
-    def test_splits(self):
-        ok, roots = Polynomial([-3, 5, 2]).splits_rationally()
-        assert ok and sorted(roots) == [Q(-3), Q(1, 2)]
-        ok, _ = Polynomial([1, 0, 1]).splits_rationally()
-        assert not ok
-
 
 class TestMinimalPolynomial:
     def test_identity(self):
@@ -671,6 +663,15 @@ class TestMinimalPolynomial:
             assert value.is_zero()
 
 
+def companion(coeffs):
+    """The companion matrix of the monic polynomial with the integer
+    coefficients coeffs, lowest degree first; its minimal polynomial is that
+    polynomial."""
+    n = len(coeffs) - 1
+    lead = Q(coeffs[-1])
+    return M([[1 if i == j + 1 else 0 for j in range(n - 1)] + [-coeffs[i] / lead] for i in range(n)])
+
+
 class TestSplitSemisimple:
     def test_diag_repeated(self):
         rep = split_semisimple_check(M([[1, 0, 0], [0, 1, 0], [0, 0, 2]]))
@@ -678,8 +679,30 @@ class TestSplitSemisimple:
         assert rep.eigenvalues == (Q(1), Q(2))
 
     def test_jordan_block(self):
+        # x^2: the radical x has one rational root, so split but not semisimple
         rep = split_semisimple_check(M([[0, 1], [0, 0]]))
         assert not rep.semisimple
+        assert rep.split
+        assert rep.eigenvalues == (Q(0),)
+
+    @pytest.mark.parametrize(
+        "coeffs, semisimple, eigenvalues",
+        [
+            ([-3, 5, 2], True, (Q(-3), Q(1, 2))),
+            ([1, 0, 1], True, None),
+            ([1, 0, 2, 0, 1], False, None),
+            (_poly_times([-2, 1], [-2, 1], [1, 1]), False, (Q(-1), Q(2))),
+            (_poly_times([-1, 1], [-2, 0, 1]), True, None),
+        ],
+        ids=["(2x-1)(x+3)", "x^2+1", "(x^2+1)^2", "(x-2)^2(x+1)", "(x-1)(x^2-2)"],
+    )
+    def test_companion(self, coeffs, semisimple, eigenvalues):
+        m = companion(coeffs)
+        assert minimal_polynomial(m) == Polynomial(coeffs).monic()
+        rep = split_semisimple_check(m)
+        assert rep.semisimple == semisimple
+        assert rep.split == (eigenvalues is not None)
+        assert rep.eigenvalues == eigenvalues
 
     def test_rotation_not_split(self):
         rep = split_semisimple_check(M([[0, -1], [1, 0]]))

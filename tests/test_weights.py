@@ -1,6 +1,7 @@
 import importlib
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +14,7 @@ from lieq.constructions import (
     grading_derivation,
     heisenberg,
     nonabelian2,
+    semidirect,
 )
 from lieq.derivations import (
     derivations,
@@ -24,15 +26,19 @@ from lieq.derivations import (
 from lieq.liealg import LieAlgebra
 from lieq.linalg import (
     Matrix,
+    ONE,
     Q,
     Subspace,
     ZERO,
+    combine,
+    image_with_preimages,
     nullspace,
     refine_eigenspaces,
     split_semisimple_check,
 )
 from lieq.weights import (
     DegeneratePairError,
+    _lemma2_form_check,
     _lemma4_homomorphism_check,
     _lemma4_image,
     TorusError,
@@ -129,6 +135,20 @@ def rebased(g, p, pinv):
     return LieAlgebra(g.dim, table)
 
 
+def unipotent(n):
+    """The integer unipotent P = I + (superdiagonal of ones) and its inverse."""
+    p = Matrix([[1 if j in (i, i + 1) else 0 for j in range(n)] for i in range(n)])
+    pinv = Matrix([[(-1) ** (j - i) if j >= i else 0 for j in range(n)] for i in range(n)])
+    return p, pinv
+
+
+def rebased_diagonal_torus(g):
+    """g in the basis of the columns of unipotent(g.dim), with its diagonal
+    torus D conjugated to P^-1 D P."""
+    p, pinv = unipotent(g.dim)
+    return rebased(g, p, pinv), [pinv @ d @ p for d in diagonal_derivation_torus(g)]
+
+
 class TestRebasedTorus:
     # h3^(3) in the basis of the columns of the integer unipotent
     # P = I + (superdiagonal of ones), with its diagonal torus D conjugated
@@ -138,8 +158,7 @@ class TestRebasedTorus:
     def pair(self):
         g = graded_power(heisenberg(1), 3).algebra
         n = g.dim
-        p = Matrix([[1 if j in (i, i + 1) else 0 for j in range(n)] for i in range(n)])
-        pinv = Matrix([[(-1) ** (j - i) if j >= i else 0 for j in range(n)] for i in range(n)])
+        p, pinv = unipotent(n)
         assert p @ pinv == Matrix.identity(n)
         mats = diagonal_derivation_torus(g)
         return g, mats, rebased(g, p, pinv), [pinv @ d @ p for d in mats], pinv
@@ -190,10 +209,7 @@ def dense_refine_eigenspaces(n, mats, spectra):
 
 def _rebased_h3_cube_torus():
     g = graded_power(heisenberg(1), 3).algebra
-    n = g.dim
-    p = Matrix([[1 if j in (i, i + 1) else 0 for j in range(n)] for i in range(n)])
-    pinv = Matrix([[(-1) ** (j - i) if j >= i else 0 for j in range(n)] for i in range(n)])
-    return n, [pinv @ d @ p for d in diagonal_derivation_torus(g)]
+    return g.dim, rebased_diagonal_torus(g)[1]
 
 
 REFINE_CASES = {
@@ -311,6 +327,93 @@ class TestTheorem1:
         assert run_command(argv) == 0
         assert "maximal_torus_h1_complete" in capsys.readouterr().out
         assert dims == [3, 5, 5]
+
+
+def weight_part_lemma2_check(dh1, h1_emb, wd):
+    """The weight-part formulation that _lemma2_form_check replaced, kept as
+    an oracle: the g-part of D b_j is written in the concatenated bases of
+    the weight spaces g_alpha, and on each g_alpha the block of generator j
+    must be alpha(b_j) x_alpha for one x_alpha."""
+    p = len(h1_emb.s_slot)
+    n = len(h1_emb.g_slot)
+    # the rows (v_k, e_k) tag part row k by e_k, and to_parts[i] holds the
+    # coordinates of e_i in the part bases
+    part_rows = [row for _, sub in wd.parts for row in sub.rows.values()]
+    tagged = [row | {n + k: ONE} for k, row in enumerate(part_rows)]
+    _, to_parts = image_with_preimages(n, 2 * n, tagged)
+    offsets, off = [], 0
+    for _, sub in wd.parts:
+        offsets.append((off, off + sub.dim))
+        off += sub.dim
+    for d in dh1.basis_mats:
+        gcomps = [combine(d.column(j)[p:], to_parts, n) for j in range(p)]
+        for (fun, _), (lo, hi) in zip(wd.parts, offsets):
+            blocks = [tuple(gc[lo:hi]) for gc in gcomps]
+            j0 = next((j for j, a in enumerate(fun) if a != 0), None)
+            if j0 is None:
+                if any(any(blk) for blk in blocks):
+                    return False
+                continue
+            x_alpha = tuple(v / fun[j0] for v in blocks[j0])
+            if any(blk != tuple(fun[j] * v for v in x_alpha) for j, blk in enumerate(blocks)):
+                return False
+    return True
+
+
+# (g, torus, p); on the rebased h3 the generators are not symmetric matrices,
+# so their rows and columns differ
+LEMMA2_CASES = {
+    "h3 diagonal": lambda: (heisenberg(1), diagonal_derivation_torus(heisenberg(1)), 2),
+    "h5 diagonal": lambda: (heisenberg(2), diagonal_derivation_torus(heisenberg(2)), 3),
+    "h3 diagonal, rebased": lambda: (*rebased_diagonal_torus(heisenberg(1)), 2),
+}
+
+
+def lemma2_setting(g, mats):
+    h1_emb = semidirect(abelian(len(mats)), g, mats)
+    return derivations(h1_emb.whole), h1_emb, weight_decomposition(g, mats)
+
+
+def perturbed(dh1, p, rng):
+    """dh1 with one to three entries of the g-parts of the torus columns of
+    its basis matrices moved by small integers."""
+    mats = [list(map(list, d.data)) for d in dh1.basis_mats]
+    for _ in range(rng.randint(1, 3)):
+        d = rng.choice(mats)
+        d[rng.randrange(p, len(d))][rng.randrange(p)] += rng.choice((-2, -1, 1, 2))
+    return SimpleNamespace(base=dh1.base, basis_mats=[Matrix(d) for d in mats])
+
+
+class TestLemma2Form:
+    @pytest.mark.parametrize("name", list(LEMMA2_CASES))
+    def test_matches_weight_part_oracle(self, name):
+        g, mats, p = LEMMA2_CASES[name]()
+        assert len(mats) == p
+        dh1, h1_emb, wd = lemma2_setting(g, mats)
+        assert _lemma2_form_check(dh1, mats) == (True, "")
+        assert weight_part_lemma2_check(dh1, h1_emb, wd)
+        rng = random.Random(19)
+        verdicts = []
+        for _ in range(300):
+            bent = perturbed(dh1, p, rng)
+            ok, detail = _lemma2_form_check(bent, mats)
+            assert ok == weight_part_lemma2_check(bent, h1_emb, wd)
+            assert ok or re.fullmatch(
+                r"derivation \d+: the torus slot breaks the alpha\(b\) x_alpha form", detail
+            )
+            verdicts.append(ok)
+        assert True in verdicts and False in verdicts
+
+    def test_one_generator_never_rejects(self, gp2):
+        # with no zero weight the one generator b is invertible on g, so
+        # every g-part is b X for some X
+        mats = [grading_derivation(gp2)]
+        dh1, h1_emb, wd = lemma2_setting(gp2.algebra, mats)
+        rng = random.Random(23)
+        for _ in range(20):
+            bent = perturbed(dh1, 1, rng)
+            assert _lemma2_form_check(bent, mats) == (True, "")
+            assert weight_part_lemma2_check(bent, h1_emb, wd)
 
 
 class TestLemma3:
