@@ -8,11 +8,9 @@ and torus weight decompositions, all in exact rational arithmetic.
 __version__ = "0.1.0"
 
 from .constructions import (
-    GraphEmbedding,
     abelian,
     catalog,
     full_graph,
-    full_graph_iter,
     graded_power,
     grading_derivation,
     heisenberg,
@@ -47,7 +45,6 @@ from .linalg import (
     split_semisimple_check,
 )
 from .weights import (
-    WeightDecomposition,
     is_nondegenerate_pair,
     lemma3_check,
     prop2_check,

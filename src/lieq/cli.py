@@ -133,10 +133,7 @@ def cmd_construct(args) -> int:
 
 def cmd_tower(args) -> int:
     g = load_source(args.src)
-    try:
-        rep = derivation_tower(g, max_steps=args.max_steps)
-    except ValueError as e:  # nonzero center, cap or a negative --max-steps
-        raise UsageError(str(e)) from None
+    rep = derivation_tower(g, max_steps=args.max_steps)
     doc = {
         "command": f"tower {args.src}",
         "dims": list(rep.dims),
@@ -153,47 +150,37 @@ def _theorem1_inputs(args):
     if args.torus == "grading":
         if args.graded_power is None:
             raise UsageError("--torus grading requires --graded-power")
-        gp = graded_power(g, args.graded_power)
-        return gp.algebra, [grading_derivation(gp)]
+        n = args.graded_power
+        return graded_power(g, n), [grading_derivation(g, n)]
     if args.graded_power is not None:
-        g = graded_power(g, args.graded_power).algebra
-    if args.torus == "diagonal":
-        mats = diagonal_derivation_torus(g)
-        if not mats:
-            raise UsageError("the diagonal derivation torus is zero")
-        return g, mats
-    raise UsageError("--torus must be 'grading' or 'diagonal'")
+        g = graded_power(g, args.graded_power)
+    mats = diagonal_derivation_torus(g)
+    if not mats:
+        raise UsageError("the diagonal derivation torus is zero")
+    return g, mats
 
 
 def cmd_verify(args) -> int:
-    try:
-        if args.theorem == "theorem1":
-            g, mats = _theorem1_inputs(args)
-            rep = theorem1_pipeline(g, mats)
-        elif args.theorem == "theorem2":
-            rep = theorem2_check(load_source(args.g))
-        elif args.theorem == "theorem3":
-            rep = theorem3_check(args.N, args.n)
-        elif args.theorem == "lemma3":
-            g = load_source(args.g)
-            if args.phi == "identity":
-                ds = derivations(g)
-                rep = lemma3_check(ds.algebra, g, ds.basis_mats)
-            else:
-                s = abelian(args.s_dim)
-                rep = lemma3_check(s, g, [Matrix.zero(g.dim, g.dim)] * s.dim)
-        elif args.theorem == "prop2":
-            rep = prop2_check(args.N)
-        elif args.theorem == "prop3":
-            rep = prop3_check(args.N)
-        elif args.theorem == "prop4":
-            rep = prop4_check(args.N)
-        else:  # pragma: no cover
-            raise UsageError(f"unknown verification {args.theorem}")
-    except ValueError as e:  # torus, zero weight, cap or argument errors
-        if isinstance(e, UsageError):
-            raise
-        raise UsageError(str(e)) from None
+    if args.theorem == "theorem1":
+        rep = theorem1_pipeline(*_theorem1_inputs(args))
+    elif args.theorem == "theorem2":
+        rep = theorem2_check(load_source(args.g))
+    elif args.theorem == "theorem3":
+        rep = theorem3_check(args.N, args.n)
+    elif args.theorem == "lemma3":
+        g = load_source(args.g)
+        if args.phi == "identity":
+            ds = derivations(g)
+            rep = lemma3_check(ds.algebra, g, ds.basis_mats)
+        else:
+            s = abelian(args.s_dim)
+            rep = lemma3_check(s, g, [Matrix.zero(g.dim, g.dim)] * s.dim)
+    elif args.theorem == "prop2":
+        rep = prop2_check(args.N)
+    elif args.theorem == "prop3":
+        rep = prop3_check(args.N)
+    else:
+        rep = prop4_check(args.N)
     doc = report_to_dict(rep)
     doc["command"] = f"verify {args.theorem}"
     _emit(doc, args.out)
@@ -263,7 +250,7 @@ def run_command(argv=None) -> int:
         if needs_g and args.g is None:
             raise UsageError("verify: an algebra source is required (--g)")
         return args.func(args)
-    except UsageError as e:
+    except ValueError as e:  # UsageError, torus, zero weight, cap or argument errors
         print(f"error: {e}", file=sys.stderr)
         return 1
 

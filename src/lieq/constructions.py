@@ -1,9 +1,10 @@
-"""Builders for new algebras: semidirect products, full graphs and their
-iterates, Heisenberg algebras, graded powers, and a named catalog.
+"""Builders for new algebras: semidirect products, full graphs,
+Heisenberg algebras, graded powers, and a named catalog.
 
-Basis order in every semidirect product is s-part first, then g-part, and
-the embedding records both index ranges.  Each builder refuses an algebra
-over LIE_DIM_CAP before it builds it.
+Each builder returns the LieAlgebra it builds.  The basis of s x_phi g is
+that of s, then that of g: the g part occupies range(s.dim, s.dim + g.dim),
+and v in g embeds as s.zero() + v.  Each builder refuses an algebra over
+LIE_DIM_CAP before it builds it.
 """
 
 from __future__ import annotations
@@ -15,27 +16,7 @@ from .liealg import LieAlgebra, check_dim_cap
 from .linalg import Matrix, Q, ZERO
 
 
-class GraphEmbedding:
-    """A semidirect product together with the index ranges of its two slots."""
-
-    __slots__ = ("whole", "s_slot", "g_slot")
-
-    def __init__(self, whole: LieAlgebra, s_slot: range, g_slot: range):
-        self.whole = whole
-        self.s_slot = s_slot
-        self.g_slot = g_slot
-
-    def embed_g(self, g_coords) -> tuple:
-        out = [ZERO] * self.whole.dim
-        for k, c in zip(self.g_slot, g_coords):
-            out[k] = c
-        return tuple(out)
-
-    def __repr__(self):
-        return f"GraphEmbedding(dim {self.whole.dim} = {len(self.s_slot)} + {len(self.g_slot)})"
-
-
-def semidirect(s: LieAlgebra, g: LieAlgebra, images: Sequence[Matrix]) -> GraphEmbedding:
+def semidirect(s: LieAlgebra, g: LieAlgebra, images: Sequence[Matrix]) -> LieAlgebra:
     """s x_phi g, for phi given by the images phi(s_k) of the basis of s,
     with bracket [(s1,g1),(s2,g2)] = ([s1,s2], s1(g2) - s2(g1) + [g1,g2]).
 
@@ -68,11 +49,10 @@ def semidirect(s: LieAlgebra, g: LieAlgebra, images: Sequence[Matrix]) -> GraphE
             if i < j:
                 table[(p + i, p + j)] = {p + k: c for k, c in v.items()}
     labels = tuple(f"s:{l}" for l in s.labels) + tuple(f"g:{l}" for l in g.labels)
-    whole = LieAlgebra(dim, table, labels, check=True)
-    return GraphEmbedding(whole, range(0, p), range(p, dim))
+    return LieAlgebra(dim, table, labels, check=True)
 
 
-def full_graph(g: LieAlgebra, ds: DerivationSpace | None = None) -> GraphEmbedding:
+def full_graph(g: LieAlgebra, ds: DerivationSpace | None = None) -> LieAlgebra:
     """f(g) = Der(g) x_id g.  Der(g) is computed here (canonical basis)
     unless a precomputed DerivationSpace for g is supplied."""
     if ds is None:
@@ -80,19 +60,6 @@ def full_graph(g: LieAlgebra, ds: DerivationSpace | None = None) -> GraphEmbeddi
     elif ds.base is not g and ds.base.sc != g.sc:
         raise ValueError("derivation space does not belong to this algebra")
     return semidirect(ds.algebra, g, ds.basis_mats)
-
-
-def full_graph_iter(g: LieAlgebra, n: int) -> list[GraphEmbedding]:
-    """The chain f(g), f^2(g), ..., f^n(g)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    chain = []
-    current = g
-    for _ in range(n):
-        emb = full_graph(current)
-        chain.append(emb)
-        current = emb.whole
-    return chain
 
 
 def heisenberg(N: int) -> LieAlgebra:
@@ -110,24 +77,11 @@ def heisenberg(N: int) -> LieAlgebra:
     return LieAlgebra(dim, table, labels, check=True)
 
 
-class GradedPower:
+def graded_power(g: LieAlgebra, n: int) -> LieAlgebra:
     """g^(+)n: n slot copies of g with [u, v](k) = sum_{i+j=k} [u(i), v(j)].
 
     Slot k occupies coordinates (k-1)*dim(g) .. k*dim(g)-1.
     """
-
-    __slots__ = ("algebra", "base", "copies")
-
-    def __init__(self, algebra: LieAlgebra, base: LieAlgebra, copies: int):
-        self.algebra = algebra
-        self.base = base
-        self.copies = copies
-
-    def __repr__(self):
-        return f"GradedPower({self.copies} copies of dim {self.base.dim})"
-
-
-def graded_power(g: LieAlgebra, n: int) -> GradedPower:
     if n < 1:
         raise ValueError("n must be >= 1")
     m = g.dim
@@ -145,14 +99,14 @@ def graded_power(g: LieAlgebra, n: int) -> GradedPower:
     labels = tuple(
         f"{lab}@{k}" for k in range(1, n + 1) for lab in g.labels
     )
-    alg = LieAlgebra(dim, table, labels, check=True)
-    return GradedPower(alg, g, n)
+    return LieAlgebra(dim, table, labels, check=True)
 
 
-def grading_derivation(gp: GradedPower) -> Matrix:
-    """Diagonal derivation acting as multiplication by k on slot k."""
-    m = gp.base.dim
-    dim = gp.copies * m
+def grading_derivation(g: LieAlgebra, n: int) -> Matrix:
+    """Diagonal derivation of graded_power(g, n) acting as multiplication by
+    k on slot k."""
+    m = g.dim
+    dim = n * m
     return Matrix(
         [
             [Q((i // m) + 1) if i == j else ZERO for j in range(dim)]
@@ -195,9 +149,9 @@ def catalog(name: str) -> LieAlgebra:
     if name.startswith("graded-power:"):
         rest = name.split(":", 1)[1]
         inner_name, _, n = rest.rpartition(":")
-        return graded_power(catalog(inner_name), _count(n)).algebra
+        return graded_power(catalog(inner_name), _count(n))
     if name.startswith("full-graph:"):
-        return full_graph(catalog(name.split(":", 1)[1])).whole
+        return full_graph(catalog(name.split(":", 1)[1]))
     raise KeyError(f"unknown catalog name {name!r} (expected {CATALOG_HELP})")
 
 

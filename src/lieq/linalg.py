@@ -381,7 +381,10 @@ class SparseSystem:
 
     def kernel(self) -> "Subspace":
         """The solution space as a canonical Subspace: the nullspace basis
-        reduced by one more elimination."""
+        reduced by one more elimination.  With no pivot row that basis is
+        already the unit rows."""
+        if not self.pivot_rows:
+            return Subspace.full(self.ncols)
         return Subspace.from_system(SparseSystem(self.ncols, self.nullspace_basis()))
 
 
@@ -509,13 +512,17 @@ class Subspace:
         return self.coords_of_row(_coerced_row(v, self.ambient_dim))
 
     def coords_of_row(self, row: dict) -> tuple | None:
-        """Coordinates of the sparse vector row {col: value}, with no zero
-        values, or None if outside.  Because the basis is reduced, they are
-        the entries of row at the leads; the result is verified by
-        reconstruction."""
+        """Coordinates of the sparse vector row {col: value}, or None if
+        outside.  Because the basis is reduced, they are the entries of row
+        at the leads; the result is verified by subtracting their
+        combination of the basis rows from row, which must leave zero."""
         coords = tuple(row.get(lead, ZERO) for lead in self.rows)
-        recon = combine(coords, self.rows.values(), self.ambient_dim)
-        return coords if _sparse(recon) == row else None
+        rest = dict(row)
+        for c, basis_row in zip(coords, self.rows.values()):
+            if c:
+                for k, x in basis_row.items():
+                    rest[k] = rest.get(k, ZERO) - c * x
+        return None if any(rest.values()) else coords
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)

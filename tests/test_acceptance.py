@@ -59,7 +59,7 @@ def test_criterion_1_heisenberg_derivation_dimensions():
 def test_criterion_2_prop3_full_graph_not_complete():
     t0 = time.monotonic()
     g = heisenberg(1)
-    fg = full_graph(g).whole
+    fg = full_graph(g)
     ds = derivations(fg)
     center_dim = fg.center().dim
     cert = is_complete(fg, ds)
@@ -81,7 +81,7 @@ def test_criterion_2_prop3_full_graph_not_complete():
 
 def test_criterion_3_prop4_der_of_full_graph():
     t0 = time.monotonic()
-    fg = full_graph(heisenberg(1)).whole
+    fg = full_graph(heisenberg(1))
     ds = derivations(fg)
     cert = is_complete(ds.algebra)
     dt = time.monotonic() - t0
@@ -117,8 +117,7 @@ def test_criterion_4_theorem3_two_levels():
 
 def test_criterion_5_theorem1_graded_square():
     t0 = time.monotonic()
-    gp = graded_power(heisenberg(1), 2)
-    rep = theorem1_pipeline(gp.algebra, [grading_derivation(gp)])
+    rep = theorem1_pipeline(graded_power(heisenberg(1), 2), [grading_derivation(heisenberg(1), 2)])
     dt = time.monotonic() - t0
     dim_ok = rep.dims["Der(h1)"] == rep.dims["tau"] + 6
     ok = rep.ok and dim_ok and dt < 60.0
@@ -132,9 +131,8 @@ def test_criterion_5_theorem1_graded_square():
 
 def test_criterion_6_prop1_nondegenerate_and_maximal_torus():
     t0 = time.monotonic()
-    gp = graded_power(heisenberg(1), 2)
-    g = gp.algebra
-    flag, _ = is_nondegenerate_pair(g, [grading_derivation(gp)])
+    g = graded_power(heisenberg(1), 2)
+    flag, _ = is_nondegenerate_pair(g, [grading_derivation(heisenberg(1), 2)])
     # the maximal diagonal torus satisfies tau = b, certifying h1 complete
     mats = diagonal_derivation_torus(g)
     rep = theorem1_pipeline(g, mats)
@@ -160,8 +158,8 @@ def test_criterion_7_property_suites():
     gp = graded_power(heisenberg(1), 2)
     constructed = [
         heisenberg(2),
-        gp.algebra,
-        full_graph(heisenberg(1)).whole,
+        gp,
+        full_graph(heisenberg(1)),
         derivations(heisenberg(1)).algebra,
     ]
     jac = all(g.validate().ok for g in constructed)
@@ -186,13 +184,13 @@ def test_criterion_7_property_suites():
     # [g_a, g_b] inside g_{a+b} on weight decompositions
     wprop = True
     for g, mats in (
-        (gp.algebra, [grading_derivation(gp)]),
+        (gp, [grading_derivation(heisenberg(1), 2)]),
         (heisenberg(1), diagonal_derivation_torus(heisenberg(1))),
     ):
-        wd = weight_decomposition(g, mats)
-        funs = {fun: sub for fun, sub in wd.parts}
-        for fa, sa in wd.parts:
-            for fb, sb in wd.parts:
+        parts = weight_decomposition(g, mats)
+        funs = {fun: sub for fun, sub in parts}
+        for fa, sa in parts:
+            for fb, sb in parts:
                 target = tuple(a + b for a, b in zip(fa, fb))
                 prod = g.product_space(sa, sb)
                 wprop &= (
@@ -227,7 +225,7 @@ def test_criterion_7_property_suites():
     details.append(f"Bareiss = Gauss rank on 200 matrices: {ranks}")
 
     # Lemma-4 homomorphism law inside theorem2_check
-    rep = theorem2_check(full_graph(heisenberg(1)).whole)
+    rep = theorem2_check(full_graph(heisenberg(1)))
     law = next(c for c in rep.checks if c.name == "homomorphism_law")
     ok &= law.passed and rep.ok
     details.append(f"lemma-4 homomorphism law: {law.passed}")
@@ -325,8 +323,7 @@ def test_criterion_11_prop4_heisenberg5_and_7():
 def test_criterion_12_theorem1_graded_cube():
     # h3^(3) with its grading torus: Der(h1) = tau + g = 16 + 9 = 25
     t0 = time.monotonic()
-    gp = graded_power(heisenberg(1), 3)
-    rep = theorem1_pipeline(gp.algebra, [grading_derivation(gp)])
+    rep = theorem1_pipeline(graded_power(heisenberg(1), 3), [grading_derivation(heisenberg(1), 3)])
     dt = time.monotonic() - t0
     dim_ok = rep.dims["Der(h1)"] == 25 and rep.dims["tau"] == 16
     ok = rep.ok and dim_ok and dt < 3.0

@@ -4,7 +4,9 @@ invariant of Der(g).
 A derivation D of g is, in the basis of the columns of P, the matrix
 P^-1 D P, so Der(P.g) = P^-1 Der(g) P: the dimensions of Der(g), ad(g) and
 the centre and completeness are unchanged, and every conjugated basis matrix
-is a derivation of the rebased algebra with coordinates in its Der.
+is a derivation of the rebased algebra with coordinates in its Der.  A
+torus t of g is the torus P^-1 t P of P.g, with the same weights and the
+weight spaces mapped by P^-1.
 """
 
 from functools import lru_cache
@@ -13,9 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieq.constructions import catalog
-from lieq.derivations import derivations, is_complete, is_derivation
+from lieq.derivations import (
+    derivations,
+    diagonal_derivation_torus,
+    is_complete,
+    is_derivation,
+)
 from lieq.liealg import LieAlgebra
-from lieq.linalg import Matrix
+from lieq.linalg import Matrix, Subspace
+from lieq.weights import weight_decomposition
 
 ALGEBRAS = (
     "heisenberg:1",
@@ -30,6 +38,13 @@ def invariants(name):
     g = catalog(name)
     ds = derivations(g)
     return g, ds, (ds.dim, ds.inner.dim, g.center().dim, is_complete(g, ds).complete)
+
+
+@lru_cache(maxsize=None)
+def weight_spaces(name):
+    g = catalog(name)
+    torus = diagonal_derivation_torus(g)
+    return torus, weight_decomposition(g, torus)
 
 
 def elementary(n, i, j, c):
@@ -78,3 +93,15 @@ def test_change_of_basis_keeps_der_invariants(case):
         conj = pinv @ d @ p
         assert is_derivation(h, conj)
         assert dh.coords_of(conj) is not None
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(unimodular_changes())
+def test_change_of_basis_keeps_weight_multisets(case):
+    name, p, pinv = case
+    g = invariants(name)[0]
+    torus, parts = weight_spaces(name)
+    rebased_parts = weight_decomposition(rebased(g, p, pinv), [pinv @ t @ p for t in torus])
+    assert [(fun, sub.dim) for fun, sub in rebased_parts] == [(fun, sub.dim) for fun, sub in parts]
+    for (_, sub), (_, rebased_sub) in zip(parts, rebased_parts):
+        assert Subspace.from_vectors(g.dim, [pinv.apply(v) for v in sub.vectors()]) == rebased_sub

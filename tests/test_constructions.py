@@ -1,11 +1,9 @@
 import pytest
 
 from lieq.constructions import (
-    GraphEmbedding,
     abelian,
     catalog,
     full_graph,
-    full_graph_iter,
     graded_power,
     grading_derivation,
     heisenberg,
@@ -58,110 +56,96 @@ class TestHeisenberg:
 class TestSemidirect:
     def test_zero_phi_direct_sum(self):
         s, g = abelian(2), heisenberg(1)
-        emb = semidirect(s, g, [Matrix.zero(3, 3)] * 2)
-        w = emb.whole
+        w = semidirect(s, g, [Matrix.zero(3, 3)] * 2)
         assert w.dim == 5
         # mixed brackets vanish, g block reproduced verbatim
         e, f = w.basis_element, g.basis_element
         for i in range(2):
             for j in range(2, 5):
                 assert w.bracket(e(i), e(j)) == w.zero()
-        assert w.bracket(e(2), e(3)) == emb.embed_g(g.bracket(f(0), f(1)))
+        assert w.bracket(e(2), e(3)) == (ZERO,) * 2 + g.bracket(f(0), f(1))
 
     def test_grading_semidirect_dim7(self):
-        gp = graded_power(heisenberg(1), 2)
         s = abelian(1)
-        emb = semidirect(s, gp.algebra, [grading_derivation(gp)])
-        assert emb.whole.dim == 7
-        assert emb.whole.validate().ok
+        w = semidirect(s, graded_power(heisenberg(1), 2), [grading_derivation(heisenberg(1), 2)])
+        assert w.dim == 7
+        assert w.validate().ok
 
     def test_mixed_bracket_equals_phi_action(self):
         g = heisenberg(1)
         ds = derivations(g)
-        emb = semidirect(ds.algebra, g, ds.basis_mats)
+        w = semidirect(ds.algebra, g, ds.basis_mats)
         p = ds.dim
-        e = emb.whole.basis_element
+        e = w.basis_element
         for i in range(p):
             for j in range(g.dim):
-                got = emb.whole.bracket(e(i), e(p + j))
-                expect = emb.embed_g(ds.basis_mats[i].column(j))
+                got = w.bracket(e(i), e(p + j))
+                expect = (ZERO,) * p + ds.basis_mats[i].column(j)
                 assert got == expect
 
     def test_identity_phi_matches_full_graph(self):
         g = heisenberg(1)
         ds = derivations(g)
-        via_semidirect = semidirect(ds.algebra, g, ds.basis_mats).whole
-        via_full_graph = full_graph(g, ds).whole
+        via_semidirect = semidirect(ds.algebra, g, ds.basis_mats)
+        via_full_graph = full_graph(g, ds)
         assert via_semidirect.sc == via_full_graph.sc
 
     def test_g_slot_preserves_table(self):
         g = heisenberg(2)
         ds = derivations(g)
-        emb = full_graph(g, ds)
+        w = full_graph(g, ds)
         p = ds.dim
-        e, f = emb.whole.basis_element, g.basis_element
+        e, f = w.basis_element, g.basis_element
         for i, row in enumerate(g.sc):
             for j in row:
-                assert emb.whole.bracket(e(p + i), e(p + j)) == emb.embed_g(g.bracket(f(i), f(j)))
+                assert w.bracket(e(p + i), e(p + j)) == (ZERO,) * p + g.bracket(f(i), f(j))
 
 
 class TestFullGraph:
     def test_abelian1(self):
-        emb = full_graph(abelian(1))
-        assert emb.whole.dim == 2
+        w = full_graph(abelian(1))
+        assert w.dim == 2
         # [D, x] = x: nonabelian
-        w = emb.whole
         assert w.bracket(w.basis_element(0), w.basis_element(1)) != w.zero()
 
     def test_heisenberg_dim9(self):
-        assert full_graph(heisenberg(1)).whole.dim == 9
+        assert full_graph(heisenberg(1)).dim == 9
 
     def test_center_free(self):
-        assert full_graph(heisenberg(1)).whole.center().dim == 0
+        assert full_graph(heisenberg(1)).center().dim == 0
 
     def test_dim_identity(self):
         for g in (heisenberg(1), nonabelian2(), abelian(2)):
             ds = derivations(g)
-            assert full_graph(g, ds).whole.dim == ds.dim + g.dim
+            assert full_graph(g, ds).dim == ds.dim + g.dim
 
 
 class TestFullGraphIter:
-    def test_single_step_matches(self):
-        g = heisenberg(1)
-        chain = full_graph_iter(g, 1)
-        assert len(chain) == 1
-        assert chain[0].whole.sc == full_graph(g).whole.sc
-
     def test_heisenberg_dims_9_19(self):
-        chain = full_graph_iter(heisenberg(1), 2)
-        assert [e.whole.dim for e in chain] == [9, 19]
+        f1 = full_graph(heisenberg(1))
+        assert [f1.dim, full_graph(f1).dim] == [9, 19]
 
     def test_abelian1_chain(self):
-        chain = full_graph_iter(abelian(1), 2)
-        f1 = chain[0].whole
+        f1 = full_graph(abelian(1))
         ds1 = derivations(f1)
-        assert chain[1].whole.dim == f1.dim + ds1.dim
+        assert full_graph(f1).dim == f1.dim + ds1.dim
 
     def test_cap_enforced(self, monkeypatch):
         # f(h3) 9, f^2(h3) 19, then f^3(h3) = Der(f^2) 20 + 19 is refused
         monkeypatch.setenv("LIE_DIM_CAP", "20")
+        f2 = full_graph(full_graph(heisenberg(1)))
         with pytest.raises(DimensionCapError, match="dimension 39 exceeds LIE_DIM_CAP 20"):
-            full_graph_iter(heisenberg(1), 3)
-
-    def test_bad_n(self):
-        with pytest.raises(ValueError):
-            full_graph_iter(heisenberg(1), 0)
+            full_graph(f2)
 
 
 class TestGradedPower:
     def test_n1_is_abelian(self):
         gp = graded_power(heisenberg(1), 1)
-        assert gp.algebra.dim == 3
-        assert gp.algebra.sc == [{}] * 3
+        assert gp.dim == 3
+        assert gp.sc == [{}] * 3
 
     def test_h3_power2(self):
-        gp = graded_power(heisenberg(1), 2)
-        g = gp.algebra
+        g = graded_power(heisenberg(1), 2)
         assert g.dim == 6
         assert g.labels == ("x1@1", "y1@1", "c@1", "x1@2", "y1@2", "c@2")
         # [x@1, y@1] = c@2; slot-2 brackets vanish
@@ -173,8 +157,7 @@ class TestGradedPower:
     def test_grading_respected(self):
         g0 = heisenberg(2)
         n = 3
-        gp = graded_power(g0, n)
-        g = gp.algebra
+        g = graded_power(g0, n)
         m = g0.dim
         for i, row in enumerate(g.sc):
             for j, v in row.items():
@@ -187,21 +170,20 @@ class TestGradedPower:
     def test_nilpotent(self):
         for base in (heisenberg(1), nonabelian2()):
             for n in (2, 3):
-                assert graded_power(base, n).algebra.series().is_nilpotent
+                assert graded_power(base, n).series().is_nilpotent
 
     def test_grading_derivation(self):
         gp = graded_power(heisenberg(1), 2)
-        d = grading_derivation(gp)
+        d = grading_derivation(heisenberg(1), 2)
         expect = Matrix(
             [[Q(k) if i == j else ZERO for j in range(6)] for i, k in enumerate([1, 1, 1, 2, 2, 2])]
         )
         assert d == expect
-        assert is_derivation(gp.algebra, d)
-        assert verify_torus(gp.algebra, [d]).ok
+        assert is_derivation(gp, d)
+        assert verify_torus(gp, [d]).ok
 
     def test_grading_derivation_n1_identity(self):
-        gp = graded_power(heisenberg(1), 1)
-        assert grading_derivation(gp) == Matrix.identity(3)
+        assert grading_derivation(heisenberg(1), 1) == Matrix.identity(3)
 
 
 class TestCatalog:
@@ -227,9 +209,9 @@ def test_all_constructors_validate():
     gp = graded_power(heisenberg(1), 2)
     candidates = [
         heisenberg(2).validate(),
-        gp.algebra.validate(),
-        full_graph(heisenberg(1)).whole.validate(),
-        semidirect(abelian(1), gp.algebra, [grading_derivation(gp)]).whole.validate(),
+        gp.validate(),
+        full_graph(heisenberg(1)).validate(),
+        semidirect(abelian(1), gp, [grading_derivation(heisenberg(1), 2)]).validate(),
         derivations(heisenberg(1)).algebra.validate(),
     ]
     assert all(r.ok for r in candidates)

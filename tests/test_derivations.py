@@ -118,7 +118,7 @@ def ds_h3(h3):
 
 @pytest.fixture(scope="module")
 def fh3(h3, ds_h3):
-    return full_graph(h3, ds_h3).whole
+    return full_graph(h3, ds_h3)
 
 
 @pytest.fixture(scope="module")
@@ -206,8 +206,8 @@ def theorem1_torus(name, torus):
     g = catalog(name)
     if torus == "diagonal":
         return g, diagonal_derivation_torus(g)
-    gp = graded_power(g, 3 if name == "heisenberg:1" else 2)
-    return gp.algebra, [grading_derivation(gp)]
+    n = 3 if name == "heisenberg:1" else 2
+    return graded_power(g, n), [grading_derivation(g, n)]
 
 
 THEOREM1_TORI = (
@@ -463,7 +463,7 @@ class TestDerDimCap:
         # derivations() itself at LIE_DIM_CAP=9
         monkeypatch.setattr(DERIVATIONS_MODULE, "DEFAULT_DIM_CAP", 0)
         monkeypatch.setenv("LIE_DIM_CAP", "9")
-        rep = derivation_tower(full_graph(heisenberg(1)).whole)
+        rep = derivation_tower(full_graph(heisenberg(1)))
         assert (rep.dims, rep.stabilized, rep.budget_exceeded) == ((9,), False, True)
 
 
@@ -597,10 +597,9 @@ class TestCentralizer:
         # On h3^+2 the centralizer of the grading derivation is the space of
         # degree-0 derivations: block-diagonal ones.  Independent count: solve
         # per-block by brute force on the block-diagonal ansatz.
-        gp = graded_power(heisenberg(1), 2)
-        g = gp.algebra
+        g = graded_power(heisenberg(1), 2)
         ds = derivations(g)
-        d = grading_derivation(gp)
+        d = grading_derivation(heisenberg(1), 2)
         tau = centralizer_in_der(ds, [ds.coords_of(d)])
         # every tau element commutes with d, i.e. preserves both slots
         for m in ds.subspace_mats(tau):
@@ -664,7 +663,7 @@ class TestVerifyTorus:
 
     def test_grading_derivation_passes(self):
         gp = graded_power(heisenberg(1), 2)
-        rep = verify_torus(gp.algebra, [grading_derivation(gp)])
+        rep = verify_torus(gp, [grading_derivation(heisenberg(1), 2)])
         assert rep.ok
         assert rep.eigenvalues == ((Q(1), Q(2)),)
 
@@ -817,8 +816,7 @@ class TestIdentityOnDer:
         # the product's Jacobi validation and the dense oracle both agree
         g = load_structure_source(name)
         ds = derivations(g)
-        emb = semidirect(ds.algebra, g, ds.basis_mats)
-        assert emb.whole.validate().ok
+        assert semidirect(ds.algebra, g, ds.basis_mats).validate().ok
         assert dense_homomorphism_check(ds.algebra, g, ds.basis_mats)
 
 
@@ -871,8 +869,7 @@ def dense_der_der(ds):
 
 
 def _graded_square_grading():
-    gp = graded_power(heisenberg(1), 2)
-    return derivations(gp.algebra), [grading_derivation(gp)]
+    return derivations(graded_power(heisenberg(1), 2)), [grading_derivation(heisenberg(1), 2)]
 
 
 def _identity_on(g):
@@ -882,7 +879,7 @@ def _identity_on(g):
 
 ORACLE_CASES = {
     "h3^(2), grading torus": _graded_square_grading,
-    "f(h3), identity": lambda: _identity_on(full_graph(heisenberg(1)).whole),
+    "f(h3), identity": lambda: _identity_on(full_graph(heisenberg(1))),
     # its Der basis carries non-integer denominators
     "h5_dense.json, identity": lambda: _identity_on(load_structure_source("h5_dense.json")),
 }

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lieq import linalg
 from lieq.linalg import (
     Matrix,
     P,
@@ -351,6 +352,21 @@ class TestSparseSystem:
             for row in rows:
                 assert sum((x * v[c] for c, x in row.items()), Q(0)) == 0
 
+    def test_kernel_of_zero_rows_is_the_full_space(self, monkeypatch):
+        # with no pivot row the unit rows are already canonical: no second
+        # elimination
+        system = SparseSystem(4, [{}, {}, {}])
+        built = []
+
+        class Counting(SparseSystem):
+            def __init__(self, ncols, rows):
+                built.append(ncols)
+                super().__init__(ncols, rows)
+
+        monkeypatch.setattr(linalg, "SparseSystem", Counting)
+        assert system.kernel() == Subspace.full(4)
+        assert built == []
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(sparse_systems())
     def test_basis_is_identity_on_free_columns(self, case):
@@ -483,6 +499,14 @@ class TestSubspaceOracles:
         a = Subspace.from_vectors(n, va)
         b = Subspace.from_vectors(n, [[c * x for x in va[k]] for k, c in zip(order, scales)])
         assert a == b and hash(a) == hash(b)
+
+    def test_coords_of_row_rejects_a_key_outside_the_support(self):
+        # the entries at the leads match a basis combination, the extra key
+        # does not
+        a = Subspace.from_vectors(4, [(1, 2, 0, 0), (0, 0, 1, 0)])
+        assert a.coords_of_row({0: Q(1), 1: Q(2), 2: Q(3)}) == (Q(1), Q(3))
+        assert a.coords_of_row({0: Q(1), 1: Q(2), 2: Q(3), 3: Q(1)}) is None
+        assert a.coords_of_row({3: Q(1)}) is None
 
     def test_hash_ignores_the_entry_order_of_a_row(self):
         a = Subspace(3, {0: {0: Q(1), 2: Q(5)}, 1: {1: Q(1)}})

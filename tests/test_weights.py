@@ -9,7 +9,6 @@ from lieq.cli import run_command
 from lieq.constructions import (
     abelian,
     full_graph,
-    full_graph_iter,
     graded_power,
     grading_derivation,
     heisenberg,
@@ -59,63 +58,66 @@ def gp2():
     return graded_power(heisenberg(1), 2)
 
 
+@pytest.fixture(scope="module")
+def grading():
+    """The grading derivation of gp2."""
+    return grading_derivation(heisenberg(1), 2)
+
+
 class TestWeightDecomposition:
     def test_empty_torus(self):
-        wd = weight_decomposition(heisenberg(1), [])
-        assert len(wd.parts) == 1
-        fun, sub = wd.parts[0]
+        parts = weight_decomposition(heisenberg(1), [])
+        assert len(parts) == 1
+        fun, sub = parts[0]
         assert fun == ()
         assert sub == Subspace.full(3)
-        assert wd.has_zero_weight()
+        assert any(not any(fun) for fun, _ in parts)
 
-    def test_grading_torus_two_parts(self, gp2):
-        wd = weight_decomposition(gp2.algebra, [grading_derivation(gp2)])
-        assert [fun for fun, _ in wd.parts] == [(Q(1),), (Q(2),)]
-        assert [sub.dim for _, sub in wd.parts] == [3, 3]
-        assert wd.total_dim() == 6
+    def test_grading_torus_two_parts(self, gp2, grading):
+        parts = weight_decomposition(gp2, [grading])
+        assert [fun for fun, _ in parts] == [(Q(1),), (Q(2),)]
+        assert [sub.dim for _, sub in parts] == [3, 3]
+        assert sum(sub.dim for _, sub in parts) == 6
 
-    def test_same_eigenvectors_two_generators(self, gp2):
+    def test_same_eigenvectors_two_generators(self, gp2, grading):
         # second generator d*d - 2d has the same eigenspaces with shifted
         # eigenvalues (1 -> -1, 2 -> 0); it is not itself a derivation, so
         # the refinement is called directly, without torus verification,
         # with the spectra split_semisimple_check computes
-        d = grading_derivation(gp2)
+        d = grading
         d2 = d @ d - d.scale(2)
         spec, spec2 = (split_semisimple_check(m).eigenvalues for m in (d, d2))
-        parts1 = refine_eigenspaces(gp2.algebra.dim, [d], [spec])
-        parts2 = refine_eigenspaces(gp2.algebra.dim, [d, d2], [spec, spec2])
+        parts1 = refine_eigenspaces(gp2.dim, [d], [spec])
+        parts2 = refine_eigenspaces(gp2.dim, [d, d2], [spec, spec2])
         assert [fun for fun, _ in parts2] == [(Q(1), Q(-1)), (Q(2), Q(0))]
         assert [sub for _, sub in parts1] == [sub for _, sub in parts2]
-        assert weight_decomposition(gp2.algebra, [d]).parts == tuple(parts1)
+        assert weight_decomposition(gp2, [d]) == tuple(parts1)
 
-    def test_eigenspaces_verified_directly(self, gp2):
+    def test_eigenspaces_verified_directly(self, gp2, grading):
         # re-verified by matrix application, independent of the refinement
-        d = grading_derivation(gp2)
-        wd = weight_decomposition(gp2.algebra, [d])
-        for fun, sub in wd.parts:
+        d = grading
+        for fun, sub in weight_decomposition(gp2, [d]):
             for v in sub.vectors():
                 assert d.apply(v) == tuple(fun[0] * x for x in v)
 
-    def test_nonderivation_torus_rejected(self, gp2):
-        d = grading_derivation(gp2)
+    def test_nonderivation_torus_rejected(self, gp2, grading):
+        d = grading
         bad = d @ d - d.scale(2)
         with pytest.raises(TorusError):
-            weight_decomposition(gp2.algebra, [bad])
+            weight_decomposition(gp2, [bad])
 
     def test_bracket_respects_weights(self):
         # [g_a, g_b] inside g_{a+b} (or zero when a+b is not a weight)
         g3 = heisenberg(1)
         cases = [
-            (graded_power(g3, 3).algebra, None),
+            (graded_power(g3, 3), [grading_derivation(g3, 3)]),
             (g3, diagonal_derivation_torus(g3)),
         ]
-        gp3 = graded_power(g3, 3)
-        cases[0] = (gp3.algebra, [grading_derivation(gp3)])
         for g, mats in cases:
-            wd = weight_decomposition(g, mats)
-            funs = {fun: sub for fun, sub in wd.parts}
-            for fa, sa in wd.parts:
-                for fb, sb in wd.parts:
+            parts = weight_decomposition(g, mats)
+            funs = {fun: sub for fun, sub in parts}
+            for fa, sa in parts:
+                for fb, sb in parts:
                     target = tuple(a + b for a, b in zip(fa, fb))
                     prod = g.product_space(sa, sb)
                     if target in funs:
@@ -156,7 +158,7 @@ class TestRebasedTorus:
     # coordinate subspaces
     @pytest.fixture(scope="class")
     def pair(self):
-        g = graded_power(heisenberg(1), 3).algebra
+        g = graded_power(heisenberg(1), 3)
         n = g.dim
         p, pinv = unipotent(n)
         assert p @ pinv == Matrix.identity(n)
@@ -208,15 +210,15 @@ def dense_refine_eigenspaces(n, mats, spectra):
 
 
 def _rebased_h3_cube_torus():
-    g = graded_power(heisenberg(1), 3).algebra
+    g = graded_power(heisenberg(1), 3)
     return g.dim, rebased_diagonal_torus(g)[1]
 
 
 REFINE_CASES = {
-    "h3^(2) grading": lambda: (6, [grading_derivation(graded_power(heisenberg(1), 2))]),
+    "h3^(2) grading": lambda: (6, [grading_derivation(heisenberg(1), 2)]),
     "h5 diagonal": lambda: (5, diagonal_derivation_torus(heisenberg(2))),
     "h3^(3) diagonal": lambda: (
-        9, diagonal_derivation_torus(graded_power(heisenberg(1), 3).algebra)
+        9, diagonal_derivation_torus(graded_power(heisenberg(1), 3))
     ),
     "h3^(3) diagonal, rebased": _rebased_h3_cube_torus,
     # one generator twice, and the zero matrix as the one generator
@@ -239,29 +241,29 @@ class TestNondegeneratePair:
         flag, _ = is_nondegenerate_pair(heisenberg(1), [])
         assert not flag
 
-    def test_graded_power_nondegenerate(self, gp2):
-        flag, wd = is_nondegenerate_pair(gp2.algebra, [grading_derivation(gp2)])
+    def test_graded_power_nondegenerate(self, gp2, grading):
+        flag, parts = is_nondegenerate_pair(gp2, [grading])
         assert flag
-        assert not wd.has_zero_weight()
+        assert all(any(fun) for fun, _ in parts)
 
     def test_weight_zero_on_center(self):
         g = heisenberg(1)
         d = Matrix([[1, 0, 0], [0, -1, 0], [0, 0, 0]])
-        flag, wd = is_nondegenerate_pair(g, [d])
+        flag, parts = is_nondegenerate_pair(g, [d])
         assert not flag
-        zero_part = next(sub for fun, sub in wd.parts if fun == (Q(0),))
+        zero_part = next(sub for fun, sub in parts if fun == (Q(0),))
         assert zero_part.contains_vector(g.basis_element(2))
 
     def test_h3_power2_nondegenerate(self):
         # Proposition-1 style instance on the graded square
         gp = graded_power(heisenberg(1), 2)
-        flag, _ = is_nondegenerate_pair(gp.algebra, [grading_derivation(gp)])
+        flag, _ = is_nondegenerate_pair(gp, [grading_derivation(heisenberg(1), 2)])
         assert flag
 
 
 class TestTheorem1:
-    def test_grading_instance(self, gp2):
-        rep = theorem1_pipeline(gp2.algebra, [grading_derivation(gp2)])
+    def test_grading_instance(self, gp2, grading):
+        rep = theorem1_pipeline(gp2, [grading])
         assert rep.ok
         names = [c.name for c in rep.checks]
         assert "images_span_der_h1" in names and "h_complete" in names
@@ -279,7 +281,7 @@ class TestTheorem1:
         assert any(c.name == "maximal_torus_h1_complete" for c in rep.checks)
 
     def test_maximal_torus_on_graded_square(self):
-        g = graded_power(heisenberg(1), 2).algebra
+        g = graded_power(heisenberg(1), 2)
         mats = diagonal_derivation_torus(g)
         assert len(mats) == 5
         rep = theorem1_pipeline(g, mats)
@@ -303,7 +305,7 @@ class TestTheorem1:
                     monkeypatch.setattr(mod, name, counting)
         h3 = heisenberg(1)
         gp = graded_power(nonabelian2(), 2)
-        for g, mats in ((h3, diagonal_derivation_torus(h3)), (gp.algebra, [grading_derivation(gp)])):
+        for g, mats in ((h3, diagonal_derivation_torus(h3)), (gp, [grading_derivation(nonabelian2(), 2)])):
             calls.update(verify_torus=0, refine_eigenspaces=0)
             assert theorem1_pipeline(g, mats).ok
             assert calls == {"verify_torus": 1, "refine_eigenspaces": 1}
@@ -329,25 +331,25 @@ class TestTheorem1:
         assert dims == [3, 5, 5]
 
 
-def weight_part_lemma2_check(dh1, h1_emb, wd):
+def weight_part_lemma2_check(dh1, p, parts):
     """The weight-part formulation that _lemma2_form_check replaced, kept as
     an oracle: the g-part of D b_j is written in the concatenated bases of
     the weight spaces g_alpha, and on each g_alpha the block of generator j
-    must be alpha(b_j) x_alpha for one x_alpha."""
-    p = len(h1_emb.s_slot)
-    n = len(h1_emb.g_slot)
+    must be alpha(b_j) x_alpha for one x_alpha.  The torus slot of
+    h1 = b x g is its first p coordinates."""
+    n = dh1.base.dim - p
     # the rows (v_k, e_k) tag part row k by e_k, and to_parts[i] holds the
     # coordinates of e_i in the part bases
-    part_rows = [row for _, sub in wd.parts for row in sub.rows.values()]
+    part_rows = [row for _, sub in parts for row in sub.rows.values()]
     tagged = [row | {n + k: ONE} for k, row in enumerate(part_rows)]
     _, to_parts = image_with_preimages(n, 2 * n, tagged)
     offsets, off = [], 0
-    for _, sub in wd.parts:
+    for _, sub in parts:
         offsets.append((off, off + sub.dim))
         off += sub.dim
     for d in dh1.basis_mats:
         gcomps = [combine(d.column(j)[p:], to_parts, n) for j in range(p)]
-        for (fun, _), (lo, hi) in zip(wd.parts, offsets):
+        for (fun, _), (lo, hi) in zip(parts, offsets):
             blocks = [tuple(gc[lo:hi]) for gc in gcomps]
             j0 = next((j for j, a in enumerate(fun) if a != 0), None)
             if j0 is None:
@@ -370,8 +372,8 @@ LEMMA2_CASES = {
 
 
 def lemma2_setting(g, mats):
-    h1_emb = semidirect(abelian(len(mats)), g, mats)
-    return derivations(h1_emb.whole), h1_emb, weight_decomposition(g, mats)
+    h1 = semidirect(abelian(len(mats)), g, mats)
+    return derivations(h1), weight_decomposition(g, mats)
 
 
 def perturbed(dh1, p, rng):
@@ -389,31 +391,31 @@ class TestLemma2Form:
     def test_matches_weight_part_oracle(self, name):
         g, mats, p = LEMMA2_CASES[name]()
         assert len(mats) == p
-        dh1, h1_emb, wd = lemma2_setting(g, mats)
+        dh1, parts = lemma2_setting(g, mats)
         assert _lemma2_form_check(dh1, mats) == (True, "")
-        assert weight_part_lemma2_check(dh1, h1_emb, wd)
+        assert weight_part_lemma2_check(dh1, p, parts)
         rng = random.Random(19)
         verdicts = []
         for _ in range(300):
             bent = perturbed(dh1, p, rng)
             ok, detail = _lemma2_form_check(bent, mats)
-            assert ok == weight_part_lemma2_check(bent, h1_emb, wd)
+            assert ok == weight_part_lemma2_check(bent, p, parts)
             assert ok or re.fullmatch(
                 r"derivation \d+: the torus slot breaks the alpha\(b\) x_alpha form", detail
             )
             verdicts.append(ok)
         assert True in verdicts and False in verdicts
 
-    def test_one_generator_never_rejects(self, gp2):
+    def test_one_generator_never_rejects(self, gp2, grading):
         # with no zero weight the one generator b is invertible on g, so
         # every g-part is b X for some X
-        mats = [grading_derivation(gp2)]
-        dh1, h1_emb, wd = lemma2_setting(gp2.algebra, mats)
+        mats = [grading]
+        dh1, parts = lemma2_setting(gp2, mats)
         rng = random.Random(23)
         for _ in range(20):
             bent = perturbed(dh1, 1, rng)
             assert _lemma2_form_check(bent, mats) == (True, "")
-            assert weight_part_lemma2_check(bent, h1_emb, wd)
+            assert weight_part_lemma2_check(bent, 1, parts)
 
 
 class TestLemma3:
@@ -456,7 +458,7 @@ class TestTheorem2:
             theorem2_check(heisenberg(1))
 
     def test_full_graph_heisenberg(self):
-        rep = theorem2_check(full_graph(heisenberg(1)).whole)
+        rep = theorem2_check(full_graph(heisenberg(1)))
         assert rep.ok
         assert rep.dims["Der(f(g))"] == rep.dims["Der(g)"] + rep.dims["F(g)"]
         law = next(c for c in rep.checks if c.name == "homomorphism_law")
@@ -494,7 +496,7 @@ def dense_bracket_image(dsg, pair1, pair2):
 def theorem2_setting(g):
     dsg = derivations(g)
     fsub = f_s_subspace(dsg, dsg.basis_mats)
-    return dsg, fsub, full_graph(g, dsg).whole
+    return dsg, fsub, full_graph(g, dsg)
 
 
 def pipeline_basis(dsg, fsub, fg):
@@ -511,7 +513,7 @@ class TestLemma4Oracle:
     def mixed(self):
         # theorem 2's setting on g = f(h3), with h-tilde elements (s, D)
         # whose parts are both nonzero, unlike the pipeline's basis
-        dsg, fsub, fg = theorem2_setting(full_graph(heisenberg(1)).whole)
+        dsg, fsub, fg = theorem2_setting(full_graph(heisenberg(1)))
         rng = random.Random(11)
 
         def combo(vecs):
@@ -531,7 +533,7 @@ class TestLemma4Oracle:
     def pipeline(self, request):
         # theorem 2's setting on g = f(nonabelian2) and f(h3), on the
         # pipeline's basis
-        dsg, fsub, fg = theorem2_setting(full_graph(request.param()).whole)
+        dsg, fsub, fg = theorem2_setting(full_graph(request.param()))
         return (dsg, fsub, *pipeline_basis(dsg, fsub, fg))
 
     def test_image_matches_dense(self, mixed):
@@ -576,7 +578,10 @@ class TestTheorem3AndProps:
     @pytest.mark.parametrize("n", (1, 2))
     def test_der_der_matches_dense(self, n):
         # oracle: [Der, Der] as the span of the dense commutators in Q^(n^2)
-        ds = derivations(full_graph_iter(heisenberg(1), n)[-1].whole)
+        fn = heisenberg(1)
+        for _ in range(n):
+            fn = full_graph(fn)
+        ds = derivations(fn)
         mats = ds.basis_mats
         dense = Subspace.from_vectors(
             ds.base.dim ** 2,
