@@ -33,16 +33,15 @@ from .derivations import (
 from .liealg import Element, InvalidStructureError, LieAlgebra, NotClosedError
 from .linalg import (
     Matrix,
-    Polynomial,
     Q,
     Subspace,
     minimal_polynomial,
     nullspace,
     rank,
     rank_bareiss,
+    rational_roots,
     rref,
     solve,
-    split_semisimple_check,
 )
 from .weights import (
     is_nondegenerate_pair,

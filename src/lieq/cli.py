@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 when every named check passes (or for pure analysis),
-2 when a verification check fails, 1 on usage or input errors.
+2 when a verification check fails, or an internal check fails (a bug in
+lieq, reported as "internal check failed: ..." on stderr), 1 on usage or
+input errors.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .fileio import (
     serialize_algebra,
 )
 from .liealg import DimensionCapError, LieAlgebra
-from .linalg import Matrix, q_str
+from .linalg import InvariantError, Matrix, q_str
 from .weights import (
     lemma3_check,
     prop2_check,
@@ -253,6 +255,9 @@ def run_command(argv=None) -> int:
     except ValueError as e:  # UsageError, torus, zero weight, cap or argument errors
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except InvariantError as e:
+        print(f"internal check failed: {e}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -29,6 +29,15 @@ Downstream, a derivation is its coordinate vector in the canonical Der basis:
 `f_s_subspace` takes the images of phi and reads their Der coordinates once;
 both take kernels of sparse ad rows of that algebra, read off its `sc`,
 rather than forming dense n x n commutators or ad matrices.
+
+A torus is checked by its definition alone: derivations with a common
+eigenbasis over Q.  `verify_torus` takes each generator's spectrum from the
+rational roots of its minimal polynomial and asks whether the joint
+eigenspaces from `refine_eigenspaces` fill g; that they commute and are
+split semisimple follows, so neither is tested apart.
+
+The internal audits (the rank mod P, ad(g) inside Der(g), the closure of
+Der(g) under the commutator) raise `InvariantError` when they fail.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from typing import Iterator, Sequence
 
 from .liealg import DEFAULT_DIM_CAP, DimensionCapError, LieAlgebra, dim_cap
 from .linalg import (
+    InvariantError,
     Matrix,
     ONE,
     Q,
@@ -47,9 +57,10 @@ from .linalg import (
     clear_denominators,
     combine,
     image_with_preimages,
+    minimal_polynomial,
     rank_mod_p,
+    rational_roots,
     refine_eigenspaces,
-    split_semisimple_check,
 )
 
 
@@ -181,7 +192,7 @@ def derivations(g: LieAlgebra) -> DerivationSpace:
     read off `sc`; on the exact path, inner and its preimages come from the
     rows (Der coordinates of each ad(g) basis vector, its preimage).  Raises
     DimensionCapError when n^2 - rank, the dimension of Der(g), exceeds
-    max(LIE_DIM_CAP, 64), and RuntimeError when the exact rank is below the
+    max(LIE_DIM_CAP, 64), and InvariantError when the exact rank is below the
     modular rank, or ad(g) is not inside the computed space; the first
     contradicts rank mod P <= rank over Q, the second the Jacobi identity.
     """
@@ -200,7 +211,7 @@ def derivations(g: LieAlgebra) -> DerivationSpace:
     else:
         sys = SparseSystem(n * n, rows)
         if sys.rank < rank_p:
-            raise RuntimeError("Leibniz rank over Q below its rank mod P")
+            raise InvariantError("Leibniz rank over Q below its rank mod P")
         _check_der_dim(n * n - sys.rank)
         space = sys.kernel()
         d = space.dim
@@ -208,7 +219,7 @@ def derivations(g: LieAlgebra) -> DerivationSpace:
         for row, x in zip(inner_flat.rows.values(), pre):
             coords = space.coords_of_row(row)
             if coords is None:
-                raise RuntimeError("inner derivation outside computed Der(g)")
+                raise InvariantError("inner derivation outside computed Der(g)")
             tagged = {t: c for t, c in enumerate(coords) if c}
             inner_rows.append(tagged | {d + k: y for k, y in x.items()})
         inner, pre = image_with_preimages(d, d + n, inner_rows)
@@ -245,7 +256,7 @@ def commutator_table(space: Subspace, n: int) -> dict:
     [D_a, D_b] is C[p_t] / (d_a d_b), because the basis is RREF.  Every
     commutator is rebuilt from its coordinates as an audit, multiplied
     through by L d_a d_b with L = lcm(d_t): sum_t C[p_t] (L / d_t) N_t = L C,
-    entry for entry.  Raises RuntimeError when the audit fails, that is,
+    entry for entry.  Raises InvariantError when the audit fails, that is,
     when the span is not closed under the commutator.
     """
     flats, mats, dens = [], [], []
@@ -275,7 +286,7 @@ def commutator_table(space: Subspace, n: int) -> dict:
                     for k, y in scaled[t].items():
                         audit[k] = audit.get(k, 0) - x * y
             if any(audit.values()):
-                raise RuntimeError("Der(g) not closed under commutator")
+                raise InvariantError("Der(g) not closed under commutator")
             table[(a, b)] = coords
     return table
 
@@ -380,49 +391,43 @@ def z_s_subspace(g: LieAlgebra, images: Sequence[Matrix]) -> Subspace:
 
 
 class TorusReport:
-    __slots__ = ("ok", "failures", "eigenvalues", "parts")
+    __slots__ = ("ok", "failures", "parts")
 
-    def __init__(self, ok: bool, failures: list, eigenvalues: tuple | None, parts: tuple | None):
+    def __init__(self, ok: bool, failures: list, parts: tuple | None):
         self.ok = ok
         self.failures = failures  # list of (check name, witness description)
-        self.eigenvalues = eigenvalues  # per generator, when split
-        self.parts = parts  # simultaneous eigenspaces, when ok
+        self.parts = parts  # the weight spaces, when ok
 
     def __repr__(self):
         return f"TorusReport(ok={self.ok}, failures={self.failures})"
 
 
 def verify_torus(base: LieAlgebra, b_mats: Sequence[Matrix]) -> TorusReport:
-    """Check that b_mats generate a torus: derivations, pairwise commuting,
-    split-semisimple, and simultaneously diagonalizable (so every rational
-    combination is semisimple, not just the generators).  The weight spaces
-    are refined from the spectra found here once the other checks pass, as
-    `refine_eigenspaces` requires; that they fill the space is the audit."""
-    failures = []
-    for k, b in enumerate(b_mats):
-        if not is_derivation(base, b):
-            failures.append(("derivation", f"generator {k} fails the Leibniz identity"))
-    for a in range(len(b_mats)):
-        for b in range(a + 1, len(b_mats)):
-            if not b_mats[a].commutator(b_mats[b]).is_zero():
-                failures.append(("commuting", f"generators {a} and {b} do not commute"))
-    eigs = []
-    for k, b in enumerate(b_mats):
-        rep = split_semisimple_check(b)
-        if not rep.semisimple:
-            failures.append(("semisimple", f"generator {k}: minimal polynomial not squarefree"))
-        elif not rep.split:
-            failures.append(("split", f"generator {k}: irrational spectrum"))
-        else:
-            eigs.append(rep.eigenvalues)
+    """Check that b_mats generate a torus: derivations with a common
+    eigenbasis over Q.  Such matrices commute and are split semisimple, and
+    conversely (Hoffman & Kunze, Linear Algebra, 6.5), so no separate
+    commuting or semisimplicity test is needed.
+
+    Each generator must pass `is_derivation`.  Then its spectrum is the
+    rational roots of its minimal polynomial, and `refine_eigenspaces`
+    splits g once into the joint eigenspaces, which are the weight spaces
+    when they fill g.  The report lists one ("derivation", ...) per
+    failing generator, or one ("diagonalizable", ...) when the joint
+    eigenspaces do not fill g."""
+    failures = [
+        ("derivation", f"generator {k} fails the Leibniz identity")
+        for k, b in enumerate(b_mats)
+        if not is_derivation(base, b)
+    ]
     if not failures:
-        parts = tuple(refine_eigenspaces(base.dim, b_mats, eigs))
+        spectra = [rational_roots(minimal_polynomial(b)) for b in b_mats]
+        parts = tuple(refine_eigenspaces(base.dim, b_mats, spectra))
         if sum(sub.dim for _, sub in parts) == base.dim:
-            return TorusReport(True, failures, tuple(eigs), parts)
+            return TorusReport(True, failures, parts)
         failures.append(
-            ("simultaneous", "no common eigenbasis: refinement does not fill the space")
+            ("diagonalizable", "no common eigenbasis: the joint eigenspaces do not fill g")
         )
-    return TorusReport(False, failures, None, None)
+    return TorusReport(False, failures, None)
 
 
 def diagonal_derivation_torus(g: LieAlgebra) -> list[Matrix]:

@@ -1,14 +1,15 @@
 """Exact rational linear algebra: matrices, RREF, nullspaces, canonical subspaces,
-minimal polynomials and simultaneous eigenspaces of commuting matrices.
+minimal polynomials, their rational roots and joint eigenspaces.
 
 All arithmetic is over Q with arbitrary-precision integers.  gmpy2.mpq is
 used when available (it is API-compatible with fractions.Fraction and much
 faster); otherwise Fraction is the scalar type.  Scalars are always stored
 in lowest terms with positive denominator, so equality is exact.
 
-Scalars are coerced by `as_q` at the API boundaries (Matrix(), Polynomial,
-the vectors and coefficients passed in); arithmetic on them stays in the
-scalar type.
+Scalars are coerced by `as_q` at the API boundaries (Matrix(), the vectors
+and coefficients passed in); arithmetic on them stays in the scalar type.
+A polynomial is its tuple of coefficients, lowest degree first:
+`minimal_polynomial` returns one, `rational_roots` reads one.
 
 There is one elimination kernel.  `SparseSystem(ncols, rows)` clears each
 sparse row's denominators, eliminates fraction-free over Z and back-reduces
@@ -32,11 +33,14 @@ which the Der(g) structure constants and the Jacobi check are computed.
 image basis vector off the reduced rows of the sparse rows (f(x), x);
 `combine` forms the linear combinations of sparse rows that such bases and
 preimages are used in.
+`InvariantError` marks the failure of an internal check: a bug, not bad
+input.
 """
 
 from __future__ import annotations
 
 import re
+from functools import reduce
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
@@ -48,6 +52,11 @@ except ImportError:
 Scalar = Q
 ZERO = Q(0)
 ONE = Q(1)
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a bug in lieq, not an error in its
+    input."""
 
 
 def as_q(x) -> Scalar:
@@ -556,102 +565,29 @@ class Subspace:
             )
 
 
-class Polynomial:
-    """Dense polynomial over Q, coefficients lowest degree first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence):
-        cs = [as_q(x) for x in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        if self.is_zero():
-            return "Polynomial(0)"
-        terms = [f"{q_str(c)}*x^{i}" for i, c in enumerate(self.coeffs) if c]
-        return "Polynomial(" + " + ".join(terms) + ")"
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        lc = self.coeffs[-1]
-        return Polynomial([c / lc for c in self.coeffs])
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def eval_scalar(self, x) -> Scalar:
-        x = as_q(x)
-        out = ZERO
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = list(other.coeffs)
-        q = [ZERO] * max(0, len(rem) - len(d) + 1)
-        while len(rem) >= len(d):
-            f = rem[-1] / d[-1]
-            k = len(rem) - len(d)
-            q[k] = f
-            for i, c in enumerate(d):
-                rem[k + i] -= f * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Polynomial(q), Polynomial(rem)
-
-    def gcd(self, other: "Polynomial") -> "Polynomial":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        return a.monic()
-
-    def rational_roots(self) -> list:
-        """All rational roots, by the rational-root theorem (complete over Q).
-        A root p/q has p | a0, q | an and |p/q| <= 2 max_k |a_(n-k)/an|^(1/k)
-        (Fujiwara), so only p up to that bound times an are tried."""
-        if self.is_zero():
-            raise ValueError("zero polynomial")
-        cs = list(self.coeffs)
-        den = 1
-        for c in cs:
-            den = lcm(den, int(c.denominator))
-        ics = [int(c.numerator) * (den // int(c.denominator)) for c in cs]
-        roots = []
-        shift = 0
-        while ics[shift] == 0:
-            shift += 1
-        if shift:
-            roots.append(ZERO)
-        a0, an = abs(ics[shift]), abs(ics[-1])
-        n = len(ics) - 1
-        ceil_roots = (_ceil_root(abs(ics[n - k]), an, k) for k in range(1, n + 1))
-        top = 2 * an * max(ceil_roots, default=0)
-        qs = _divisors(an, an)
-        for p in _divisors(a0, top):
-            for q in qs:
-                for cand in (Q(p, q), Q(-p, q)):
-                    if cand not in roots and self.eval_scalar(cand) == 0:
-                        roots.append(cand)
-        return sorted(roots)
+def rational_roots(coeffs: Sequence) -> list:
+    """All rational roots of the polynomial with coefficients coeffs, lowest
+    degree first and leading coefficient nonzero, sorted, by the
+    rational-root theorem (complete over Q).  A root p/q has p | a0, q | an
+    and |p/q| <= 2 max_k |a_(n-k)/an|^(1/k) (Fujiwara), so only p up to that
+    bound times an are tried."""
+    cs = [as_q(c) for c in coeffs]
+    if not cs or not cs[-1]:
+        raise ValueError("rational roots need a nonzero leading coefficient")
+    ics, _ = clear_denominators(dict(enumerate(cs)))
+    shift = min(ics)
+    roots = [ZERO] if shift else []
+    n = len(cs) - 1
+    a0, an = abs(ics[shift]), abs(ics[n])
+    ceil_roots = (_ceil_root(abs(ics.get(n - k, 0)), an, k) for k in range(1, n + 1))
+    top = 2 * an * max(ceil_roots, default=0)
+    qs = _divisors(an, an)
+    for p in _divisors(a0, top):
+        for q in qs:
+            for cand in (Q(p, q), Q(-p, q)):
+                if cand not in roots and not reduce(lambda v, c: v * cand + c, reversed(cs), ZERO):
+                    roots.append(cand)
+    return sorted(roots)
 
 
 def _ceil_root(num: int, den: int, k: int) -> int:
@@ -675,65 +611,39 @@ def _divisors(n: int, top: int) -> list[int]:
     return sorted(out)
 
 
-def minimal_polynomial(m: Matrix) -> Polynomial:
-    """Monic polynomial of least degree annihilating m (Krylov on I, m, m^2, ...)."""
+def minimal_polynomial(m: Matrix) -> tuple:
+    """Coefficients, lowest degree first, of the monic polynomial of least
+    degree annihilating m.  I, m, m^2, ... are fed to one SparseSystem until
+    m^k depends on the powers before it; one `solve` then gives
+    m^k = sum x_i m^i, and the polynomial is x^k - sum x_i x^i.  Raises
+    InvariantError if k would exceed n, which Cayley-Hamilton rules out."""
     if not m.is_square():
         raise ValueError("minimal polynomial of a non-square matrix")
     n = m.rows
-    if n == 0:
-        return Polynomial([ONE])
     powers = [Matrix.identity(n)]
-    while True:
-        k = len(powers)
-        cols = [p.flatten() for p in powers]
-        target = (powers[-1] @ m).flatten()
-        x = solve(Matrix.from_columns(cols), target)
-        if x is not None:
-            # m^k = sum x_i m^i  =>  p(x) = x^k - sum x_i x^i
-            return Polynomial([-c for c in x] + [ONE])
+    system = SparseSystem(n * n, [_sparse(powers[0].flatten())])
+    while system.rank == len(powers):
+        if len(powers) > n:
+            raise InvariantError("minimal polynomial search exceeded dimension")
         powers.append(powers[-1] @ m)
-        if k > n:  # cannot happen; defensive
-            raise RuntimeError("minimal polynomial search exceeded dimension")
-
-
-class SemisimplicityReport:
-    """Result of the split-semisimplicity test for a square matrix."""
-
-    __slots__ = ("semisimple", "split", "eigenvalues", "min_poly")
-
-    def __init__(self, semisimple: bool, split: bool, eigenvalues, min_poly: Polynomial):
-        self.semisimple = semisimple
-        self.split = split
-        self.eigenvalues = tuple(eigenvalues) if eigenvalues is not None else None
-        self.min_poly = min_poly
-
-    def __repr__(self):
-        return (
-            f"SemisimplicityReport(semisimple={self.semisimple}, split={self.split}, "
-            f"eigenvalues={self.eigenvalues})"
-        )
-
-
-def split_semisimple_check(m: Matrix) -> SemisimplicityReport:
-    """From the radical r = p / gcd(p, p') of the minimal polynomial p:
-    m is semisimple iff deg r = deg p, and split iff p has deg r distinct
-    rational roots, which are then its eigenvalues (split flag)."""
-    p = minimal_polynomial(m)
-    deg_r = p.degree - p.gcd(p.derivative()).degree
-    roots = p.rational_roots()
-    split = len(roots) == deg_r
-    return SemisimplicityReport(deg_r == p.degree, split, roots if split else None, p)
+        system.add_row(_sparse(powers[-1].flatten()))
+    *lower, top = (p.flatten() for p in powers)
+    x = solve(Matrix.from_columns(lower), top)
+    return (*(-c for c in x), ONE)
 
 
 def refine_eigenspaces(
     n: int, mats: Sequence[Matrix], spectra: Sequence[Sequence]
 ) -> list[tuple[tuple, Subspace]]:
-    """Simultaneous eigenspaces of Q^n under mats with the given spectra.
+    """The nonzero joint eigenspaces of Q^n under mats, whose rational
+    eigenvalues are given by spectra.
 
-    Requires commuting semisimple mats with these rational spectra, so each
-    part is b-invariant and its eigenspaces fill it.  A part splits, for
-    each lam of b, into its intersection with ker(b - lam), computed once
-    per (b, lam); empty intersections are skipped.
+    A part splits, for each lam of b, into its intersection with
+    ker(b - lam), computed once per (b, lam); empty intersections are
+    skipped.  So the parts are the joint eigenspaces of any matrices; their
+    sum is direct, and it fills Q^n exactly when the mats have a common
+    eigenbasis over Q, that is, when they commute and each is diagonalizable
+    over Q, as the generators of a torus are.
 
     Returns (functional, subspace) pairs; the functional records one
     eigenvalue per generator, in list order.  Parts are sorted

@@ -28,6 +28,7 @@ from .derivations import (
 )
 from .liealg import LieAlgebra
 from .linalg import (  # refine_eigenspaces is re-exported; verify_torus calls it
+    InvariantError,
     Matrix,
     Subspace,
     ZERO,
@@ -120,7 +121,7 @@ def theorem1_pipeline(
     ds = derivations(g)
     torus_coords = [ds.coords_of(b) for b in torus_mats]
     if None in torus_coords:
-        raise RuntimeError("derivation outside computed Der(g)")
+        raise InvariantError("derivation outside computed Der(g)")
     b_sub = Subspace.from_vectors(ds.dim, torus_coords)
     if b_sub.dim != p:
         raise ValueError("the torus generators are linearly dependent")

@@ -7,19 +7,26 @@ the centre and completeness are unchanged, and every conjugated basis matrix
 is a derivation of the rebased algebra with coordinates in its Der.  A
 torus t of g is the torus P^-1 t P of P.g, with the same weights and the
 weight spaces mapped by P^-1.
+
+On the abelian algebra every matrix is a derivation, so there a torus is
+exactly a set of matrices with a common eigenbasis over Q.  Generators
+P B P^-1, with B integer diagonal or carrying a Jordan or a rotation block,
+check `verify_torus` against that construction.
 """
 
 from functools import lru_cache
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieq.constructions import catalog
+from lieq.constructions import abelian, catalog
 from lieq.derivations import (
     derivations,
     diagonal_derivation_torus,
     is_complete,
     is_derivation,
+    verify_torus,
 )
 from lieq.liealg import LieAlgebra
 from lieq.linalg import Matrix, Subspace
@@ -53,20 +60,26 @@ def elementary(n, i, j, c):
 
 
 @st.composite
-def unimodular_changes(draw):
-    """(name, P, P^-1): P a product of a few elementary integer matrices
-    with small entries, its inverse the product of the inverses reversed."""
-    name = draw(st.sampled_from(ALGEBRAS))
-    n = catalog(name).dim
+def unimodular(draw, n):
+    """(P, P^-1) in GL_n(Z): P a product of a few elementary integer
+    matrices with small entries (none when n = 1), its inverse the product
+    of the inverses reversed."""
     p = pinv = Matrix.identity(n)
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, 4)) if n > 1 else 0):
         i = draw(st.integers(0, n - 1))
         j = draw(st.integers(0, n - 2))
         j += j >= i
         c = draw(st.sampled_from((-2, -1, 1, 2)))
         p = p @ elementary(n, i, j, c)
         pinv = elementary(n, i, j, -c) @ pinv
-    return name, p, pinv
+    return p, pinv
+
+
+@st.composite
+def unimodular_changes(draw):
+    """(name, P, P^-1) for one of ALGEBRAS and P in GL_n(Z), n its dimension."""
+    name = draw(st.sampled_from(ALGEBRAS))
+    return (name, *draw(unimodular(catalog(name).dim)))
 
 
 def rebased(g, p, pinv):
@@ -105,3 +118,42 @@ def test_change_of_basis_keeps_weight_multisets(case):
     assert [(fun, sub.dim) for fun, sub in rebased_parts] == [(fun, sub.dim) for fun, sub in parts]
     for (_, sub), (_, rebased_sub) in zip(parts, rebased_parts):
         assert Subspace.from_vectors(g.dim, [pinv.apply(v) for v in sub.vectors()]) == rebased_sub
+
+
+@st.composite
+def torus_candidates(draw):
+    """(n, generators, is_torus): up to three matrices P B P^-1 on Q^n,
+    n <= 4.  B has small integer diagonal entries, and for some generators a
+    Jordan block [[l, 1], [0, l]] or the rotation block [[0, -1], [1, 0]]
+    in its top corner; P is shared by the generators or, for some, drawn
+    anew.  is_torus: no B has such a block, so each generator is
+    diagonalizable over Q, and every pair commutes."""
+    n = draw(st.integers(1, 4))
+    shared = draw(unimodular(n))
+    kinds = ("diagonal", "diagonal", "jordan", "rotation") if n > 1 else ("diagonal",)
+    gens, diagonalizable = [], True
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(kinds))
+        b = [[draw(st.integers(-2, 2)) if i == j else 0 for j in range(n)] for i in range(n)]
+        if kind == "jordan":
+            b[0][1], b[1][1] = 1, b[0][0]
+        elif kind == "rotation":
+            b[0][0], b[0][1], b[1][0], b[1][1] = 0, -1, 1, 0
+        p, pinv = draw(unimodular(n)) if draw(st.integers(0, 3)) == 0 else shared
+        gens.append(p @ Matrix(b) @ pinv)
+        diagonalizable = diagonalizable and kind == "diagonal"
+    commute = all(a.commutator(b).is_zero() for a, b in combinations(gens, 2))
+    return n, gens, diagonalizable and commute
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(torus_candidates())
+def test_torus_on_abelian_is_a_common_eigenbasis(case):
+    n, gens, is_torus = case
+    rep = verify_torus(abelian(n), gens)
+    assert rep.ok == is_torus
+    if rep.ok:
+        assert sum(sub.dim for _, sub in rep.parts) == n
+        for fun, sub in rep.parts:
+            for b, lam in zip(gens, fun, strict=True):
+                assert all(b.apply(v) == tuple(lam * x for x in v) for v in sub.vectors())

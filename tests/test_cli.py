@@ -10,8 +10,11 @@ from lieq.cli import run_command
 from lieq.constructions import catalog, full_graph, heisenberg
 from lieq.derivations import diagonal_derivation_torus
 from lieq.fileio import AlgebraFileError, parse_algebra, serialize_algebra
-from lieq.linalg import SparseSystem
+from lieq.linalg import SparseSystem, Subspace
 from lieq.weights import theorem1_pipeline
+
+DERIVATIONS = importlib.import_module("lieq.derivations")
+LINALG = importlib.import_module("lieq.linalg")
 
 
 def run_cli(*args):
@@ -205,6 +208,78 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert f"error: cannot write {out}" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestInternalChecks:
+    """A breached internal invariant is a failed check, not an input error:
+    exit 2, one "internal check failed" line on stderr and no traceback.
+    Each site is reached through run_command with a planted fault."""
+
+    THEOREM1 = ["verify", "theorem1", "--g", "catalog:heisenberg:1", "--torus", "diagonal"]
+
+    @staticmethod
+    def assert_internal_failure(argv, msg, capsys):
+        assert run_command(argv) == 2
+        out, err = capsys.readouterr()
+        assert err == f"internal check failed: {msg}\n"
+        assert out == ""
+        assert "Traceback" not in err
+
+    def test_exact_rank_below_modular_rank(self, monkeypatch, capsys):
+        # drops the one Leibniz row of h3 that no other row repeats
+        class DroppingSystem(SparseSystem):
+            dropped = False
+
+            def add_row(self, row):
+                if len(row) > 1 and not DroppingSystem.dropped:
+                    DroppingSystem.dropped = True
+                    return
+                super().add_row(row)
+
+        monkeypatch.setattr(DERIVATIONS, "SparseSystem", DroppingSystem)
+        self.assert_internal_failure(
+            ["analyze", "catalog:heisenberg:1"], "Leibniz rank over Q below its rank mod P", capsys
+        )
+
+    def test_inner_derivation_outside_der(self, monkeypatch, capsys):
+        class EmptyKernel(SparseSystem):
+            def kernel(self):
+                return Subspace.zero(self.ncols)
+
+        monkeypatch.setattr(DERIVATIONS, "SparseSystem", EmptyKernel)
+        self.assert_internal_failure(
+            ["analyze", "catalog:heisenberg:1"], "inner derivation outside computed Der(g)", capsys
+        )
+
+    def test_der_not_closed_under_commutator(self, monkeypatch, capsys):
+        # D_a D_b + D_b D_a in place of the commutator
+        mul_into = DERIVATIONS._mul_into
+        monkeypatch.setattr(
+            DERIVATIONS, "_mul_into", lambda acc, a, b, n, sign: mul_into(acc, a, b, n, 1)
+        )
+        self.assert_internal_failure(
+            ["analyze", "catalog:heisenberg:1"], "Der(g) not closed under commutator", capsys
+        )
+
+    def test_minimal_polynomial_above_dimension(self, monkeypatch, capsys):
+        class EveryPowerNew(SparseSystem):
+            fed = 0
+            rank = property(lambda self: self.fed)  # as if every power were new
+
+            def add_row(self, row):
+                self.fed += 1
+                super().add_row(row)
+
+        monkeypatch.setattr(LINALG, "SparseSystem", EveryPowerNew)
+        self.assert_internal_failure(
+            self.THEOREM1, "minimal polynomial search exceeded dimension", capsys
+        )
+
+    def test_torus_generator_outside_der(self, monkeypatch, capsys):
+        monkeypatch.setattr(DERIVATIONS.DerivationSpace, "coords_of", lambda self, m: None)
+        self.assert_internal_failure(
+            self.THEOREM1, "derivation outside computed Der(g)", capsys
+        )
 
 
 class TestCommands:

@@ -665,13 +665,15 @@ class TestVerifyTorus:
         gp = graded_power(heisenberg(1), 2)
         rep = verify_torus(gp, [grading_derivation(heisenberg(1), 2)])
         assert rep.ok
-        assert rep.eigenvalues == ((Q(1), Q(2)),)
+        assert [fun for fun, _ in rep.parts] == [(Q(1),), (Q(2),)]
 
     def test_nilpotent_derivation_fails(self, h3):
         ad_x1 = h3.ad_matrix(h3.basis_element(0))
         rep = verify_torus(h3, [ad_x1])
         assert not rep.ok
-        assert any(name == "semisimple" for name, _ in rep.failures)
+        assert rep.failures == [
+            ("diagonalizable", "no common eigenbasis: the joint eigenspaces do not fill g")
+        ]
 
     def test_noncommuting_fails(self):
         g = abelian(2)
@@ -679,7 +681,17 @@ class TestVerifyTorus:
         b = Matrix([[0, 0], [1, 0]])
         rep = verify_torus(g, [a, b])
         assert not rep.ok
-        assert any(name == "commuting" for name, _ in rep.failures)
+        assert [name for name, _ in rep.failures] == ["diagonalizable"]
+
+    def test_each_nonderivation_named(self, h3):
+        # the identity sends z = [x, y] to z, not to [x, y] + [x, y] = 2z
+        eye = Matrix.identity(3)
+        rep = verify_torus(h3, [eye, diagonal_derivation_torus(h3)[0], eye.scale(2)])
+        assert not rep.ok and rep.parts is None
+        assert rep.failures == [
+            ("derivation", "generator 0 fails the Leibniz identity"),
+            ("derivation", "generator 2 fails the Leibniz identity"),
+        ]
 
     def test_diagonal_torus(self, h3):
         mats = diagonal_derivation_torus(h3)

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieq import linalg
+from lieq.constructions import abelian, grading_derivation, nonabelian2
+from lieq.derivations import verify_torus
 from lieq.linalg import (
+    ONE,
     Matrix,
     P,
-    Polynomial,
     Q,
     SparseSystem,
     Subspace,
@@ -22,9 +24,9 @@ from lieq.linalg import (
     rank,
     rank_bareiss,
     rank_mod_p,
+    rational_roots,
     rref,
     solve,
-    split_semisimple_check,
 )
 
 
@@ -610,37 +612,33 @@ def _rational_roots_oracle(ints):
     return sorted(found)
 
 
+def _monic(coeffs):
+    """The coefficient tuple of the integer polynomial coeffs divided by its
+    leading coefficient."""
+    return tuple(Q(c, coeffs[-1]) for c in coeffs)
+
+
 class TestPolynomial:
-    def test_normalization(self):
-        assert Polynomial([1, 2, 0]).coeffs == (Q(1), Q(2))
-        assert Polynomial([0, 0]).is_zero()
-        assert Polynomial([]).degree == -1
-
-    def test_divmod(self):
-        p = Polynomial([-2, 1]).monic()  # x - 2
-        q, r = Polynomial([2, -3, 1]).divmod(p)  # (x-1)(x-2)
-        assert r.is_zero()
-        assert q == Polynomial([-1, 1])
-
-    def test_gcd(self):
-        p = Polynomial([0, 0, 1])  # x^2
-        assert p.gcd(p.derivative()) == Polynomial([0, 1])
+    """Polynomials as coefficient tuples, lowest degree first."""
 
     def test_rational_roots(self):
         # (2x - 1)(x + 3) = 2x^2 + 5x - 3
-        assert Polynomial([-3, 5, 2]).rational_roots() == [Q(-3), Q(1, 2)]
-        assert Polynomial([1, 0, 1]).rational_roots() == []
+        assert rational_roots([-3, 5, 2]) == [Q(-3), Q(1, 2)]
+        assert rational_roots([1, 0, 1]) == []
         # max_k ceil(|a_(n-k)/an|^(1/k)) is 5 here, below the root -6: the
         # numerator bound needs Fujiwara's factor 2
         sextic = _poly_times([6, 1], [5, 1], [-3, 1], [-3, 1], [2, 0, 1])
-        assert Polynomial(sextic).rational_roots() == [Q(-6), Q(-5), Q(3)]
+        assert rational_roots(sextic) == [Q(-6), Q(-5), Q(3)]
+        for bad in ([], [0], [1, 2, 0]):
+            with pytest.raises(ValueError):
+                rational_roots(bad)
 
     def test_rational_roots_of_one_to_twenty(self):
         # a0 = 20!: trial division of a0 up to its square root would run for hours
         linear = _poly_times(*[[-k, 1] for k in range(1, 21)])
         for coeffs in (linear, _poly_times(linear, [2, 0, 1])):
             start = time.perf_counter()
-            roots = Polynomial(coeffs).rational_roots()
+            roots = rational_roots(coeffs)
             assert time.perf_counter() - start < 1.0
             assert roots == [Q(k) for k in range(1, 21)]
 
@@ -654,21 +652,34 @@ class TestPolynomial:
     def test_rational_roots_match_divisor_oracle(self, roots, cofactor, num, den):
         # a product of (q x - p), times a factor without rational roots, scaled
         ints = _poly_times(*[[-p, q] for p, q in roots], cofactor, [num])
-        poly = Polynomial([Q(c, den) for c in ints])
         expected = sorted({Q(p, q) for p, q in roots})
-        assert poly.rational_roots() == expected == _rational_roots_oracle(ints)
+        assert rational_roots([Q(c, den) for c in ints]) == expected == _rational_roots_oracle(ints)
+
+
+def _minimal_polynomial_oracle(m):
+    """The least k with m^k = sum_(i<k) x_i m^i, found by one solve per
+    degree, as (-x_0, ..., -x_(k-1), 1)."""
+    n = m.rows
+    powers = [Matrix.identity(n)]
+    while True:
+        target = (powers[-1] @ m).flatten()
+        x = solve(Matrix.from_columns([p.flatten() for p in powers]), target)
+        if x is not None:
+            return (*(-c for c in x), ONE)
+        powers.append(powers[-1] @ m)
 
 
 class TestMinimalPolynomial:
     def test_identity(self):
-        assert minimal_polynomial(Matrix.identity(4)) == Polynomial([-1, 1])
+        assert minimal_polynomial(Matrix.identity(4)) == (-1, 1)
 
     def test_nilpotent(self):
-        assert minimal_polynomial(M([[0, 1], [0, 0]])) == Polynomial([0, 0, 1])
+        assert minimal_polynomial(M([[0, 1], [0, 0]])) == (0, 0, 1)
 
     def test_diag(self):
         # (x-1)(x-2) = x^2 - 3x + 2
-        assert minimal_polynomial(M([[1, 0], [0, 2]])) == Polynomial([2, -3, 1])
+        assert minimal_polynomial(M([[1, 0], [0, 2]])) == (2, -3, 1)
+        assert minimal_polynomial(Matrix.zero(0, 0)) == (1,)
 
     def test_non_square(self):
         with pytest.raises(ValueError):
@@ -682,9 +693,25 @@ class TestMinimalPolynomial:
             p = minimal_polynomial(m)
             # p(m) by Horner's rule
             value = Matrix.zero(n, n)
-            for c in reversed(p.coeffs):
+            for c in reversed(p):
                 value = value @ m + Matrix.identity(n).scale(c)
             assert value.is_zero()
+            assert p == _minimal_polynomial_oracle(m)
+
+    def test_one_solve_per_call(self, monkeypatch):
+        # the grading derivation of nonabelian2^(8) has eigenvalues 1 .. 8,
+        # so degree 8: one SparseSystem finds it, and one solve writes m^8
+        calls = []
+
+        def counting(a, b):
+            calls.append(a.cols)
+            return solve(a, b)
+
+        monkeypatch.setattr(linalg, "solve", counting)
+        d = grading_derivation(nonabelian2(), 8)
+        p = minimal_polynomial(d)
+        assert calls == [8]
+        assert rational_roots(p) == [Q(k) for k in range(1, 9)]
 
 
 def companion(coeffs):
@@ -696,40 +723,46 @@ def companion(coeffs):
     return M([[1 if i == j + 1 else 0 for j in range(n - 1)] + [-coeffs[i] / lead] for i in range(n)])
 
 
+def weights_on_abelian(m):
+    """The weights of m as a torus of abelian(n), where every matrix is a
+    derivation, so the torus check is the diagonalizability test over Q;
+    None when m has no eigenbasis over Q."""
+    rep = verify_torus(abelian(m.rows), [m])
+    return tuple(fun[0] for fun, _ in rep.parts) if rep.ok else None
+
+
 class TestSplitSemisimple:
+    """One matrix is split semisimple, diagonalizable over Q, exactly when
+    it generates a torus of the abelian algebra of its size."""
+
     def test_diag_repeated(self):
-        rep = split_semisimple_check(M([[1, 0, 0], [0, 1, 0], [0, 0, 2]]))
-        assert rep.semisimple and rep.split
-        assert rep.eigenvalues == (Q(1), Q(2))
+        assert weights_on_abelian(M([[1, 0, 0], [0, 1, 0], [0, 0, 2]])) == (Q(1), Q(2))
 
     def test_jordan_block(self):
-        # x^2: the radical x has one rational root, so split but not semisimple
-        rep = split_semisimple_check(M([[0, 1], [0, 0]]))
-        assert not rep.semisimple
-        assert rep.split
-        assert rep.eigenvalues == (Q(0),)
+        # x^2: one rational root, but not squarefree, so no eigenbasis
+        m = M([[0, 1], [0, 0]])
+        assert rational_roots(minimal_polynomial(m)) == [Q(0)]
+        assert weights_on_abelian(m) is None
 
     @pytest.mark.parametrize(
-        "coeffs, semisimple, eigenvalues",
+        "coeffs, roots, weights",
         [
-            ([-3, 5, 2], True, (Q(-3), Q(1, 2))),
-            ([1, 0, 1], True, None),
-            ([1, 0, 2, 0, 1], False, None),
-            (_poly_times([-2, 1], [-2, 1], [1, 1]), False, (Q(-1), Q(2))),
-            (_poly_times([-1, 1], [-2, 0, 1]), True, None),
+            ([-3, 5, 2], [Q(-3), Q(1, 2)], (Q(-3), Q(1, 2))),
+            ([1, 0, 1], [], None),
+            ([1, 0, 2, 0, 1], [], None),
+            (_poly_times([-2, 1], [-2, 1], [1, 1]), [Q(-1), Q(2)], None),
+            (_poly_times([-1, 1], [-2, 0, 1]), [Q(1)], None),
         ],
         ids=["(2x-1)(x+3)", "x^2+1", "(x^2+1)^2", "(x-2)^2(x+1)", "(x-1)(x^2-2)"],
     )
-    def test_companion(self, coeffs, semisimple, eigenvalues):
+    def test_companion(self, coeffs, roots, weights):
         m = companion(coeffs)
-        assert minimal_polynomial(m) == Polynomial(coeffs).monic()
-        rep = split_semisimple_check(m)
-        assert rep.semisimple == semisimple
-        assert rep.split == (eigenvalues is not None)
-        assert rep.eigenvalues == eigenvalues
+        assert minimal_polynomial(m) == _monic(coeffs)
+        assert rational_roots(minimal_polynomial(m)) == roots
+        assert weights_on_abelian(m) == weights
 
     def test_rotation_not_split(self):
-        rep = split_semisimple_check(M([[0, -1], [1, 0]]))
-        assert rep.semisimple  # x^2 + 1 is squarefree
-        assert not rep.split
-        assert rep.eigenvalues is None
+        # x^2 + 1 is squarefree but has no rational root
+        m = M([[0, -1], [1, 0]])
+        assert rational_roots(minimal_polynomial(m)) == []
+        assert weights_on_abelian(m) is None

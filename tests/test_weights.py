@@ -31,9 +31,10 @@ from lieq.linalg import (
     ZERO,
     combine,
     image_with_preimages,
+    minimal_polynomial,
     nullspace,
+    rational_roots,
     refine_eigenspaces,
-    split_semisimple_check,
 )
 from lieq.weights import (
     DegeneratePairError,
@@ -83,10 +84,10 @@ class TestWeightDecomposition:
         # second generator d*d - 2d has the same eigenspaces with shifted
         # eigenvalues (1 -> -1, 2 -> 0); it is not itself a derivation, so
         # the refinement is called directly, without torus verification,
-        # with the spectra split_semisimple_check computes
+        # with the spectra verify_torus computes
         d = grading
         d2 = d @ d - d.scale(2)
-        spec, spec2 = (split_semisimple_check(m).eigenvalues for m in (d, d2))
+        spec, spec2 = (rational_roots(minimal_polynomial(m)) for m in (d, d2))
         parts1 = refine_eigenspaces(gp2.dim, [d], [spec])
         parts2 = refine_eigenspaces(gp2.dim, [d, d2], [spec, spec2])
         assert [fun for fun, _ in parts2] == [(Q(1), Q(-1)), (Q(2), Q(0))]
@@ -230,7 +231,7 @@ REFINE_CASES = {
 @pytest.mark.parametrize("name", list(REFINE_CASES))
 def test_refine_eigenspaces_matches_kernel_lift(name):
     n, mats = REFINE_CASES[name]()
-    spectra = [split_semisimple_check(b).eigenvalues for b in mats]
+    spectra = [rational_roots(minimal_polynomial(b)) for b in mats]
     parts = refine_eigenspaces(n, mats, spectra)
     assert parts == dense_refine_eigenspaces(n, mats, spectra)
     assert sum(sub.dim for _, sub in parts) == n
