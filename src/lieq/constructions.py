@@ -124,6 +124,7 @@ def abelian(n: int) -> LieAlgebra:
 
 def nonabelian2() -> LieAlgebra:
     """The 2-dimensional algebra [x, y] = y (complete)."""
+    check_dim_cap(2)
     return LieAlgebra(2, {(0, 1): {1: 1}}, ("x", "y"), check=True)
 
 

@@ -43,7 +43,7 @@ Der(g) under the commutator) raise `InvariantError` when they fail.
 from __future__ import annotations
 
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .liealg import DEFAULT_DIM_CAP, DimensionCapError, LieAlgebra, dim_cap
 from .linalg import (
@@ -303,25 +303,15 @@ def inner_preimage(ds: DerivationSpace, coords: Sequence) -> tuple:
     return tuple(combine(c, ds.ad_preimages, n))
 
 
-class CompletenessCertificate:
+class CompletenessCertificate(NamedTuple):
     """center_dim = 0 and der_dim = inner_dim  <=>  complete; otherwise the
     witness exhibits the failure (a central element or an outer derivation)."""
 
-    __slots__ = ("center_dim", "der_dim", "inner_dim", "complete", "witness")
-
-    def __init__(self, center_dim, der_dim, inner_dim, complete, witness):
-        self.center_dim = center_dim
-        self.der_dim = der_dim
-        self.inner_dim = inner_dim
-        self.complete = complete
-        self.witness = witness  # ('central', element) | ('outer', Matrix) | None
-
-    def __repr__(self):
-        return (
-            f"CompletenessCertificate(complete={self.complete}, "
-            f"center_dim={self.center_dim}, der_dim={self.der_dim}, "
-            f"inner_dim={self.inner_dim})"
-        )
+    center_dim: int
+    der_dim: int
+    inner_dim: int
+    complete: bool
+    witness: tuple | None  # ('central', element) | ('outer', Matrix) | None
 
 
 def is_complete(g: LieAlgebra, ds: DerivationSpace | None = None) -> CompletenessCertificate:
@@ -390,16 +380,10 @@ def z_s_subspace(g: LieAlgebra, images: Sequence[Matrix]) -> Subspace:
     return g.center().intersect(SparseSystem(g.dim, rows).kernel())
 
 
-class TorusReport:
-    __slots__ = ("ok", "failures", "parts")
-
-    def __init__(self, ok: bool, failures: list, parts: tuple | None):
-        self.ok = ok
-        self.failures = failures  # list of (check name, witness description)
-        self.parts = parts  # the weight spaces, when ok
-
-    def __repr__(self):
-        return f"TorusReport(ok={self.ok}, failures={self.failures})"
+class TorusReport(NamedTuple):
+    ok: bool
+    failures: list  # list of (check name, witness description)
+    parts: tuple | None  # the weight spaces, when ok
 
 
 def verify_torus(base: LieAlgebra, b_mats: Sequence[Matrix]) -> TorusReport:
@@ -453,20 +437,11 @@ def diagonal_derivation_torus(g: LieAlgebra) -> list[Matrix]:
     ]
 
 
-class TowerReport:
-    __slots__ = ("dims", "stabilized", "stable_index", "budget_exceeded")
-
-    def __init__(self, dims, stabilized, stable_index, budget_exceeded):
-        self.dims = dims
-        self.stabilized = stabilized
-        self.stable_index = stable_index
-        self.budget_exceeded = budget_exceeded
-
-    def __repr__(self):
-        return (
-            f"TowerReport(dims={self.dims}, stabilized={self.stabilized}, "
-            f"index={self.stable_index}, budget_exceeded={self.budget_exceeded})"
-        )
+class TowerReport(NamedTuple):
+    dims: tuple
+    stabilized: bool
+    stable_index: int | None
+    budget_exceeded: bool
 
 
 def derivation_tower(g: LieAlgebra, max_steps: int = 4) -> TowerReport:

@@ -20,7 +20,7 @@ an algebra.
 from __future__ import annotations
 
 import os
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .linalg import (
     Matrix,
@@ -73,11 +73,8 @@ class NotClosedError(ValueError):
         )
 
 
-class ValidationReport:
-    __slots__ = ("jacobi_failures",)
-
-    def __init__(self, jacobi_failures: list):
-        self.jacobi_failures = jacobi_failures
+class ValidationReport(NamedTuple):
+    jacobi_failures: list
 
     @property
     def ok(self) -> bool:
@@ -315,11 +312,8 @@ def _descend(full: Subspace, second: Subspace, step) -> list[Subspace]:
     return terms
 
 
-class SeriesReport:
-    __slots__ = ("derived_series", "lower_central_series", "is_solvable", "is_nilpotent")
-
-    def __init__(self, derived_series, lower_central_series, is_solvable, is_nilpotent):
-        self.derived_series = derived_series
-        self.lower_central_series = lower_central_series
-        self.is_solvable = is_solvable
-        self.is_nilpotent = is_nilpotent
+class SeriesReport(NamedTuple):
+    derived_series: tuple
+    lower_central_series: tuple
+    is_solvable: bool
+    is_nilpotent: bool

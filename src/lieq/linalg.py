@@ -170,15 +170,6 @@ class Matrix:
             out.append(acc)
         return out
 
-    def apply(self, v: Sequence) -> tuple:
-        """Matrix-vector product."""
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        return tuple(
-            sum((a * b for a, b in zip(row, v) if a and b), ZERO)
-            for row in self.data
-        )
-
     def commutator(self, other: "Matrix") -> "Matrix":
         """self @ other - other @ self, subtracting only the nonzero entries
         of the second product."""

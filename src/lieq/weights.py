@@ -7,7 +7,7 @@ with pass/fail and a witness, plus a dimension table.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .constructions import (
     abelian,
@@ -67,13 +67,10 @@ def is_nondegenerate_pair(
     return g.dim == 0 or all(any(fun) for fun, _ in parts), parts
 
 
-class Check:
-    __slots__ = ("name", "passed", "detail")
-
-    def __init__(self, name: str, passed: bool, detail: str = ""):
-        self.name = name
-        self.passed = passed
-        self.detail = detail
+class Check(NamedTuple):
+    name: str
+    passed: bool
+    detail: str = ""
 
     def __repr__(self):
         mark = "PASS" if self.passed else "FAIL"

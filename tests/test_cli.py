@@ -1,4 +1,3 @@
-import importlib
 import json
 import subprocess
 import sys
@@ -6,15 +5,14 @@ import time
 
 import pytest
 
+import lieq.derivations as DERIVATIONS
+import lieq.linalg as LINALG
 from lieq.cli import run_command
 from lieq.constructions import catalog, full_graph, heisenberg
 from lieq.derivations import diagonal_derivation_torus
 from lieq.fileio import AlgebraFileError, parse_algebra, serialize_algebra
 from lieq.linalg import SparseSystem, Subspace
 from lieq.weights import theorem1_pipeline
-
-DERIVATIONS = importlib.import_module("lieq.derivations")
-LINALG = importlib.import_module("lieq.linalg")
 
 
 def run_cli(*args):
@@ -385,6 +383,16 @@ class TestCommands:
         assert run_command(["analyze", "catalog:heisenberg:2"]) == 1
         assert "dimension 5 exceeds LIE_DIM_CAP 4" in capsys.readouterr().err
         assert run_command(["analyze", "catalog:heisenberg:1"]) == 0
+        capsys.readouterr()
+        for cap, message in (
+            ("1", "dimension 2 exceeds LIE_DIM_CAP 1"),
+            ("abc", "LIE_DIM_CAP must be an integer, not 'abc'"),
+        ):
+            monkeypatch.setenv("LIE_DIM_CAP", cap)
+            assert run_command(["analyze", "catalog:nonabelian2"]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert message in err
 
     def test_analyze_refuses_der_over_cap(self, monkeypatch, capsys):
         # abelian:24 is within the cap, but its Der = gl_24 has dimension
@@ -393,7 +401,7 @@ class TestCommands:
             raise AssertionError("Der(g) was built")
 
         monkeypatch.setattr(SparseSystem, "nullspace_basis", fail)
-        monkeypatch.setattr(importlib.import_module("lieq.derivations"), "commutator_table", fail)
+        monkeypatch.setattr(DERIVATIONS, "commutator_table", fail)
         start = time.perf_counter()
         assert run_command(["analyze", "catalog:abelian:24"]) == 1
         assert time.perf_counter() - start < 1.0

@@ -1,4 +1,3 @@
-import importlib
 import random
 from pathlib import Path
 
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lieq.derivations as DERIVATIONS_MODULE
 from lieq.constructions import (
     abelian,
     catalog,
@@ -45,8 +45,7 @@ from lieq.linalg import (
     rank_bareiss,
 )
 
-# the module itself: the package re-exports the function under its name
-DERIVATIONS_MODULE = importlib.import_module("lieq.derivations")
+from test_linalg import mat_vec
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -182,13 +181,13 @@ class TestDerivations:
 
 def dense_is_derivation(g, m):
     """The dense Leibniz check that is_derivation replaced, kept as an
-    oracle: Matrix.apply and LieAlgebra.bracket on every basis pair."""
+    oracle: mat_vec and LieAlgebra.bracket on every basis pair."""
     if m.rows != g.dim or m.cols != g.dim:
         return False
     cols = [m.column(i) for i in range(g.dim)]
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            lhs = m.apply(g.bracket(g.basis_element(i), g.basis_element(j)))
+            lhs = mat_vec(m, g.bracket(g.basis_element(i), g.basis_element(j)))
             rhs = g.bracket(cols[i], g.basis_element(j))
             rhs2 = g.bracket(g.basis_element(i), cols[j])
             if any(a != b + c for a, b, c in zip(lhs, rhs, rhs2)):

@@ -8,13 +8,16 @@ calls `nullspace`: every kernel goes through `SparseSystem.kernel()`.
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
+import lieq.derivations as derivations_module
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "lieq"
-# The package namespace itself ("lieq", which holds __version__) imports the
-# layers up to weights, so it sits between weights and cli.
-LAYERS = ["linalg", "liealg", "fileio", "derivations", "constructions", "weights", "lieq", "cli"]
+# The package namespace itself ("lieq", which holds __version__) imports
+# nothing, so it is the bottom layer.
+LAYERS = ["lieq", "linalg", "liealg", "fileio", "derivations", "constructions", "weights", "cli"]
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 
 
@@ -42,6 +45,17 @@ def _imported_layers(tree):
 
 def test_every_module_has_a_layer():
     assert set(MODULES) <= set(LAYERS)
+
+
+def test_package_binds_only_version():
+    # a re-export in the package would bind the function `derivations` over
+    # the submodule of the same name, so `import lieq.derivations as m`
+    # would give the function
+    docstring, *statements = _tree("__init__").body
+    assert isinstance(docstring, ast.Expr)
+    assert len(statements) == 1 and isinstance(statements[0], ast.Assign)
+    assert [ast.unparse(t) for t in statements[0].targets] == ["__version__"]
+    assert isinstance(derivations_module, ModuleType)
 
 
 @pytest.mark.parametrize("module", MODULES)
