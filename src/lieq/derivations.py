@@ -125,12 +125,6 @@ class DerivationSpace:
         n = self.base.dim
         return Matrix.unflatten(combine(coeffs, self.space.rows.values(), n * n), n, n)
 
-    def subspace_mats(self, sub: Subspace) -> list[Matrix]:
-        """Matrices for a subspace given in Der-coefficient coordinates."""
-        if sub.ambient_dim != self.dim:
-            raise ValueError("subspace not in Der-coefficient coordinates")
-        return [self.from_coords(v) for v in sub.vectors()]
-
     def __repr__(self):
         return f"DerivationSpace(base dim {self.base.dim}, dim {self.dim})"
 

@@ -194,26 +194,23 @@ class LieAlgebra:
         listed in lexicographic order.
 
         The cyclic sum [c_ij, e_k] + [c_jk, e_i] + [c_ki, e_j] is summed in
-        int over `integer_sc`."""
+        int over `integer_sc`, from its nonzero terms only: each term
+        [[e_a, e_b], e_m] with a < b and m outside {a, b} is added to the sum
+        of the sorted triple, negated when a < m < b, since there it stands
+        for -[c_ki, e_j].  A triple with no nonzero term sums to zero."""
         isc = self.integer_sc()
-        failures = []
-        n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    acc: dict[int, int] = {}
-                    for a, b, m in ((i, j, k), (j, k, i), (k, i, j)):
-                        v = isc[a].get(b)
-                        if v is None:
-                            continue
-                        for l, c in v.items():
-                            w = isc[l].get(m)
-                            if w is not None:
+        sums: dict[tuple[int, int, int], dict[int, int]] = {}
+        for a, row in enumerate(isc):
+            for b, v in row.items():
+                if a < b:
+                    for l, c in v.items():
+                        for m, w in isc[l].items():
+                            if m != a and m != b:
+                                f = -c if a < m < b else c
+                                acc = sums.setdefault(tuple(sorted((a, b, m))), {})
                                 for t, ct in w.items():
-                                    acc[t] = acc.get(t, 0) + c * ct
-                    if any(acc.values()):
-                        failures.append((i, j, k))
-        return ValidationReport(failures)
+                                    acc[t] = acc.get(t, 0) + f * ct
+        return ValidationReport(sorted(key for key, acc in sums.items() if any(acc.values())))
 
     def center(self) -> Subspace:
         """{x : [x, y] = 0 for all y}: coordinate k of [x, e_j] is

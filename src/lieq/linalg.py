@@ -14,10 +14,10 @@ A polynomial is its tuple of coefficients, lowest degree first:
 There is one elimination kernel.  `SparseSystem(ncols, rows)` clears each
 sparse row's denominators, eliminates fraction-free over Z and back-reduces
 to the reduced row echelon form, dividing by each lead only at the end;
-`rref`, `nullspace`, `solve`, `rank` and the canonical subspaces all run on
-it, and the Der(g), center and series solvers feed it directly.  A
-canonical `Subspace` holds those reduced rows, {lead: {col: q}}, as its one
-form (`Subspace.from_system`); its operations read the rows, and
+`rref`, `solve` and the canonical subspaces all run on it, and the Der(g),
+center and series solvers feed it directly.  A canonical `Subspace` holds
+those reduced rows, {lead: {col: q}}, as its one form
+(`Subspace.from_system`); its operations read the rows, and
 `vectors()` is the dense view for callers outside the library.  Every
 kernel is `SparseSystem.kernel()`: the nullspace basis read sparsely off
 the reduced rows, then reduced to its canonical Subspace by one more
@@ -40,7 +40,6 @@ input.
 from __future__ import annotations
 
 import re
-from functools import reduce
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
@@ -115,42 +114,15 @@ class Matrix:
             and self.data == other.data
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
-
     def __repr__(self):
         body = "; ".join(" ".join(q_str(x) for x in row) for row in self.data)
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.data)
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
-
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.data, other.data)
-            ]
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scale(-ONE)
-
-    def scale(self, c) -> "Matrix":
-        c = as_q(c)
-        return Matrix([[c * x for x in row] for row in self.data])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -214,10 +186,6 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     rows = [[reduced[lead].get(c, ZERO) for c in range(m.cols)] for lead in pivots]
     rows += [[ZERO] * m.cols for _ in range(m.rows - len(pivots))]
     return Matrix(rows), pivots
-
-
-def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
 
 
 def rank_bareiss(m: Matrix) -> int:
@@ -401,11 +369,6 @@ def _coerced_row(v: Sequence, n: int) -> dict:
     return {j: q for j, x in enumerate(v) if (q := as_q(x))}
 
 
-def nullspace(m: Matrix) -> "Subspace":
-    """Kernel {v : m v = 0} as a canonical Subspace."""
-    return SparseSystem(m.cols, map(_sparse, m.data)).kernel()
-
-
 def combine(coeffs: Sequence, rows: Iterable[dict], n: int) -> list:
     """sum_r c_r v_r in Q^n, one coefficient per sparse row v_r = {col: value}."""
     out = [ZERO] * n
@@ -441,7 +404,7 @@ def solve(a: Matrix, b: Sequence) -> tuple | None:
         return None
     x = [ZERO] * a.cols
     for i, c in enumerate(pivots):
-        x[c] = r[i, a.cols]
+        x[c] = r.data[i][a.cols]
     return tuple(x)
 
 
@@ -472,10 +435,6 @@ class Subspace:
         return Subspace(system.ncols, system.reduced_rows())
 
     @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, {})
-
-    @staticmethod
     def full(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, {i: {i: ONE} for i in range(ambient_dim)})
 
@@ -494,11 +453,6 @@ class Subspace:
             and self.ambient_dim == other.ambient_dim
             and self.rows == other.rows
         )
-
-    def __hash__(self):
-        # frozensets: the entries of a row are in no fixed order
-        rows = frozenset((lead, frozenset(row.items())) for lead, row in self.rows.items())
-        return hash((self.ambient_dim, rows))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -528,11 +482,6 @@ class Subspace:
         self._check_ambient(other)
         return all(self.coords_of_row(row) is not None for row in other.rows.values())
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        rows = [*self.rows.values(), *other.rows.values()]
-        return Subspace.from_system(SparseSystem(self.ambient_dim, rows))
-
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: the reduced rows of the span of the rows (a, a) and
         (b, 0) that lead in the right half carry the intersection there."""
@@ -561,7 +510,9 @@ def rational_roots(coeffs: Sequence) -> list:
     degree first and leading coefficient nonzero, sorted, by the
     rational-root theorem (complete over Q).  A root p/q has p | a0, q | an
     and |p/q| <= 2 max_k |a_(n-k)/an|^(1/k) (Fujiwara), so only p up to that
-    bound times an are tried."""
+    bound times an are tried.  A candidate +-p/q in lowest terms is tested
+    in integers, by sum_k a_k (+-p)^k q^(n-k) = 0 over the cleared
+    coefficients a_k."""
     cs = [as_q(c) for c in coeffs]
     if not cs or not cs[-1]:
         raise ValueError("rational roots need a nonzero leading coefficient")
@@ -575,10 +526,18 @@ def rational_roots(coeffs: Sequence) -> list:
     qs = _divisors(an, an)
     for p in _divisors(a0, top):
         for q in qs:
-            for cand in (Q(p, q), Q(-p, q)):
-                if cand not in roots and not reduce(lambda v, c: v * cand + c, reversed(cs), ZERO):
-                    roots.append(cand)
+            if gcd(p, q) == 1:
+                roots += (Q(s, q) for s in (p, -p) if not _homogeneous_value(ics, n, s, q))
     return sorted(roots)
+
+
+def _homogeneous_value(ics: dict, n: int, p: int, q: int) -> int:
+    """sum_k a_k p^k q^(n-k) over the integer coefficients {k: a_k}: q^n
+    times the value of the polynomial at p/q, by Horner's rule."""
+    v = 0
+    for k in range(n, -1, -1):
+        v = v * p + ics.get(k, 0) * q ** (n - k)
+    return v
 
 
 def _ceil_root(num: int, den: int, k: int) -> int:

@@ -124,7 +124,7 @@ def theorem1_pipeline(
         raise ValueError("the torus generators are linearly dependent")
     h1 = semidirect(abelian(p), g, torus_mats)
     tau_sub = centralizer_in_der(ds, torus_coords)
-    tau_mats = ds.subspace_mats(tau_sub)
+    tau_mats = [ds.from_coords(v) for v in tau_sub.vectors()]
     tau_alg = ds.algebra.subalgebra_structure(
         tau_sub, tuple(f"t{k}" for k in range(tau_sub.dim))
     )
@@ -313,10 +313,12 @@ def theorem2_check(g: LieAlgebra) -> PipelineReport:
 def _lemma4_image(dsg: DerivationSpace, d: tuple) -> Matrix:
     """Matrix on f(g) of (s1, x) -> (0, D(x) + I([D, s1])), what Lemma 4
     adds for D in F(g), given in Der(g) coordinates; the [D, s1] with the
-    Der(g) basis vectors s1 are the columns of ad(D) in dsg.algebra."""
-    der = dsg.algebra
-    ad_d = der.ad_matrix(d)
-    cols = [der.zero() + inner_preimage(dsg, ad_d.column(j)) for j in range(der.dim)]
+    Der(g) basis vectors s1 are the columns of ad(D) in dsg.algebra, read
+    off its sparse rows."""
+    der, span = dsg.algebra, range(dsg.dim)
+    ad_d = der.ad_rows(d)
+    rows = [ad_d.get(k, {}) for k in span]
+    cols = [der.zero() + inner_preimage(dsg, [r.get(j, ZERO) for r in rows]) for j in span]
     dm = dsg.from_coords(d)
     cols += [der.zero() + dm.column(i) for i in range(dsg.base.dim)]
     return Matrix.from_columns(cols)

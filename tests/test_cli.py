@@ -14,6 +14,8 @@ from lieq.fileio import AlgebraFileError, parse_algebra, serialize_algebra
 from lieq.linalg import SparseSystem, Subspace
 from lieq.weights import theorem1_pipeline
 
+from oracles import mat_comb
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -116,7 +118,7 @@ class TestExitCodes:
         # None stands for t0 + t1: a torus of dimension 2 with 3 generators
         h3 = heisenberg(1)
         t0, t1 = diagonal_derivation_torus(h3)
-        mats = [t0 + t1 if k is None else (t0, t1)[k] for k in pick]
+        mats = [mat_comb((1, t0), (1, t1)) if k is None else (t0, t1)[k] for k in pick]
         with pytest.raises(ValueError, match="^the torus generators are linearly dependent$"):
             theorem1_pipeline(h3, mats)
 
@@ -242,7 +244,7 @@ class TestInternalChecks:
     def test_inner_derivation_outside_der(self, monkeypatch, capsys):
         class EmptyKernel(SparseSystem):
             def kernel(self):
-                return Subspace.zero(self.ncols)
+                return Subspace(self.ncols, {})
 
         monkeypatch.setattr(DERIVATIONS, "SparseSystem", EmptyKernel)
         self.assert_internal_failure(

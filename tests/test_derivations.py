@@ -1,5 +1,4 @@
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +30,6 @@ from lieq.derivations import (
     verify_torus,
     z_s_subspace,
 )
-from lieq.fileio import parse_algebra
 from lieq.liealg import DimensionCapError, InvalidStructureError, LieAlgebra
 from lieq.linalg import (
     Matrix,
@@ -41,35 +39,18 @@ from lieq.linalg import (
     Subspace,
     ZERO,
     clear_denominators,
-    nullspace,
     rank_bareiss,
 )
 
-from test_linalg import mat_vec
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
-
-# The catalog algebras that the perfbench catalog-analyze and pipelines
-# commands load, and the committed dense-rational inputs.
-STRUCTURE_SOURCES = (
-    "heisenberg:1",
-    "heisenberg:2",
-    "abelian:4",
-    "nonabelian2",
-    "graded-power:heisenberg:1:2",
-    "graded-power:nonabelian2:2",
-    "full-graph:heisenberg:1",
-    "full-graph:nonabelian2",
-    "full-graph:full-graph:nonabelian2",
-    "h5_dense.json",
-    "f2_nonabelian2_dense.json",
+from oracles import (
+    STRUCTURE_SOURCES,
+    bumped,
+    dense_is_derivation,
+    load_structure_source,
+    mat_comb,
+    sl2_plus_center,
+    sparse,
 )
-
-
-def load_structure_source(name):
-    if name.endswith(".json"):
-        return parse_algebra((GOLDEN / name).read_bytes())
-    return catalog(name)
 
 
 def dense_leibniz_matrix(g):
@@ -93,16 +74,16 @@ def dense_leibniz_matrix(g):
     return Matrix(rows)
 
 
+def dense_leibniz_kernel(g):
+    """Der(g) as the kernel of the dense Leibniz constraint matrix."""
+    return SparseSystem(g.dim ** 2, map(sparse, dense_leibniz_matrix(g).data)).kernel()
+
+
 def brute_force_der_dim(g):
     """Oracle: dim Der(g) = n^2 - rank of the dense Leibniz constraint
     matrix, with rank taken by fraction-free Bareiss elimination; shares
     nothing with the sparse solver in lieq.derivations."""
     return g.dim ** 2 - rank_bareiss(dense_leibniz_matrix(g))
-
-
-def sl2_plus_center():
-    """sl2 + Q: a centre, and dim Der = 4 = dim g, one more than dim ad."""
-    return LieAlgebra(4, {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}})
 
 
 @pytest.fixture(scope="module")
@@ -179,28 +160,6 @@ class TestDerivations:
         assert again.basis_mats == ds_h3.basis_mats
 
 
-def dense_is_derivation(g, m):
-    """The dense Leibniz check that is_derivation replaced, kept as an
-    oracle: mat_vec and LieAlgebra.bracket on every basis pair."""
-    if m.rows != g.dim or m.cols != g.dim:
-        return False
-    cols = [m.column(i) for i in range(g.dim)]
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            lhs = mat_vec(m, g.bracket(g.basis_element(i), g.basis_element(j)))
-            rhs = g.bracket(cols[i], g.basis_element(j))
-            rhs2 = g.bracket(g.basis_element(i), cols[j])
-            if any(a != b + c for a, b, c in zip(lhs, rhs, rhs2)):
-                return False
-    return True
-
-
-def bumped(m, i, j, by):
-    """m with by added to entry (i, j)."""
-    return Matrix([[x + by if (r, c) == (i, j) else x for c, x in enumerate(row)]
-                   for r, row in enumerate(m.data)])
-
-
 def theorem1_torus(name, torus):
     g = catalog(name)
     if torus == "diagonal":
@@ -254,7 +213,7 @@ class TestIsDerivationOracle:
         # adding a derivation keeps a derivation, on a nonabelian algebra
         g = heisenberg(1)
         ds = derivations(g)
-        m = ds.basis_mats[0] + ds.basis_mats[1].scale(Q(-2, 3))
+        m = mat_comb((1, ds.basis_mats[0]), (Q(-2, 3), ds.basis_mats[1]))
         assert is_derivation(g, m) and dense_is_derivation(g, m)
 
 
@@ -309,7 +268,7 @@ class TestRankBound:
     def test_space_is_nullspace_of_every_row(self, name):
         g = load_structure_source(name)
         ds = derivations(g)
-        assert ds.space == nullspace(dense_leibniz_matrix(g))
+        assert ds.space == dense_leibniz_kernel(g)
         for m in ds.basis_mats:
             assert is_derivation(g, m)
 
@@ -341,7 +300,7 @@ class TestRankBound:
         fed, ds = self.rows_fed(g, monkeypatch)
         assert fed == n * n * (n - 1) // 2
         assert ds.dim == ds.inner.dim == n
-        assert ds.space == nullspace(dense_leibniz_matrix(g))
+        assert ds.space == dense_leibniz_kernel(g)
 
     def test_exact_rank_audited_by_modular_rank(self, monkeypatch):
         # drops D[2][2] = D[0][0] + D[1][1], the one Leibniz row of h3 that
@@ -499,9 +458,7 @@ class TestCommutatorTable:
         table = commutator_table(span, 2)
         assert set(table) == {(0, 1), (0, 2), (1, 2)}
         for (a, b), coords in table.items():
-            recon = Matrix.zero(2, 2)
-            for t, c in coords.items():
-                recon = recon + mats[t].scale(c)
+            recon = mat_comb((0, mats[0]), *((c, mats[t]) for t, c in coords.items()))
             assert recon == mats[a].commutator(mats[b])
 
 
@@ -571,7 +528,7 @@ class TestIsComplete:
         assert not cert.complete
         assert cert.witness[0] == "central"
         kind, v = cert.witness
-        assert h3.ad_matrix(v).is_zero()
+        assert not any(h3.ad_matrix(v).flatten())
 
     def test_outer_witness_verified(self, fh3, ds_fh3):
         cert = is_complete(fh3, ds_fh3)
@@ -601,13 +558,13 @@ class TestCentralizer:
         d = grading_derivation(heisenberg(1), 2)
         tau = centralizer_in_der(ds, [ds.coords_of(d)])
         # every tau element commutes with d, i.e. preserves both slots
-        for m in ds.subspace_mats(tau):
-            assert m.commutator(d).is_zero()
+        for v in tau.vectors():
+            assert not any(ds.from_coords(v).commutator(d).flatten())
         # block matrices inside Der that commute with d, counted directly
         blocky = [
             v
             for v in ds.space.vectors()
-            if Matrix.unflatten(v, 6, 6).commutator(d).is_zero()
+            if not any(Matrix.unflatten(v, 6, 6).commutator(d).flatten())
         ]
         assert tau.dim >= Subspace.from_vectors(36, blocky).dim
 
@@ -685,7 +642,7 @@ class TestVerifyTorus:
     def test_each_nonderivation_named(self, h3):
         # the identity sends z = [x, y] to z, not to [x, y] + [x, y] = 2z
         eye = Matrix.identity(3)
-        rep = verify_torus(h3, [eye, diagonal_derivation_torus(h3)[0], eye.scale(2)])
+        rep = verify_torus(h3, [eye, diagonal_derivation_torus(h3)[0], mat_comb((2, eye))])
         assert not rep.ok and rep.parts is None
         assert rep.failures == [
             ("derivation", "generator 0 fails the Leibniz identity"),
@@ -798,17 +755,15 @@ def phi_candidates(draw):
     n = g.dim
     basis = derivations(g).basis_mats
     coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis)))
-    d0 = Matrix.zero(n, n)
-    for c, m in zip(coeffs, basis):
-        d0 = d0 + m.scale(c)
+    d0 = mat_comb((0, Matrix.zero(n, n)), *zip(coeffs, basis))
     images = []
     for _ in range(s.dim):
-        img = d0.scale(draw(st.integers(-2, 2)))
+        img = mat_comb((draw(st.integers(-2, 2)), d0))
         if draw(st.booleans()):
             entries = st.integers(-1, 1)
-            img = img + Matrix(draw(st.lists(
+            img = mat_comb((1, img), (1, Matrix(draw(st.lists(
                 st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
-            )))
+            )))))
         images.append(img)
     return s, g, images
 
@@ -842,7 +797,7 @@ def dense_centralizer(ds, b_mats):
     for b in b_mats:
         cols = [m.commutator(b).flatten() for m in ds.basis_mats]
         rows += [row for row in zip(*cols) if any(row)]
-    return nullspace(Matrix(rows)) if rows else Subspace.full(ds.dim)
+    return SparseSystem(ds.dim, map(sparse, rows)).kernel()
 
 
 def dense_f_s(ds, images):
@@ -857,7 +812,7 @@ def dense_f_s(ds, images):
             ]
             if any(row):
                 rows.append(row)
-    return nullspace(Matrix(rows)) if rows else Subspace.full(ds.dim)
+    return SparseSystem(ds.dim, map(sparse, rows)).kernel()
 
 
 def dense_z_s(g, images):
@@ -865,7 +820,8 @@ def dense_z_s(g, images):
     zs = g.center()
     if not images:
         return zs
-    return zs.intersect(nullspace(Matrix([row for m in images for row in m.data])))
+    rows = (sparse(row) for m in images for row in m.data)
+    return zs.intersect(SparseSystem(g.dim, rows).kernel())
 
 
 def dense_der_der(ds):
@@ -945,7 +901,7 @@ class TestDenseOracles:
         der_der = ds.algebra.derived_subalgebra()
         dense = dense_der_der(ds)
         flats = Subspace.from_vectors(
-            ds.base.dim ** 2, [m.flatten() for m in ds.subspace_mats(der_der)]
+            ds.base.dim ** 2, [ds.from_coords(v).flatten() for v in der_der.vectors()]
         )
         assert flats == dense
         assert ds.inner.contains(der_der) == ds.inner_flat.contains(dense)

@@ -27,8 +27,7 @@ from lieq.derivations import derivations, diagonal_derivation_torus, is_derivati
 from lieq.fileio import parse_algebra, serialize_algebra
 from lieq.linalg import Matrix, Q
 
-from test_change_of_basis import rebased, unimodular
-from test_derivations import bumped, dense_is_derivation
+from oracles import bumped, dense_is_derivation, mat_comb, rebased, unimodular
 
 BASES = ("nonabelian2", "heisenberg:1", "abelian:1", "abelian:2", "full-graph:nonabelian2")
 
@@ -48,7 +47,7 @@ def torus_products(draw):
     torus = diagonal_derivation_torus(g)
     coeffs = st.lists(st.integers(-2, 2), min_size=len(torus), max_size=len(torus))
     images = [
-        sum((t.scale(Q(c)) for t, c in zip(torus, draw(coeffs))), Matrix.zero(g.dim, g.dim))
+        mat_comb((0, Matrix.zero(g.dim, g.dim)), *zip(draw(coeffs), torus))
         for _ in range(draw(st.integers(1, 2)))
     ]
     return semidirect(abelian(len(images)), g, images)

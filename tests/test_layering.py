@@ -2,8 +2,8 @@
 
 Each module imports only from modules earlier in LAYERS, so the imports
 have no cycle, and every import sits at module level, where it runs once
-and shows the dependency.  No module but linalg reads a nullspace basis or
-calls `nullspace`: every kernel goes through `SparseSystem.kernel()`.
+and shows the dependency.  No module but linalg reads a nullspace basis:
+every kernel goes through `SparseSystem.kernel()`.
 """
 
 import ast
@@ -82,16 +82,11 @@ def test_imports_only_earlier_layers(module):
 
 
 def _kernel_uses(tree):
-    """Lines that reference `nullspace_basis` or call `nullspace`."""
+    """Lines that reference `nullspace_basis`."""
     for node in ast.walk(tree):
         name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
         if name == "nullspace_basis":
             yield node.lineno
-        elif isinstance(node, ast.Call):
-            func = node.func
-            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if called == "nullspace":
-                yield node.lineno
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES + ["__init__"] if m != "linalg"])

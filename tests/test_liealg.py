@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lieq.constructions import abelian, heisenberg, nonabelian2
+from lieq.constructions import abelian, catalog, heisenberg, nonabelian2
 from lieq.liealg import InvalidStructureError, LieAlgebra, NotClosedError
-from lieq.linalg import Matrix, Q, Subspace, rank, solve
+from lieq.linalg import Matrix, Q, Subspace, rank_bareiss, solve
 
-from test_derivations import STRUCTURE_SOURCES, load_structure_source, sl2_plus_center
+from oracles import STRUCTURE_SOURCES, load_structure_source, sl2_plus_center
 
 
 @pytest.fixture
@@ -16,6 +18,52 @@ def h3():
 
 def rand_element(g, rng):
     return tuple(Q(rng.randint(-3, 3)) for _ in range(g.dim))
+
+
+def cyclic_sum_failures(g):
+    """The brute-force Jacobi oracle: the triples i < j < k whose cyclic sum
+    [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j], bracketed
+    densely by LieAlgebra.bracket, is nonzero, in lexicographic order."""
+    e = [g.basis_element(i) for i in range(g.dim)]
+    expected = []
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            for k in range(j + 1, g.dim):
+                s1 = g.bracket(g.bracket(e[i], e[j]), e[k])
+                s2 = g.bracket(g.bracket(e[j], e[k]), e[i])
+                s3 = g.bracket(g.bracket(e[k], e[i]), e[j])
+                if any(a + b + c for a, b, c in zip(s1, s2, s3)):
+                    expected.append((i, j, k))
+    return expected
+
+
+VALID_SOURCES = (
+    "heisenberg:2",
+    "nonabelian2",
+    "full-graph:nonabelian2",
+    "graded-power:heisenberg:1:2",
+)
+
+
+@st.composite
+def sparse_tables(draw):
+    """(dim, table): a random sparse table, or the table of a Lie algebra
+    with up to two of its constants perturbed, so both verdicts occur."""
+    entry = st.builds(Q, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 6))
+        pair = st.sampled_from([(i, j) for i in range(n) for j in range(i + 1, n)])
+        coords = st.dictionaries(st.integers(0, n - 1), entry, min_size=1, max_size=2)
+        return n, draw(st.dictionaries(pair, coords, max_size=n))
+    g = catalog(draw(st.sampled_from(VALID_SOURCES)))
+    table = {(i, j): dict(v) for i, row in enumerate(g.sc) for j, v in row.items() if i < j}
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, g.dim - 2))
+        j = draw(st.integers(i + 1, g.dim - 1))
+        k = draw(st.integers(0, g.dim - 1))
+        v = table.setdefault((i, j), {})
+        v[k] = v.get(k, Q(0)) + draw(entry)
+    return g.dim, table
 
 
 class TestValidate:
@@ -48,7 +96,7 @@ class TestValidate:
                 [1, 0, 1, 0, 2],
             ]
         )
-        assert rank(p) == 5
+        assert rank_bareiss(p) == 5
         cols = [p.column(i) for i in range(5)]
         table = {
             (i, j): dict(enumerate(solve(p, h5.bracket(cols[i], cols[j]))))
@@ -61,16 +109,7 @@ class TestValidate:
         bad = dict(table)
         bad[(1, 3)] = {**bad[(1, 3)], 0: bad[(1, 3)][0] + Q(1, 2)}
         g = LieAlgebra(5, bad, check=False)
-        e = [g.basis_element(i) for i in range(5)]
-        expected = []
-        for i in range(5):
-            for j in range(i + 1, 5):
-                for k in range(j + 1, 5):
-                    s1 = g.bracket(g.bracket(e[i], e[j]), e[k])
-                    s2 = g.bracket(g.bracket(e[j], e[k]), e[i])
-                    s3 = g.bracket(g.bracket(e[k], e[i]), e[j])
-                    if any(a + b + c for a, b, c in zip(s1, s2, s3)):
-                        expected.append((i, j, k))
+        expected = cyclic_sum_failures(g)
         assert len(expected) > 1
         assert g.validate().jacobi_failures == expected
         with pytest.raises(InvalidStructureError, match=r"\(%d, %d, %d\)" % expected[0]):
@@ -98,7 +137,7 @@ class TestValidate:
                 [Q(1, 3), 0, 1, 0, Q(5, 6)],
             ]
         )
-        assert rank(p) == 5
+        assert rank_bareiss(p) == 5
         cols = [p.column(i) for i in range(5)]
         table = {
             (i, j): dict(enumerate(solve(p, g0.bracket(cols[i], cols[j]))))
@@ -112,18 +151,18 @@ class TestValidate:
         bad = dict(table)
         bad[(0, 2)] = {**bad[(0, 2)], 3: bad[(0, 2)][3] + Q(5, 6)}
         g = LieAlgebra(5, bad, check=False)
-        e = [g.basis_element(i) for i in range(5)]
-        expected = []
-        for i in range(5):
-            for j in range(i + 1, 5):
-                for k in range(j + 1, 5):
-                    s1 = g.bracket(g.bracket(e[i], e[j]), e[k])
-                    s2 = g.bracket(g.bracket(e[j], e[k]), e[i])
-                    s3 = g.bracket(g.bracket(e[k], e[i]), e[j])
-                    if any(a + b + c for a, b, c in zip(s1, s2, s3)):
-                        expected.append((i, j, k))
+        expected = cyclic_sum_failures(g)
         assert 1 < len(expected) < 10
         assert g.validate().jacobi_failures == expected
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(sparse_tables())
+    def test_failures_match_cyclic_sums_on_sparse_tables(self, case):
+        # validate sums only the nonzero terms of each cyclic sum; the
+        # oracle brackets every triple densely
+        n, table = case
+        g = LieAlgebra(n, table, check=False)
+        assert g.validate().jacobi_failures == cyclic_sum_failures(g)
 
     def test_bad_indices(self):
         with pytest.raises(ValueError):
@@ -169,7 +208,7 @@ class TestBracket:
 class TestAdMatrix:
     def test_abelian_zero(self):
         g = abelian(4)
-        assert g.ad_matrix(g.basis_element(0)).is_zero()
+        assert not any(g.ad_matrix(g.basis_element(0)).flatten())
 
     def test_heisenberg_rank_one(self, h3):
         ad_x1 = h3.ad_matrix(h3.basis_element(0))
@@ -179,7 +218,7 @@ class TestAdMatrix:
         assert ad_x1.column(2) == (Q(0), Q(0), Q(0))
 
     def test_central_element(self, h3):
-        assert h3.ad_matrix(h3.basis_element(2)).is_zero()
+        assert not any(h3.ad_matrix(h3.basis_element(2)).flatten())
 
     def test_ad_is_homomorphism(self, h3):
         rng = random.Random(4)
@@ -205,7 +244,7 @@ class TestCenter:
 
     def test_center_vectors_have_zero_ad(self, h3):
         for v in h3.center().vectors():
-            assert h3.ad_matrix(v).is_zero()
+            assert not any(h3.ad_matrix(v).flatten())
 
 
 class TestSeries:

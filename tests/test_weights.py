@@ -26,17 +26,16 @@ from lieq.derivations import (
     inner_preimage,
     verify_torus,
 )
-from lieq.liealg import LieAlgebra
 from lieq.linalg import (
     Matrix,
     ONE,
     Q,
+    SparseSystem,
     Subspace,
     ZERO,
     combine,
     image_with_preimages,
     minimal_polynomial,
-    nullspace,
     rational_roots,
     refine_eigenspaces,
 )
@@ -57,7 +56,7 @@ from lieq.weights import (
     weight_decomposition,
 )
 
-from test_linalg import mat_vec
+from oracles import mat_comb, mat_vec, rebased, sparse
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +91,7 @@ class TestWeightDecomposition:
         # the refinement is called directly, without torus verification,
         # with the spectra verify_torus computes
         d = grading
-        d2 = d @ d - d.scale(2)
+        d2 = mat_comb((1, d @ d), (-2, d))
         spec, spec2 = (rational_roots(minimal_polynomial(m)) for m in (d, d2))
         parts1 = refine_eigenspaces(gp2.dim, [d], [spec])
         parts2 = refine_eigenspaces(gp2.dim, [d, d2], [spec, spec2])
@@ -109,7 +108,7 @@ class TestWeightDecomposition:
 
     def test_nonderivation_torus_rejected(self, gp2, grading):
         d = grading
-        bad = d @ d - d.scale(2)
+        bad = mat_comb((1, d @ d), (-2, d))
         with pytest.raises(TorusError):
             weight_decomposition(gp2, [bad])
 
@@ -131,17 +130,6 @@ class TestWeightDecomposition:
                         assert funs[target].contains(prod)
                     else:
                         assert prod.dim == 0
-
-
-def rebased(g, p, pinv):
-    """g in the basis of the columns of p: [f_a, f_b] = p^-1 [p e_a, p e_b]."""
-    cols = [p.column(a) for a in range(g.dim)]
-    table = {}
-    for a in range(g.dim):
-        for b in range(a + 1, g.dim):
-            v = mat_vec(pinv, g.bracket(cols[a], cols[b]))
-            table[(a, b)] = {k: c for k, c in enumerate(v) if c}
-    return LieAlgebra(g.dim, table)
 
 
 def unipotent(n):
@@ -206,9 +194,10 @@ def dense_refine_eigenspaces(n, mats, spectra):
                 shifted = Matrix.from_columns(
                     [[x - lam * y for x, y in zip(bv, v)] for bv, v in zip(images, vecs)]
                 )
+                kernel = SparseSystem(len(vecs), map(sparse, shifted.data)).kernel()
                 lifted = [
                     [sum((c * v[k] for c, v in zip(coeffs, vecs)), ZERO) for k in range(n)]
-                    for coeffs in nullspace(shifted).vectors()
+                    for coeffs in kernel.vectors()
                 ]
                 if lifted:
                     new_parts.append((fun + (lam,), Subspace.from_vectors(n, lifted)))
@@ -480,7 +469,7 @@ def dense_lemma4_image(dsg, s, d):
         top = dsg.coords_of(s.commutator(s1))
         bottom = inner_preimage(dsg, dsg.coords_of(d.commutator(s1)))
         cols.append(tuple(top) + tuple(bottom))
-    sd = s + d
+    sd = mat_comb((1, s), (1, d))
     for i in range(g.dim):
         cols.append((ZERO,) * dsg.dim + mat_vec(sd, g.basis_element(i)))
     return Matrix.from_columns(cols)
@@ -488,13 +477,13 @@ def dense_lemma4_image(dsg, s, d):
 
 def lemma4_image(fg, dsg, s, d):
     """D_{(s, D)} = ad_f(g)(s, 0) plus the part that Lemma 4 adds for D."""
-    return fg.ad_matrix(tuple(s) + dsg.base.zero()) + _lemma4_image(dsg, d)
+    return mat_comb((1, fg.ad_matrix(tuple(s) + dsg.base.zero())), (1, _lemma4_image(dsg, d)))
 
 
 def dense_bracket_image(dsg, pair1, pair2):
     """The dense image of the bracket of two h-tilde elements."""
     (s1, d1), (s2, d2) = [(dsg.from_coords(s), dsg.from_coords(d)) for s, d in (pair1, pair2)]
-    db = s1.commutator(d2) - s2.commutator(d1) + d1.commutator(d2)
+    db = mat_comb((1, s1.commutator(d2)), (-1, s2.commutator(d1)), (1, d1.commutator(d2)))
     return dense_lemma4_image(dsg, s1.commutator(s2), db)
 
 
@@ -564,7 +553,7 @@ class TestLemma4Oracle:
         # here, so it breaks the law by the dense oracle as well
         dsg, fsub, basis, images = pipeline
         scaled = list(images)
-        scaled[k] = images[k].scale(2)
+        scaled[k] = mat_comb((2, images[k]))
         ok, detail = _lemma4_homomorphism_check(dsg, fsub, basis, scaled)
         assert not ok
         match = re.fullmatch(r"law fails on basis pair \((\d+), (\d+)\)", detail)

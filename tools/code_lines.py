@@ -1,12 +1,14 @@
 """Count the code lines of the lieq package: non-blank lines outside
 comments and docstrings, per module and in total.
 
-    python tools/code_lines.py [PACKAGE_DIR]
+    python tools/code_lines.py [PATH]
 
-PACKAGE_DIR defaults to src/lieq next to this script's directory.  A line
-counts when it holds a token other than a comment, a line break or an
-indent, and is not part of a module, class or function docstring.  Uses
-only the standard library (ast and tokenize).
+PATH is a package directory, whose *.py modules are counted, or a single
+.py file; it defaults to src/lieq next to this script's directory.  A path
+that holds no .py file is an error (exit 2), so a mistyped path cannot pass
+for an empty count.  A line counts when it holds a token other than a
+comment, a line break or an indent, and is not part of a module, class or
+function docstring.  Uses only the standard library (ast and tokenize).
 """
 
 from __future__ import annotations
@@ -50,8 +52,12 @@ def code_lines(path: Path) -> int:
 
 def main(argv: list[str]) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "lieq"
+    paths = [root] if root.is_file() and root.suffix == ".py" else sorted(root.glob("*.py"))
+    if not paths:
+        print(f"code_lines: no .py file at {root}", file=sys.stderr)
+        return 2
     total = 0
-    for path in sorted(root.glob("*.py")):
+    for path in paths:
         count = code_lines(path)
         total += count
         print(f"{count:6d}  {path.name}")
