@@ -157,8 +157,8 @@ def catalog(name: str) -> LieAlgebra:
 
 
 def _count(s: str) -> int:
-    try:
-        n = int(s)
-    except ValueError:
-        raise KeyError(f"bad catalog count {s!r}") from None
-    return n
+    """A catalog count, written in ASCII decimal digits and nothing else:
+    no sign, underscore, space or other script's digits."""
+    if not (s.isascii() and s.isdigit()):
+        raise KeyError(f"bad catalog count {s!r}")
+    return int(s)

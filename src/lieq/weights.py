@@ -16,6 +16,7 @@ from .constructions import (
     semidirect,
 )
 from .derivations import (
+    CompletenessCertificate,
     DerivationSpace,
     centralizer_in_der,
     derivations,
@@ -97,6 +98,43 @@ class PipelineReport:
         return f"PipelineReport({self.name}, ok={self.ok}, checks={len(self.checks)})"
 
 
+def _add_complete(
+    report: PipelineReport, name: str, cert: CompletenessCertificate, lead: str = ""
+) -> None:
+    """Add the check name: the completeness certificate cert is complete."""
+    detail = f"center {cert.center_dim}, der {cert.der_dim}, inner {cert.inner_dim}"
+    report.add(name, cert.complete, lead + detail)
+
+
+def _outer_witness_ok(h: LieAlgebra, ds: DerivationSpace, cert: CompletenessCertificate) -> bool:
+    """cert's witness is an outer derivation of h, re-verified: it passes the
+    independent Leibniz check and lies outside ad(h), ds being Der(h)."""
+    return (
+        cert.witness is not None
+        and cert.witness[0] == "outer"
+        and is_derivation(h, cert.witness[1])
+        and not ds.inner_flat.contains_vector(cert.witness[1].flatten())
+    )
+
+
+def _add_image_checks(
+    report: PipelineReport, h: LieAlgebra, dh: DerivationSpace, images: list, key: str, label: str
+) -> Subspace:
+    """Add images_are_derivations, that each image matrix is a derivation of
+    h, and images_span_der_<key>, that together they span Der(h) = dh, shown
+    as label; returns their span in Q^(dim h ^ 2)."""
+    bad = next((k for k, m in enumerate(images) if not is_derivation(h, m)), None)
+    detail = "" if bad is None else f"image {bad} fails the Leibniz identity"
+    report.add("images_are_derivations", bad is None, detail)
+    span = Subspace.from_vectors(h.dim ** 2, [m.flatten() for m in images])
+    report.add(
+        f"images_span_der_{key}",
+        span == dh.space,
+        f"span dim {span.dim}, {label} dim {dh.dim}",
+    )
+    return span
+
+
 # ---------------------------------------------------------------------------
 # Theorem 1: h = tau x_t g equals Der(h1) for h1 = b x_t g, and is complete.
 # ---------------------------------------------------------------------------
@@ -145,41 +183,20 @@ def theorem1_pipeline(
     images = [_on_g_slot(t0, p) for t0 in tau_mats]
     images += [h1.ad_matrix(h1.basis_element(k)) for k in range(p, h1.dim)]
 
-    bad = next((k for k, m in enumerate(images) if not is_derivation(h1, m)), None)
-    report.add(
-        "images_are_derivations",
-        bad is None,
-        "" if bad is None else f"image {bad} fails the Leibniz identity",
-    )
-    span = Subspace.from_vectors(h1.dim ** 2, [m.flatten() for m in images])
-    report.add(
-        "images_span_der_h1",
-        span == dh1.space,
-        f"span dim {span.dim}, Der(h1) dim {dh1.dim}",
-    )
+    span = _add_image_checks(report, h1, dh1, images, "h1", "Der(h1)")
     report.add("map_injective", span.dim == h.dim, f"rank {span.dim} vs dim h {h.dim}")
     report.add(
         "dim_identity",
         dh1.dim == tau_sub.dim + g.dim,
         f"dim Der(h1) = {dh1.dim}, dim tau + dim g = {tau_sub.dim + g.dim}",
     )
-    cert = is_complete(h)
-    report.add(
-        "h_complete",
-        cert.complete,
-        f"center {cert.center_dim}, der {cert.der_dim}, inner {cert.inner_dim}",
-    )
+    _add_complete(report, "h_complete", is_complete(h))
     l2 = _lemma2_form_check(dh1, torus_mats)
     report.add("restriction_to_b_form", l2[0], l2[1])
 
     if b_sub == tau_sub:
-        cert1 = is_complete(h1, dh1)
-        report.add(
-            "maximal_torus_h1_complete",
-            cert1.complete,
-            f"tau equals the supplied torus; center {cert1.center_dim}, "
-            f"der {cert1.der_dim}, inner {cert1.inner_dim}",
-        )
+        lead = "tau equals the supplied torus; "
+        _add_complete(report, "maximal_torus_h1_complete", is_complete(h1, dh1), lead)
         report.notes.append("tau coincides with the supplied torus: h1 itself certified")
     return report
 
@@ -281,18 +298,7 @@ def theorem2_check(g: LieAlgebra) -> PipelineReport:
     basis += [(zero, v) for v in fsub.vectors()]
     images = [fg.ad_matrix(fg.basis_element(j)) for j in range(dsg.dim)]
     images += [_lemma4_image(dsg, v) for v in fsub.vectors()]
-    bad = next((k for k, m in enumerate(images) if not is_derivation(fg, m)), None)
-    report.add(
-        "images_are_derivations",
-        bad is None,
-        "" if bad is None else f"image {bad} fails the Leibniz identity",
-    )
-    span = Subspace.from_vectors(fg.dim ** 2, [m.flatten() for m in images])
-    report.add(
-        "images_span_der_fg",
-        span == dsf.space,
-        f"span dim {span.dim}, Der(f(g)) dim {dsf.dim}",
-    )
+    span = _add_image_checks(report, fg, dsf, images, "fg", "Der(f(g))")
     report.add(
         "map_injective", span.dim == len(basis), f"rank {span.dim} of {len(basis)}"
     )
@@ -381,17 +387,8 @@ def theorem3_check(N: int, n_max: int) -> PipelineReport:
             f"der {cert.der_dim}, inner {cert.inner_dim}",
         )
         if cert.witness is not None and cert.witness[0] == "outer":
-            report.add(
-                f"{tag}_outer_witness_verified",
-                is_derivation(fn, cert.witness[1])
-                and not ds_fn.inner_flat.contains_vector(cert.witness[1].flatten()),
-            )
-        der_cert = is_complete(ds_fn.algebra)
-        report.add(
-            f"{tag}_der_complete",
-            der_cert.complete,
-            f"center {der_cert.center_dim}, der {der_cert.der_dim}, inner {der_cert.inner_dim}",
-        )
+            report.add(f"{tag}_outer_witness_verified", _outer_witness_ok(fn, ds_fn, cert))
+        _add_complete(report, f"{tag}_der_complete", is_complete(ds_fn.algebra))
         der_der = ds_fn.algebra.derived_subalgebra()
         report.add(
             f"{tag}_der_der_inside_ad",
@@ -423,12 +420,7 @@ def prop2_check(N: int) -> PipelineReport:
         ds.dim == expected,
         f"dim Der = {ds.dim}, expected {expected}",
     )
-    cert = is_complete(ds.algebra)
-    report.add(
-        "der_complete",
-        cert.complete,
-        f"center {cert.center_dim}, der {cert.der_dim}, inner {cert.inner_dim}",
-    )
+    _add_complete(report, "der_complete", is_complete(ds.algebra))
     report.notes.append(
         "dimension and completeness only; simplicity of Der is not checked"
     )
@@ -446,13 +438,7 @@ def prop3_check(N: int) -> PipelineReport:
     cert = is_complete(fg, ds)
     report.add("center_trivial", cert.center_dim == 0, f"center dim {cert.center_dim}")
     report.add("not_complete", not cert.complete)
-    ok_witness = (
-        cert.witness is not None
-        and cert.witness[0] == "outer"
-        and is_derivation(fg, cert.witness[1])
-        and not ds.inner_flat.contains_vector(cert.witness[1].flatten())
-    )
-    report.add("outer_witness_verified", ok_witness)
+    report.add("outer_witness_verified", _outer_witness_ok(fg, ds, cert))
     return report
 
 
@@ -468,10 +454,5 @@ def prop4_check(N: int) -> PipelineReport:
         ds.dim == fg.dim + 1,
         f"dim Der(f(g)) = {ds.dim}, dim f(g) + 1 = {fg.dim + 1}",
     )
-    cert = is_complete(ds.algebra)
-    report.add(
-        "der_complete",
-        cert.complete,
-        f"center {cert.center_dim}, der {cert.der_dim}, inner {cert.inner_dim}",
-    )
+    _add_complete(report, "der_complete", is_complete(ds.algebra))
     return report

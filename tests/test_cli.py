@@ -98,11 +98,23 @@ class TestExitCodes:
             ["analyze", "catalog:heisenberg:0"],
             ["construct", "catalog:abelian:-1"],
             ["tower", "catalog:graded-power:nonabelian2:0"],
+            # a count is ASCII decimal digits only
+            ["analyze", "catalog:heisenberg:1_0"],
+            ["analyze", "catalog:abelian:+2"],
+            ["analyze", "catalog:abelian:\uff12"],
+            ["analyze", "catalog:graded-power:nonabelian2:+2"],
         ):
             proc = run_cli(*argv)
             assert proc.returncode == 1, argv
             assert "error" in proc.stderr
             assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("count", ("1_0", "+2", "-1", "\uff12", " 2", "2 ", ""))
+    def test_catalog_count_is_ascii_decimal(self, count, capsys):
+        assert run_command(["construct", f"catalog:abelian:{count}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: catalog:abelian:{count}: bad catalog count {count!r}\n"
 
     @pytest.mark.parametrize("torus", ("diagonal", "grading"))
     def test_graded_power_zero_is_one(self, torus, capsys):

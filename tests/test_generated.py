@@ -10,7 +10,9 @@ in a random integer basis, where brackets have several terms.
 Every generated algebra must survive the file round trip with the same
 structure constants and the same `lieq analyze --full` report, satisfy
 dim f(g) = dim g + dim Der(g), and have `is_derivation` agree with the
-dense oracle on perturbed Der(g) basis matrices.
+dense oracle on perturbed Der(g) basis matrices.  A change of basis P must
+keep dim Der, dim ad, dim centre and completeness, and carry each Der(g)
+basis matrix D to a derivation P^-1 D P of the rebased algebra.
 """
 
 import contextlib
@@ -23,7 +25,12 @@ from hypothesis import strategies as st
 import lieq.cli
 from lieq.cli import run_command
 from lieq.constructions import abelian, catalog, full_graph, graded_power, semidirect
-from lieq.derivations import derivations, diagonal_derivation_torus, is_derivation
+from lieq.derivations import (
+    derivations,
+    diagonal_derivation_torus,
+    is_complete,
+    is_derivation,
+)
 from lieq.fileio import parse_algebra, serialize_algebra
 from lieq.linalg import Matrix, Q
 
@@ -54,11 +61,18 @@ def torus_products(draw):
 
 
 @st.composite
+def changes_of_basis(draw):
+    """(g, P, P^-1) for g of graded_powers(2) or torus_products() and P in
+    GL_n(Z), n = dim g."""
+    g = draw(st.one_of(graded_powers(2), torus_products()))
+    return (g, *draw(unimodular(g.dim)))
+
+
+@st.composite
 def rebased_algebras(draw):
     """An algebra of graded_powers(2) or torus_products() in a random
     integer basis."""
-    g = draw(st.one_of(graded_powers(2), torus_products()))
-    return rebased(g, *draw(unimodular(g.dim)))
+    return rebased(*draw(changes_of_basis()))
 
 
 ALGEBRAS = st.one_of(graded_powers(), torus_products(), rebased_algebras())
@@ -100,3 +114,19 @@ def test_is_derivation_matches_dense_oracle_on_perturbed_basis(g, data):
         assert is_derivation(g, m) and dense_is_derivation(g, m)
         m2 = bumped(m, data.draw(index), data.draw(index), data.draw(by))
         assert is_derivation(g, m2) == dense_is_derivation(g, m2)
+
+
+def der_invariants(g, ds):
+    """(dim Der, dim ad, dim centre, complete) of g, ds being Der(g)."""
+    return ds.dim, ds.inner.dim, g.center().dim, is_complete(g, ds).complete
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(changes_of_basis())
+def test_change_of_basis_keeps_der_invariants(case):
+    g, p, pinv = case
+    h = rebased(g, p, pinv)
+    ds = derivations(g)
+    assert der_invariants(h, derivations(h)) == der_invariants(g, ds)
+    for d in ds.basis_mats:
+        assert is_derivation(h, pinv @ d @ p)

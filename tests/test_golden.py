@@ -8,6 +8,10 @@ the first input of the perfbench dense-analyze workload at seed 1
 (perfbench/rebase.py): f^2(nonabelian2) in a dense rational basis.
 f2_nonabelian2_dense_s21c1.json and f2_nonabelian2_dense_s21c3.json are
 copies 1 and 3 of its inputs at seed 21.
+
+The coverage guard keeps the replay list whole: every subcommand and every
+`verify` theorem is replayed, and the commands and .out files match one to
+one.
 """
 
 import json
@@ -15,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from lieq.cli import run_command
+from lieq.cli import build_parser, run_command
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -31,3 +35,22 @@ def test_report_matches_golden(case, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == case["exit"]
     assert out.encode() == (GOLDEN / f"{case['name']}.out").read_bytes()
+
+
+def _choices(parser, dest):
+    """The choices of parser's subcommand or positional argument dest."""
+    action = next(a for a in parser._actions if a.dest == dest)
+    return action.choices
+
+
+def test_every_subcommand_and_theorem_is_replayed():
+    commands = _choices(build_parser(), "command")
+    theorems = _choices(commands["verify"], "theorem")
+    assert set(commands) <= {c["argv"][0] for c in CASES}
+    assert set(theorems) <= {c["argv"][1] for c in CASES if c["argv"][0] == "verify"}
+
+
+def test_golden_outputs_match_commands():
+    names = [c["name"] for c in CASES]
+    assert len(set(names)) == len(names)
+    assert {p.stem for p in GOLDEN.glob("*.out")} == set(names)

@@ -1,3 +1,5 @@
+import itertools
+import json
 import random
 import re
 from types import SimpleNamespace
@@ -24,6 +26,7 @@ from lieq.derivations import (
     diagonal_derivation_torus,
     f_s_subspace,
     inner_preimage,
+    is_derivation,
     verify_torus,
 )
 from lieq.linalg import (
@@ -608,3 +611,49 @@ class TestTheorem3AndProps:
     def test_bad_args(self):
         with pytest.raises(ValueError):
             theorem3_check(0, 1)
+
+
+def rejecting(k):
+    """An is_derivation that rejects its call number k (from 0) and defers
+    every other call to the real check."""
+    calls = itertools.count()
+    return lambda g, m: next(calls) != k and is_derivation(g, m)
+
+
+def failed_checks(monkeypatch, capsys, argv, rejector):
+    """{name: detail} of the failed checks of `lieq verify ...`, which must
+    exit 2, run with lieq.weights.is_derivation replaced by rejector."""
+    monkeypatch.setattr(lieq.weights, "is_derivation", rejector)
+    assert run_command(["verify", *argv]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False
+    return {c["name"]: c["detail"] for c in doc["checks"] if not c["pass"]}
+
+
+class TestFailingChecks:
+    """The failing branches of the image and outer-witness checks, which no
+    golden replay reaches: every replayed pipeline passes."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["theorem1", "--g", "catalog:heisenberg:1", "--torus", "diagonal"],
+            ["theorem2", "--g", "catalog:nonabelian2"],
+        ),
+        ids=("theorem1", "theorem2"),
+    )
+    def test_rejected_image_fails_images_are_derivations(self, argv, monkeypatch, capsys):
+        failed = failed_checks(monkeypatch, capsys, argv, rejecting(1))
+        assert failed == {"images_are_derivations": "image 1 fails the Leibniz identity"}
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        (
+            (["theorem3", "--N", "1", "--n", "1"], "f^1_outer_witness_verified"),
+            (["prop3", "--N", "1"], "outer_witness_verified"),
+        ),
+        ids=("theorem3", "prop3"),
+    )
+    def test_rejected_witness_fails_outer_witness_verified(self, argv, name, monkeypatch, capsys):
+        # the witness is the one is_derivation call of these pipelines
+        assert failed_checks(monkeypatch, capsys, argv, rejecting(0)) == {name: ""}
