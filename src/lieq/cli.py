@@ -95,7 +95,7 @@ def cmd_analyze(args) -> int:
         ds = derivations(g)
     except DimensionCapError as e:
         raise UsageError(f"{args.src}: {e}") from None
-    cert = is_complete(g, ds)
+    cert = is_complete(ds)
     series = g.series()
     doc = {
         "command": f"analyze {args.src}",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .derivations import DerivationSpace, check_images, derivations
-from .liealg import LieAlgebra, check_dim_cap
+from .liealg import LieAlgebra, check_dim_cap, is_ascii_decimal
 from .linalg import Matrix, Q, ZERO
 
 
@@ -157,8 +157,7 @@ def catalog(name: str) -> LieAlgebra:
 
 
 def _count(s: str) -> int:
-    """A catalog count, written in ASCII decimal digits and nothing else:
-    no sign, underscore, space or other script's digits."""
-    if not (s.isascii() and s.isdigit()):
+    """A catalog count, written in ASCII decimal digits (`is_ascii_decimal`)."""
+    if not is_ascii_decimal(s):
         raise KeyError(f"bad catalog count {s!r}")
     return int(s)

@@ -19,9 +19,11 @@ max(LIE_DIM_CAP, 64) is refused before its basis is built.
 `sc` and the sparse columns of a matrix) that shares no code with the
 solver.
 
-ad(g) is read off the sparse rows (ad(e_j), e_j), built straight from `sc`
-(entry (k, i) of ad(e_j) is c_ji^k), which also give a sparse x with
-ad(x) = v for each basis vector v of ad(g); `inner_preimage` combines these.
+ad(g) comes from `LieAlgebra.ad_image`, the one elimination of the sparse
+rows (ad(e_j), e_j), which also gives a sparse x with ad(x) = v for each
+basis vector v of ad(g), and the centre Z(g) = ker ad; `inner_preimage`
+combines the preimages, and `DerivationSpace` keeps the centre, so
+`is_complete` reads both halves of its certificate off Der(g) alone.
 Brackets of derivations are computed once, as the structure constants of
 `DerivationSpace.algebra`, each audited against its full matrix commutator.
 Downstream, a derivation is its coordinate vector in the canonical Der basis:
@@ -99,12 +101,15 @@ def is_derivation(g: LieAlgebra, m: Matrix) -> bool:
 
 
 class DerivationSpace:
-    """Der(g): canonical matrix basis, its own Lie algebra structure, and the
-    inner-derivation subspace in Der-coefficient coordinates."""
+    """Der(g): canonical matrix basis, its own Lie algebra structure, the
+    inner-derivation subspace in Der-coefficient coordinates, and the centre
+    of g, the kernel of ad."""
 
-    __slots__ = ("base", "space", "basis_mats", "algebra", "inner", "inner_flat", "ad_preimages")
+    __slots__ = (
+        "base", "space", "basis_mats", "algebra", "inner", "inner_flat", "ad_preimages", "center"
+    )
 
-    def __init__(self, base, space, basis_mats, algebra, inner, inner_flat, ad_preimages):
+    def __init__(self, base, space, basis_mats, algebra, inner, inner_flat, ad_preimages, center):
         self.base = base
         self.space = space  # Subspace of Q^(n^2), RREF-canonical
         self.basis_mats = basis_mats
@@ -112,6 +117,7 @@ class DerivationSpace:
         self.inner = inner  # Subspace of Q^dim (Der coefficients)
         self.inner_flat = inner_flat  # ad(g) inside Q^(n^2)
         self.ad_preimages = ad_preimages  # an x with ad(x) = each inner basis vector
+        self.center = center  # Z(g) = ker ad, a Subspace of Q^n
 
     @property
     def dim(self) -> int:
@@ -182,21 +188,16 @@ def derivations(g: LieAlgebra) -> DerivationSpace:
     Both passes read one list of the rows, sorted by length with ties in
     (i, j, k) order; the exact path feeds every row.  The nullspace basis is
     canonicalized by RREF, which fixes the basis across runs and platforms.
-    ad(g) and preimages of its basis come from the rows (ad(e_j), e_j),
-    read off `sc`; on the exact path, inner and its preimages come from the
-    rows (Der coordinates of each ad(g) basis vector, its preimage).  Raises
+    ad(g), preimages of its basis and Z(g) come from `LieAlgebra.ad_image`;
+    on the exact path, inner and its preimages come from the rows (Der
+    coordinates of each ad(g) basis vector, its preimage).  Raises
     DimensionCapError when n^2 - rank, the dimension of Der(g), exceeds
     max(LIE_DIM_CAP, 64), and InvariantError when the exact rank is below the
     modular rank, or ad(g) is not inside the computed space; the first
     contradicts rank mod P <= rank over Q, the second the Jacobi identity.
     """
     n = g.dim
-    # entry (k, i) of ad(e_j) is c_ji^k
-    ad_rows = [
-        {**{k * n + i: c for i, v in g.sc[j].items() for k, c in v.items()}, n * n + j: ONE}
-        for j in range(n)
-    ]
-    inner_flat, pre = image_with_preimages(n * n, n * n + n, ad_rows)
+    inner_flat, pre, center = g.ad_image()
     bound = n * n - inner_flat.dim
     rows = sorted(_leibniz_rows(g), key=len)
     rank_p = rank_mod_p(rows, bound)
@@ -216,13 +217,13 @@ def derivations(g: LieAlgebra) -> DerivationSpace:
                 raise InvariantError("inner derivation outside computed Der(g)")
             tagged = {t: c for t, c in enumerate(coords) if c}
             inner_rows.append(tagged | {d + k: y for k, y in x.items()})
-        inner, pre = image_with_preimages(d, d + n, inner_rows)
+        inner, pre, _ = image_with_preimages(d, d + n, inner_rows)
     basis_mats = tuple(Matrix.unflatten(v, n, n) for v in space.vectors())
     d = len(basis_mats)
 
     labels = tuple(f"D{a}" for a in range(d))
     algebra = LieAlgebra(d, commutator_table(space, n), labels, check=True)
-    return DerivationSpace(g, space, basis_mats, algebra, inner, inner_flat, pre)
+    return DerivationSpace(g, space, basis_mats, algebra, inner, inner_flat, pre, center)
 
 
 def _mul_into(acc: dict, a: dict, b: dict, n: int, sign: int) -> None:
@@ -288,13 +289,12 @@ def commutator_table(space: Subspace, n: int) -> dict:
 def inner_preimage(ds: DerivationSpace, coords: Sequence) -> tuple:
     """The unique x with ad(x) = the derivation with Der coordinates coords;
     requires a center-free base."""
-    n = ds.base.dim
-    if ds.inner.dim != n:  # ad(g) = g / Z(g)
+    if ds.center.dim:
         raise NonzeroCenterError("inner preimage is not unique: center is nonzero")
     c = ds.inner.coords_of(coords)
     if c is None:
         raise NotInnerError("derivation is not inner")
-    return tuple(combine(c, ds.ad_preimages, n))
+    return tuple(combine(c, ds.ad_preimages, ds.base.dim))
 
 
 class CompletenessCertificate(NamedTuple):
@@ -308,22 +308,20 @@ class CompletenessCertificate(NamedTuple):
     witness: tuple | None  # ('central', element) | ('outer', Matrix) | None
 
 
-def is_complete(g: LieAlgebra, ds: DerivationSpace | None = None) -> CompletenessCertificate:
-    center = g.center()
-    if ds is None:
-        ds = derivations(g)
-    der_dim = ds.dim
-    inner_dim = ds.inner.dim
+def is_complete(ds: DerivationSpace) -> CompletenessCertificate:
+    """The certificate of g = ds.base, read off Der(g) alone: Z(g) and
+    ad(g) are the kernel and the image of the one elimination of the ad
+    rows that `derivations` ran.  The outer witness is the first Der basis
+    vector outside ad(g): as the rows of ds.inner are reduced, that is the
+    first k whose row is not {k: 1}."""
+    center, der_dim, inner_dim = ds.center, ds.dim, ds.inner.dim
     complete = center.dim == 0 and der_dim == inner_dim
     witness = None
-    if not complete:
-        if center.dim > 0:
-            witness = ("central", center.vectors()[0])
-        else:
-            for k in range(der_dim):
-                if ds.inner.coords_of_row({k: ONE}) is None:
-                    witness = ("outer", ds.basis_mats[k])
-                    break
+    if center.dim:
+        witness = ("central", center.vectors()[0])
+    elif not complete:
+        k = next(k for k in range(der_dim) if ds.inner.rows.get(k) != {k: ONE})
+        witness = ("outer", ds.basis_mats[k])
     return CompletenessCertificate(center.dim, der_dim, inner_dim, complete, witness)
 
 

@@ -7,14 +7,17 @@ the style of GAP (de Graaf, Lie Algebras: Theory and Algorithms, 2000):
 sc[i][j] = {k: c_ij^k} for every nonzero bracket, in both index orders, with
 sc[j][i] holding the negated constants.  Antisymmetry therefore holds by
 construction.  Every operation reads `sc`, so its cost follows the nonzero
-constants and not dim^2 table entries.  Jacobi validation, the centre and
-the derived and lower central series run over `integer_sc`, its
-denominator-cleared copy, and feed integer rows to the elimination kernel.
+constants and not dim^2 table entries.  Jacobi validation and the derived
+and lower central series run over `integer_sc`, its denominator-cleared
+copy, and feed integer rows to the elimination kernel.  `ad_image`
+eliminates the rows (ad(e_j), e_j) once and reads off all three of ad(g), a
+preimage under ad of each of its basis vectors, and the centre Z(g) = ker ad;
+`center` is that kernel.
 
 The Jacobi identity is validated eagerly, so an invalid table is
 unrepresentable downstream.  `check_dim_cap` refuses a dimension above
-LIE_DIM_CAP; the constructors and the file loader call it before they build
-an algebra.
+LIE_DIM_CAP, which must be written in ASCII decimal digits; the constructors
+and the file loader call it before they build an algebra.
 """
 
 from __future__ import annotations
@@ -24,12 +27,14 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .linalg import (
     Matrix,
+    ONE,
     Q,
     SparseSystem,
     Subspace,
     ZERO,
     as_q,
     clear_denominators,
+    image_with_preimages,
 )
 
 Element = tuple  # coordinate vector relative to the owning algebra's basis
@@ -39,17 +44,22 @@ DEFAULT_DIM_CAP = 64
 
 class DimensionCapError(ValueError):
     """Raised when an algebra would exceed the dimension cap, or when
-    LIE_DIM_CAP is not an integer."""
+    LIE_DIM_CAP is not a non-negative integer."""
+
+
+def is_ascii_decimal(s: str) -> bool:
+    """s is a non-negative integer written in ASCII decimal digits and
+    nothing else: no sign, underscore, space or other script's digits."""
+    return s.isascii() and s.isdigit()
 
 
 def dim_cap() -> int:
     raw = os.environ.get("LIE_DIM_CAP")
     if raw is None:
         return DEFAULT_DIM_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise DimensionCapError(f"LIE_DIM_CAP must be an integer, not {raw!r}") from None
+    if not is_ascii_decimal(raw):
+        raise DimensionCapError(f"LIE_DIM_CAP must be a non-negative integer, not {raw!r}")
+    return int(raw)
 
 
 def check_dim_cap(dim: int) -> None:
@@ -212,17 +222,24 @@ class LieAlgebra:
                                     acc[t] = acc.get(t, 0) + f * ct
         return ValidationReport(sorted(key for key, acc in sums.items() if any(acc.values())))
 
-    def center(self) -> Subspace:
-        """{x : [x, y] = 0 for all y}: coordinate k of [x, e_j] is
-        sum_i x_i c_ij^k, one equation per (j, k), read off `integer_sc`."""
+    def ad_image(self) -> tuple[Subspace, tuple, Subspace]:
+        """(ad(g), preimages, Z(g)) from one elimination of the rows
+        (ad(e_j), e_j) in Q^(n^2) x Q^n, built from `sc`: entry (k, i) of
+        ad(e_j), at row-major index k*n + i, is c_ji^k.  ad(g) is in Q^(n^2);
+        the preimages give an x with ad(x) equal to each of its basis
+        vectors, in order; Z(g) is the kernel of ad.  See
+        `image_with_preimages`."""
         n = self.dim
-        isc = self.integer_sc()
-        rows: dict[tuple[int, int], dict[int, int]] = {}
-        for i in range(n):
-            for j, v in isc[i].items():
-                for k, c in v.items():
-                    rows.setdefault((j, k), {})[i] = c
-        return SparseSystem(n, (rows[key] for key in sorted(rows))).kernel()
+        rows = (
+            {**{k * n + i: c for i, v in self.sc[j].items() for k, c in v.items()}, n * n + j: ONE}
+            for j in range(n)
+        )
+        return image_with_preimages(n * n, n * n + n, rows)
+
+    def center(self) -> Subspace:
+        """Z(g) = {x : [x, y] = 0 for all y}, the kernel of ad, from
+        `ad_image`."""
+        return self.ad_image()[2]
 
     def product_space(self, a: Subspace, b: Subspace) -> Subspace:
         """Span of [a, b], bracketed over `integer_sc` on the reduced rows of

@@ -15,13 +15,14 @@ There is one elimination kernel.  `SparseSystem(ncols, rows)` clears each
 sparse row's denominators, eliminates fraction-free over Z and back-reduces
 to the reduced row echelon form, dividing by each lead only at the end;
 `rref`, `solve` and the canonical subspaces all run on it, and the Der(g),
-center and series solvers feed it directly.  A canonical `Subspace` holds
+ad(g) and series solvers feed it directly.  A canonical `Subspace` holds
 those reduced rows, {lead: {col: q}}, as its one form
 (`Subspace.from_system`); its operations read the rows, and
 `vectors()` is the dense view for callers outside the library.  Every
-kernel is `SparseSystem.kernel()`: the nullspace basis read sparsely off
-the reduced rows, then reduced to its canonical Subspace by one more
-elimination; no rows give the whole space.
+kernel of a system is `SparseSystem.kernel()`: the nullspace basis read
+sparsely off the reduced rows, then reduced to its canonical Subspace by one
+more elimination; no rows give the whole space.  The kernel of a map given
+by the rows (f(x), x) needs no second elimination (`image_with_preimages`).
 `rank_bareiss` is a second, independent elimination, kept only to audit
 rank.  `rank_mod_p` is a third, over the integers mod a fixed prime: a rank
 certificate, not a nullspace kernel.  It never yields a basis, only a lower
@@ -29,8 +30,9 @@ bound on the rank over Q, which is how Der(g) = ad(g) is proved without the
 exact elimination.
 `clear_denominators` gives the integer form over one common denominator in
 which the Der(g) structure constants and the Jacobi check are computed.
-`image_with_preimages` reads a map's image and a sparse preimage of each
-image basis vector off the reduced rows of the sparse rows (f(x), x);
+`image_with_preimages` reads a map's image, a sparse preimage of each
+image basis vector and the map's kernel off the reduced rows of the one
+elimination of the sparse rows (f(x), x);
 `combine` forms the linear combinations of sparse rows that such bases and
 preimages are used in.
 `InvariantError` marks the failure of an internal check: a bug, not bad
@@ -70,12 +72,14 @@ def q_str(x) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 
 def q_parse(s: str) -> Scalar:
-    """Parse 'p' or 'p/q' exactly; decimal notation is rejected."""
-    if not isinstance(s, str) or not _RATIONAL_RE.match(s):
+    """Parse 'p' or 'p/q' exactly, in ASCII digits and nothing else: decimal
+    notation, other scripts' digits and surrounding whitespace are
+    rejected."""
+    if not isinstance(s, str) or not _RATIONAL_RE.fullmatch(s):
         raise ValueError(f"not a rational string: {s!r}")
     return Q(s)
 
@@ -379,19 +383,25 @@ def combine(coeffs: Sequence, rows: Iterable[dict], n: int) -> list:
     return out
 
 
-def image_with_preimages(a: int, ncols: int, rows: Iterable[dict]) -> tuple["Subspace", tuple]:
-    """(image, preimages) of a linear map f into Q^a, from the sparse rows
-    (f(x), x) over ncols columns.
+def image_with_preimages(
+    a: int, ncols: int, rows: Iterable[dict]
+) -> tuple["Subspace", tuple, "Subspace"]:
+    """(image, preimages, kernel) of a linear map f into Q^a, from the sparse
+    rows (f(x), x) over ncols columns (the augmented-matrix method: Cohen, A
+    Course in Computational Algebraic Number Theory, 1993, 2.4).
 
     The reduced rows of their span that lead in Q^a are reduced at every
     other such lead, so their Q^a parts are the canonical basis of the image
     of f and their other parts, shifted down by a, are sparse preimages, in
-    order; the remaining reduced rows span 0 x ker f.
+    order.  The remaining reduced rows are 0 in Q^a and span 0 x ker f;
+    shifted down by a, they are the canonical rows of ker f.
     """
-    top = {lead: row for lead, row in SparseSystem(ncols, rows).reduced_rows().items() if lead < a}
-    image = {lead: {c: x for c, x in row.items() if c < a} for lead, row in top.items()}
-    pre = tuple({c - a: x for c, x in row.items() if c >= a} for row in top.values())
-    return Subspace(a, image), pre
+    reduced = SparseSystem(ncols, rows).reduced_rows().items()
+    top = [(lead, row) for lead, row in reduced if lead < a]
+    image = {lead: {c: x for c, x in row.items() if c < a} for lead, row in top}
+    pre = tuple({c - a: x for c, x in row.items() if c >= a} for _, row in top)
+    kernel = {lead - a: {c - a: x for c, x in row.items()} for lead, row in reduced if lead >= a}
+    return Subspace(a, image), pre, Subspace(ncols - a, kernel)
 
 
 def solve(a: Matrix, b: Sequence) -> tuple | None:

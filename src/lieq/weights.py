@@ -190,13 +190,13 @@ def theorem1_pipeline(
         dh1.dim == tau_sub.dim + g.dim,
         f"dim Der(h1) = {dh1.dim}, dim tau + dim g = {tau_sub.dim + g.dim}",
     )
-    _add_complete(report, "h_complete", is_complete(h))
+    _add_complete(report, "h_complete", is_complete(derivations(h)))
     l2 = _lemma2_form_check(dh1, torus_mats)
     report.add("restriction_to_b_form", l2[0], l2[1])
 
     if b_sub == tau_sub:
         lead = "tau equals the supplied torus; "
-        _add_complete(report, "maximal_torus_h1_complete", is_complete(h1, dh1), lead)
+        _add_complete(report, "maximal_torus_h1_complete", is_complete(dh1), lead)
         report.notes.append("tau coincides with the supplied torus: h1 itself certified")
     return report
 
@@ -265,7 +265,7 @@ def theorem2_check(g: LieAlgebra) -> PipelineReport:
     if g.center().dim != 0:
         raise ValueError("theorem 2 requires a center-free algebra")
     dsg = derivations(g)
-    der_cert = is_complete(dsg.algebra)
+    der_cert = is_complete(derivations(dsg.algebra))
     if not der_cert.complete:
         raise ValueError("theorem 2 requires Der(g) to be complete")
 
@@ -306,7 +306,7 @@ def theorem2_check(g: LieAlgebra) -> PipelineReport:
     hom_ok, hom_detail = _lemma4_homomorphism_check(dsg, fsub, basis, images)
     report.add("homomorphism_law", hom_ok, hom_detail)
 
-    fg_cert = is_complete(fg, dsf)
+    fg_cert = is_complete(dsf)
     f_is_inner = fsub == dsg.inner
     report.add(
         "complete_iff_f_equals_g",
@@ -377,7 +377,7 @@ def theorem3_check(N: int, n_max: int) -> PipelineReport:
         report.dims[f"{tag}(g)"] = fn.dim
         report.dims[f"Der({tag}(g))"] = ds_fn.dim
 
-        cert = is_complete(fn, ds_fn)
+        cert = is_complete(ds_fn)
         report.add(
             f"{tag}_center_trivial", cert.center_dim == 0, f"center dim {cert.center_dim}"
         )
@@ -388,7 +388,7 @@ def theorem3_check(N: int, n_max: int) -> PipelineReport:
         )
         if cert.witness is not None and cert.witness[0] == "outer":
             report.add(f"{tag}_outer_witness_verified", _outer_witness_ok(fn, ds_fn, cert))
-        _add_complete(report, f"{tag}_der_complete", is_complete(ds_fn.algebra))
+        _add_complete(report, f"{tag}_der_complete", is_complete(derivations(ds_fn.algebra)))
         der_der = ds_fn.algebra.derived_subalgebra()
         report.add(
             f"{tag}_der_der_inside_ad",
@@ -420,7 +420,7 @@ def prop2_check(N: int) -> PipelineReport:
         ds.dim == expected,
         f"dim Der = {ds.dim}, expected {expected}",
     )
-    _add_complete(report, "der_complete", is_complete(ds.algebra))
+    _add_complete(report, "der_complete", is_complete(derivations(ds.algebra)))
     report.notes.append(
         "dimension and completeness only; simplicity of Der is not checked"
     )
@@ -435,7 +435,7 @@ def prop3_check(N: int) -> PipelineReport:
     fg = full_graph(g)
     ds = derivations(fg)
     report.dims = {"f(g)": fg.dim, "Der(f(g))": ds.dim}
-    cert = is_complete(fg, ds)
+    cert = is_complete(ds)
     report.add("center_trivial", cert.center_dim == 0, f"center dim {cert.center_dim}")
     report.add("not_complete", not cert.complete)
     report.add("outer_witness_verified", _outer_witness_ok(fg, ds, cert))
@@ -454,5 +454,5 @@ def prop4_check(N: int) -> PipelineReport:
         ds.dim == fg.dim + 1,
         f"dim Der(f(g)) = {ds.dim}, dim f(g) + 1 = {fg.dim + 1}",
     )
-    _add_complete(report, "der_complete", is_complete(ds.algebra))
+    _add_complete(report, "der_complete", is_complete(derivations(ds.algebra)))
     return report

@@ -83,6 +83,43 @@ def dense_is_derivation(g, m):
     return True
 
 
+def dense_rref(rows, n):
+    """The nonzero rows of the reduced row echelon form of the dense rows of
+    length n, as tuples, by Gauss-Jordan elimination over Q."""
+    rows = [[Q(x) for x in row] for row in rows]
+    out = []
+    for c in range(n):
+        pivot = next((r for r in rows if r[c]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        pivot = [x / pivot[c] for x in pivot]
+        rows = [[x - r[c] * p for x, p in zip(r, pivot)] for r in rows]
+        out = [[x - r[c] * p for x, p in zip(r, pivot)] for r in out]
+        out.append(pivot)
+    return tuple(tuple(r) for r in out)
+
+
+def dense_center(g):
+    """Z(g) as the common kernel of the dense matrices ad(e_j), whose column
+    i is [e_j, e_i] by LieAlgebra.bracket: the canonical rows, by dense_rref,
+    of the nullspace basis read off the reduced rows."""
+    n = g.dim
+    e = [g.basis_element(i) for i in range(n)]
+    cols = [[g.bracket(e[j], e[i]) for i in range(n)] for j in range(n)]
+    reduced = dense_rref([[col[k] for col in ad] for ad in cols for k in range(n)], n)
+    leads = [next(i for i, x in enumerate(r) if x) for r in reduced]
+    basis = []
+    for f in range(n):
+        if f not in leads:
+            v = [Q(0)] * n
+            v[f] = Q(1)
+            for lead, r in zip(leads, reduced):
+                v[lead] = -r[f]
+            basis.append(v)
+    return dense_rref(basis, n)
+
+
 def bumped(m, i, j, by):
     """m with by added to entry (i, j)."""
     return Matrix([[x + by if (r, c) == (i, j) else x for c, x in enumerate(row)]

@@ -52,7 +52,7 @@ def test_criterion_1_heisenberg_derivation_dimensions():
         ok &= dt < 1.0
         details.append(f"N={N}: dim Der = {ds.dim} (expected {expected}) in {dt:.3f}s")
     for N in (1, 2):
-        cert = is_complete(derivations(heisenberg(N)).algebra)
+        cert = is_complete(derivations(derivations(heisenberg(N)).algebra))
         ok &= cert.complete
         details.append(f"Der(h{2*N+1}) complete = {cert.complete}")
     announce(1, ok, "; ".join(details))
@@ -64,7 +64,7 @@ def test_criterion_2_prop3_full_graph_not_complete():
     fg = full_graph(g)
     ds = derivations(fg)
     center_dim = fg.center().dim
-    cert = is_complete(fg, ds)
+    cert = is_complete(ds)
     witness_ok = (
         cert.witness is not None
         and cert.witness[0] == "outer"
@@ -85,7 +85,7 @@ def test_criterion_3_prop4_der_of_full_graph():
     t0 = time.monotonic()
     fg = full_graph(heisenberg(1))
     ds = derivations(fg)
-    cert = is_complete(ds.algebra)
+    cert = is_complete(derivations(ds.algebra))
     dt = time.monotonic() - t0
     ok = cert.complete and ds.dim == fg.dim + 1 == 10 and dt < 10.0
     announce(

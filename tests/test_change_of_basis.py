@@ -45,7 +45,7 @@ ALGEBRAS = (
 def invariants(name):
     g = catalog(name)
     ds = derivations(g)
-    return g, ds, (ds.dim, ds.inner.dim, g.center().dim, is_complete(g, ds).complete)
+    return g, ds, (ds.dim, ds.inner.dim, g.center().dim, is_complete(ds).complete)
 
 
 @lru_cache(maxsize=None)
@@ -70,7 +70,7 @@ def test_change_of_basis_keeps_der_invariants(case):
     g, ds, expected = invariants(name)
     h = rebased(g, p, pinv)
     dh = derivations(h)
-    assert (dh.dim, dh.inner.dim, h.center().dim, is_complete(h, dh).complete) == expected
+    assert (dh.dim, dh.inner.dim, h.center().dim, is_complete(dh).complete) == expected
     for d in ds.basis_mats:
         conj = pinv @ d @ p
         assert is_derivation(h, conj)

@@ -68,10 +68,12 @@ class TestFileFormat:
             parse_algebra('{"dim": 2, "brackets": [{"i": 0, "j": 5, "value": []}]}')
 
     def test_bad_rational(self):
-        with pytest.raises(AlgebraFileError):
-            parse_algebra(
-                '{"dim": 2, "brackets": [{"i": 0, "j": 1, "value": [[0, "0.5"]]}]}'
-            )
+        # 'p' or 'p/q' in ASCII digits only: not decimal notation, other
+        # scripts' digits (full-width 1, Arabic-Indic 3) or whitespace
+        for value in ("0.5", "\uff11", "\u0663", "1/\u0663", "1\n", " 1", "1 ", "1_0"):
+            doc = {"dim": 2, "brackets": [{"i": 0, "j": 1, "value": [[0, value]]}]}
+            with pytest.raises(AlgebraFileError):
+                parse_algebra(json.dumps(doc))
 
     def test_not_json(self):
         with pytest.raises(AlgebraFileError):
@@ -168,6 +170,7 @@ class TestExitCodes:
             '{"dim": 2, "brackets": [{"i": false, "j": 1, "value": []}]}',
             '{"dim": 2, "brackets": [{"i": 0, "j": true, "value": []}]}',
             '{"dim": 2, "brackets": [{"i": 0, "j": 1, "value": [[true, "1"]]}]}',
+            '{"dim": 2, "brackets": [{"i": 0, "j": 1, "value": [[0, "\\uff11"]]}]}',
             '{"dim": 2, "labels": [1, null]}',
             b'\xff\xfe{"dim": 0}',  # not UTF-8
         ):
@@ -352,7 +355,7 @@ class TestCommands:
     def test_tower_rejects_malformed_dim_cap(self, monkeypatch, capsys):
         monkeypatch.setenv("LIE_DIM_CAP", "abc")
         assert run_command(["tower", "catalog:nonabelian2"]) == 1
-        assert "LIE_DIM_CAP must be an integer" in capsys.readouterr().err
+        assert "LIE_DIM_CAP must be a non-negative integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -398,9 +401,11 @@ class TestCommands:
         assert "dimension 5 exceeds LIE_DIM_CAP 4" in capsys.readouterr().err
         assert run_command(["analyze", "catalog:heisenberg:1"]) == 0
         capsys.readouterr()
+        # the cap is ASCII decimal digits and nothing else
+        malformed = ("abc", "1_0", "\u0666\u0664", "+64", " 5", "5 ", "-1", "")
         for cap, message in (
             ("1", "dimension 2 exceeds LIE_DIM_CAP 1"),
-            ("abc", "LIE_DIM_CAP must be an integer, not 'abc'"),
+            *((c, f"LIE_DIM_CAP must be a non-negative integer, not {c!r}") for c in malformed),
         ):
             monkeypatch.setenv("LIE_DIM_CAP", cap)
             assert run_command(["analyze", "catalog:nonabelian2"]) == 1

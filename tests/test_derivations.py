@@ -39,6 +39,7 @@ from lieq.linalg import (
     Subspace,
     ZERO,
     clear_denominators,
+    q_str,
     rank_bareiss,
 )
 
@@ -514,29 +515,77 @@ class TestInnerPreimage:
 
 class TestIsComplete:
     def test_abelian_central_witness(self):
-        cert = is_complete(abelian(1))
+        cert = is_complete(derivations(abelian(1)))
         assert not cert.complete
         assert cert.witness[0] == "central"
 
     def test_nonabelian2_complete(self):
-        cert = is_complete(nonabelian2())
+        cert = is_complete(derivations(nonabelian2()))
         assert cert.complete
         assert cert.center_dim == 0 and cert.der_dim == cert.inner_dim == 2
 
     def test_heisenberg_not_complete(self, h3, ds_h3):
-        cert = is_complete(h3, ds_h3)
+        cert = is_complete(ds_h3)
         assert not cert.complete
         assert cert.witness[0] == "central"
         kind, v = cert.witness
         assert not any(h3.ad_matrix(v).flatten())
 
     def test_outer_witness_verified(self, fh3, ds_fh3):
-        cert = is_complete(fh3, ds_fh3)
+        cert = is_complete(ds_fh3)
         assert not cert.complete
         kind, m = cert.witness
         assert kind == "outer"
         assert is_derivation(fh3, m)
         assert not ds_fh3.inner_flat.contains_vector(m.flatten())
+
+
+# The certificate of each structure source, recorded when is_complete still
+# solved for Z(g) apart from Der(g), so reading Z(g) off Der(g) must keep
+# it: (center_dim, der_dim, inner_dim, complete, witness), the witness as
+# its kind, its Der basis index when outer, and its nonzero entries
+# (row-major for a matrix) as strings.
+SOURCE_CERTIFICATES = {
+    "heisenberg:1": (1, 6, 2, False, ("central", {2: "1"})),
+    "heisenberg:2": (1, 15, 4, False, ("central", {4: "1"})),
+    "abelian:4": (4, 16, 0, False, ("central", {0: "1"})),
+    "nonabelian2": (0, 2, 2, True, None),
+    "graded-power:heisenberg:1:2": (4, 24, 2, False, ("central", {2: "1"})),
+    "graded-power:nonabelian2:2": (2, 10, 2, False, ("central", {2: "1"})),
+    "full-graph:heisenberg:1": (
+        0, 10, 9, False, ("outer", 6, {43: "1", 51: "-1", 60: "2", 70: "2", 80: "2"})
+    ),
+    "full-graph:nonabelian2": (0, 4, 4, True, None),
+    "full-graph:full-graph:nonabelian2": (0, 8, 8, True, None),
+    "h5_dense.json": (1, 15, 4, False, ("central", {0: "1", 2: "-1/3", 3: "-1/3", 4: "1/3"})),
+    "f2_nonabelian2_dense.json": (0, 8, 8, True, None),
+}
+
+
+@pytest.mark.parametrize("name", STRUCTURE_SOURCES)
+def test_is_complete_reads_the_one_ad_elimination(name, monkeypatch):
+    # Z(g) comes from the elimination that gives ad(g): is_complete calls
+    # no LieAlgebra.center, through its one binding, the class attribute
+    g = load_structure_source(name)
+    original = LieAlgebra.center
+    calls = []
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(LieAlgebra, "center", counting)
+    ds = derivations(g)
+    cert = is_complete(ds)
+    assert calls == []
+    assert ds.center == original(g)
+    witness = cert.witness
+    if witness is not None:
+        kind, w = witness
+        flat = w.flatten() if kind == "outer" else w
+        entries = {t: q_str(x) for t, x in enumerate(flat) if x}
+        witness = (kind, ds.basis_mats.index(w), entries) if kind == "outer" else (kind, entries)
+    assert (*cert[:4], witness) == SOURCE_CERTIFICATES[name]
 
 
 class TestCentralizer:

@@ -34,7 +34,7 @@ from lieq.derivations import (
 from lieq.fileio import parse_algebra, serialize_algebra
 from lieq.linalg import Matrix, Q
 
-from oracles import bumped, dense_is_derivation, mat_comb, rebased, unimodular
+from oracles import bumped, dense_center, dense_is_derivation, mat_comb, rebased, unimodular
 
 BASES = ("nonabelian2", "heisenberg:1", "abelian:1", "abelian:2", "full-graph:nonabelian2")
 
@@ -116,9 +116,15 @@ def test_is_derivation_matches_dense_oracle_on_perturbed_basis(g, data):
         assert is_derivation(g, m2) == dense_is_derivation(g, m2)
 
 
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(ALGEBRAS)
+def test_center_matches_dense_oracle(g):
+    assert g.center().vectors() == dense_center(g)
+
+
 def der_invariants(g, ds):
     """(dim Der, dim ad, dim centre, complete) of g, ds being Der(g)."""
-    return ds.dim, ds.inner.dim, g.center().dim, is_complete(g, ds).complete
+    return ds.dim, ds.inner.dim, g.center().dim, is_complete(ds).complete
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)

@@ -8,7 +8,7 @@ from lieq.constructions import abelian, catalog, heisenberg, nonabelian2
 from lieq.liealg import InvalidStructureError, LieAlgebra, NotClosedError
 from lieq.linalg import Matrix, Q, Subspace, rank_bareiss, solve
 
-from oracles import STRUCTURE_SOURCES, load_structure_source, sl2_plus_center
+from oracles import STRUCTURE_SOURCES, dense_center, load_structure_source, sl2_plus_center
 
 
 @pytest.fixture
@@ -296,11 +296,20 @@ def product_space_series(g):
 SL2 = LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}})
 
 
-@pytest.mark.parametrize(
-    "g",
-    [pytest.param(name, id=name) for name in STRUCTURE_SOURCES]
-    + [pytest.param(SL2, id="sl2"), pytest.param(sl2_plus_center(), id="sl2+Q")],
-)
+SOURCES_AND_SL2 = [pytest.param(name, id=name) for name in STRUCTURE_SOURCES] + [
+    pytest.param(SL2, id="sl2"),
+    pytest.param(sl2_plus_center(), id="sl2+Q"),
+]
+
+
+@pytest.mark.parametrize("g", SOURCES_AND_SL2)
+def test_center_matches_dense_oracle(g):
+    if isinstance(g, str):
+        g = load_structure_source(g)
+    assert g.center().vectors() == dense_center(g)
+
+
+@pytest.mark.parametrize("g", SOURCES_AND_SL2)
 def test_series_matches_product_space(g):
     if isinstance(g, str):
         g = load_structure_source(g)

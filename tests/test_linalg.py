@@ -120,17 +120,21 @@ class TestImageWithPreimages:
             c = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(4)]
             f = Matrix.from_columns([[a * x + b * y for x, y in zip(u, w)] for a, b in c])
             rows = [sparse(f.column(j)) | {3 + j: Q(1)} for j in range(4)]
-            image, pre = image_with_preimages(3, 7, rows)
+            image, pre, kernel = image_with_preimages(3, 7, rows)
             assert image == Subspace.from_vectors(3, [f.column(j) for j in range(4)])
             assert len(pre) == image.dim
             for v, x in zip(image.vectors(), pre):
                 # sparse preimages, no dense copy
                 assert isinstance(x, dict) and all(x.values())
                 assert mat_vec(f, dense(x, 4)) == v
+            # the kernel is ker f, in its canonical rows
+            assert kernel.dim == 4 - image.dim
+            assert all(not any(mat_vec(f, x)) for x in kernel.vectors())
+            assert kernel == Subspace.from_vectors(4, kernel.vectors())
 
     def test_no_rows(self):
-        image, pre = image_with_preimages(2, 2, [])
-        assert image == Subspace(2, {}) and pre == ()
+        image, pre, kernel = image_with_preimages(2, 2, [])
+        assert image == Subspace(2, {}) and pre == () and kernel == Subspace(0, {})
 
     def test_combine(self):
         rows = [{0: Q(1), 2: Q(2)}, {2: Q(-1), 1: Q(1, 3)}]

@@ -311,8 +311,8 @@ class TestTheorem1:
 
     def test_der_h1_solved_once(self, monkeypatch, capsys):
         # the dimension of the algebra of every derivations() call, through
-        # every binding: g, h1, then h from is_complete(h); the maximal-torus
-        # branch reuses Der(h1)
+        # every binding: g, h1, then h for is_complete(derivations(h)); the
+        # maximal-torus branch reuses Der(h1)
         original = derivations
         dims = []
 
@@ -339,7 +339,7 @@ def weight_part_lemma2_check(dh1, p, parts):
     # coordinates of e_i in the part bases
     part_rows = [row for _, sub in parts for row in sub.rows.values()]
     tagged = [row | {n + k: ONE} for k, row in enumerate(part_rows)]
-    _, to_parts = image_with_preimages(n, 2 * n, tagged)
+    _, to_parts, _ = image_with_preimages(n, 2 * n, tagged)
     offsets, off = [], 0
     for _, sub in parts:
         offsets.append((off, off + sub.dim))
