@@ -34,7 +34,7 @@ from .fileio import (
     serialize_algebra,
 )
 from .liealg import DimensionCapError, LieAlgebra
-from .linalg import InvariantError, Matrix, q_str
+from .linalg import InvariantError, ZERO, q_str
 from .weights import (
     lemma3_check,
     prop2_check,
@@ -116,8 +116,10 @@ def cmd_analyze(args) -> int:
         elif args.full:
             doc["witness"] = [[q_str(x) for x in row] for row in w.data]
     if args.full:
+        n = g.dim
         doc["der_basis"] = [
-            [[q_str(x) for x in row] for row in m.data] for m in ds.basis_mats
+            [[q_str(d.get(r * n + c, ZERO)) for c in range(n)] for r in range(n)]
+            for d in ds.space.rows.values()
         ]
     _emit(doc, args.out)
     return 0
@@ -173,10 +175,10 @@ def cmd_verify(args) -> int:
         g = load_source(args.g)
         if args.phi == "identity":
             ds = derivations(g)
-            rep = lemma3_check(ds.algebra, g, ds.basis_mats)
+            rep = lemma3_check(ds.algebra, g, ds.space.rows.values())
         else:
             s = abelian(args.s_dim)
-            rep = lemma3_check(s, g, [Matrix.zero(g.dim, g.dim)] * s.dim)
+            rep = lemma3_check(s, g, [{}] * s.dim)
     elif args.theorem == "prop2":
         rep = prop2_check(args.N)
     elif args.theorem == "prop3":

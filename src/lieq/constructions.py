@@ -3,32 +3,38 @@ Heisenberg algebras, graded powers, and a named catalog.
 
 Each builder returns the LieAlgebra it builds.  The basis of s x_phi g is
 that of s, then that of g: the g part occupies range(s.dim, s.dim + g.dim),
-and v in g embeds as s.zero() + v.  Each builder refuses an algebra over
-LIE_DIM_CAP before it builds it.
+and v in g embeds as s.zero() + v.  phi is given by the images of the basis
+of s as sparse row-major entries {r*n + c: q}, the form of the rows of
+Der(g), so `full_graph` passes those rows as they are.  Each builder
+refuses an algebra over LIE_DIM_CAP before it builds it.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Collection
 
 from .derivations import DerivationSpace, check_images, derivations
-from .liealg import LieAlgebra, check_dim_cap, is_ascii_decimal
+from .liealg import MAX_COUNT_DIGITS, LieAlgebra, check_dim_cap, is_ascii_decimal
 from .linalg import Matrix, Q, ZERO
 
 
-def semidirect(s: LieAlgebra, g: LieAlgebra, images: Sequence[Matrix]) -> LieAlgebra:
+def semidirect(s: LieAlgebra, g: LieAlgebra, images: Collection[dict]) -> LieAlgebra:
     """s x_phi g, for phi given by the images phi(s_k) of the basis of s,
     with bracket [(s1,g1),(s2,g2)] = ([s1,s2], s1(g2) - s2(g1) + [g1,g2]).
+    Each image is given by its sparse row-major entries {r*n + c: q},
+    n = dim g, and each entry q at (r, c) is written straight into the
+    bracket [s_k, g_c] = sum_r q g_r.
 
     The Jacobi validation of the product is the one check of phi.  The
     triples (s_k, g_i, g_j) hold exactly when phi(s_k) is a derivation of g,
     and the triples (s_k, s_l, g_i) exactly when phi([s_k, s_l]) =
     [phi(s_k), phi(s_l)] on g_i; the rest are the Jacobi identities of s and
     of g.  So the product is a Lie algebra exactly when phi is a homomorphism
-    s -> Der(g).  Raises ValueError unless there is one dim g x dim g image
-    per basis vector of s, and InvalidStructureError (a ValueError) naming
-    the failing basis triple of the product, whose indices below dim s are
-    in s, when phi is not such a homomorphism.
+    s -> Der(g).  Raises ValueError unless there is one image per basis
+    vector of s, with its entry indices in range(n^2), and
+    InvalidStructureError (a ValueError) naming the failing basis triple of
+    the product, whose indices below dim s are in s, when phi is not such a
+    homomorphism.
     """
     if len(images) != s.dim:
         raise ValueError("phi needs one image per basis vector of s")
@@ -42,8 +48,8 @@ def semidirect(s: LieAlgebra, g: LieAlgebra, images: Sequence[Matrix]) -> LieAlg
             if i < j:
                 table[(i, j)] = v
     for i, img in enumerate(images):
-        for j in range(n):
-            table[(i, p + j)] = {p + k: c for k, c in enumerate(img.column(j)) if c}
+        for t, q in img.items():
+            table.setdefault((i, p + t % n), {})[p + t // n] = q
     for i, row in enumerate(g.sc):
         for j, v in row.items():
             if i < j:
@@ -59,7 +65,7 @@ def full_graph(g: LieAlgebra, ds: DerivationSpace | None = None) -> LieAlgebra:
         ds = derivations(g)
     elif ds.base is not g and ds.base.sc != g.sc:
         raise ValueError("derivation space does not belong to this algebra")
-    return semidirect(ds.algebra, g, ds.basis_mats)
+    return semidirect(ds.algebra, g, ds.space.rows.values())
 
 
 def heisenberg(N: int) -> LieAlgebra:
@@ -157,7 +163,10 @@ def catalog(name: str) -> LieAlgebra:
 
 
 def _count(s: str) -> int:
-    """A catalog count, written in ASCII decimal digits (`is_ascii_decimal`)."""
+    """A catalog count, written in at most MAX_COUNT_DIGITS ASCII decimal
+    digits (`is_ascii_decimal`)."""
     if not is_ascii_decimal(s):
         raise KeyError(f"bad catalog count {s!r}")
+    if len(s) > MAX_COUNT_DIGITS:
+        raise KeyError(f"catalog count has {len(s)} digits, over {MAX_COUNT_DIGITS}")
     return int(s)

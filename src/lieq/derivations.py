@@ -26,11 +26,19 @@ combines the preimages, and `DerivationSpace` keeps the centre, so
 `is_complete` reads both halves of its certificate off Der(g) alone.
 Brackets of derivations are computed once, as the structure constants of
 `DerivationSpace.algebra`, each audited against its full matrix commutator.
-Downstream, a derivation is its coordinate vector in the canonical Der basis:
+
+Der(g) is held once, as the canonical sparse rows of `DerivationSpace.space`
+over the row-major entries of a matrix, {r*n + c: q}: the form in which the
+Leibniz unknowns are indexed.  The images of a phi: s -> Der(g) are passed
+in the same form (`check_images`), so `full_graph` hands the Der rows to
+`semidirect` as they are.  The one matrix built here is the outer witness
+of `is_complete`, a value that leaves the library.  Downstream, a
+derivation is its coordinate vector in the canonical Der basis:
 `centralizer_in_der` takes the Der coordinates of its generators, and
-`f_s_subspace` takes the images of phi and reads their Der coordinates once;
-both take kernels of sparse ad rows of that algebra, read off its `sc`,
-rather than forming dense n x n commutators or ad matrices.
+`f_s_subspace` reads the Der coordinates of the images of phi once, off
+their sparse entries; both take kernels of sparse ad rows of that algebra,
+read off its `sc`, rather than forming dense n x n commutators or ad
+matrices.
 
 A torus is checked by its definition alone: derivations with a common
 eigenbasis over Q.  `verify_torus` takes each generator's spectrum from the
@@ -45,7 +53,7 @@ Der(g) under the commutator) raise `InvariantError` when they fail.
 from __future__ import annotations
 
 from math import lcm
-from typing import Iterator, NamedTuple, Sequence
+from typing import Collection, Iterator, NamedTuple, Sequence
 
 from .liealg import DEFAULT_DIM_CAP, DimensionCapError, LieAlgebra, dim_cap
 from .linalg import (
@@ -101,18 +109,15 @@ def is_derivation(g: LieAlgebra, m: Matrix) -> bool:
 
 
 class DerivationSpace:
-    """Der(g): canonical matrix basis, its own Lie algebra structure, the
-    inner-derivation subspace in Der-coefficient coordinates, and the centre
-    of g, the kernel of ad."""
+    """Der(g): its canonical basis, held as the sparse rows of `space`, its
+    own Lie algebra structure, the inner-derivation subspace in
+    Der-coefficient coordinates, and the centre of g, the kernel of ad."""
 
-    __slots__ = (
-        "base", "space", "basis_mats", "algebra", "inner", "inner_flat", "ad_preimages", "center"
-    )
+    __slots__ = ("base", "space", "algebra", "inner", "inner_flat", "ad_preimages", "center")
 
-    def __init__(self, base, space, basis_mats, algebra, inner, inner_flat, ad_preimages, center):
+    def __init__(self, base, space, algebra, inner, inner_flat, ad_preimages, center):
         self.base = base
-        self.space = space  # Subspace of Q^(n^2), RREF-canonical
-        self.basis_mats = basis_mats
+        self.space = space  # Subspace of Q^(n^2), RREF-canonical: rows {r*n + c: q}
         self.algebra = algebra  # bracket = matrix commutator
         self.inner = inner  # Subspace of Q^dim (Der coefficients)
         self.inner_flat = inner_flat  # ad(g) inside Q^(n^2)
@@ -121,15 +126,17 @@ class DerivationSpace:
 
     @property
     def dim(self) -> int:
-        return len(self.basis_mats)
+        return self.space.dim
 
     def coords_of(self, m: Matrix) -> tuple | None:
         """Coefficients of m in the canonical Der basis, or None if outside."""
         return self.space.coords_of(m.flatten())
 
-    def from_coords(self, coeffs: Sequence) -> Matrix:
+    def from_coords(self, coeffs: Sequence) -> dict:
+        """The derivation with Der coordinates coeffs, as its sparse
+        row-major entries {r*n + c: q}."""
         n = self.base.dim
-        return Matrix.unflatten(combine(coeffs, self.space.rows.values(), n * n), n, n)
+        return {t: x for t, x in enumerate(combine(coeffs, self.space.rows.values(), n * n)) if x}
 
     def __repr__(self):
         return f"DerivationSpace(base dim {self.base.dim}, dim {self.dim})"
@@ -218,12 +225,9 @@ def derivations(g: LieAlgebra) -> DerivationSpace:
             tagged = {t: c for t, c in enumerate(coords) if c}
             inner_rows.append(tagged | {d + k: y for k, y in x.items()})
         inner, pre, _ = image_with_preimages(d, d + n, inner_rows)
-    basis_mats = tuple(Matrix.unflatten(v, n, n) for v in space.vectors())
-    d = len(basis_mats)
-
-    labels = tuple(f"D{a}" for a in range(d))
-    algebra = LieAlgebra(d, commutator_table(space, n), labels, check=True)
-    return DerivationSpace(g, space, basis_mats, algebra, inner, inner_flat, pre, center)
+    labels = tuple(f"D{a}" for a in range(space.dim))
+    algebra = LieAlgebra(space.dim, commutator_table(space, n), labels, check=True)
+    return DerivationSpace(g, space, algebra, inner, inner_flat, pre, center)
 
 
 def _mul_into(acc: dict, a: dict, b: dict, n: int, sign: int) -> None:
@@ -313,7 +317,8 @@ def is_complete(ds: DerivationSpace) -> CompletenessCertificate:
     ad(g) are the kernel and the image of the one elimination of the ad
     rows that `derivations` ran.  The outer witness is the first Der basis
     vector outside ad(g): as the rows of ds.inner are reduced, that is the
-    first k whose row is not {k: 1}."""
+    first k whose row is not {k: 1}.  It is the one matrix built here, from
+    its canonical row."""
     center, der_dim, inner_dim = ds.center, ds.dim, ds.inner.dim
     complete = center.dim == 0 and der_dim == inner_dim
     witness = None
@@ -321,7 +326,8 @@ def is_complete(ds: DerivationSpace) -> CompletenessCertificate:
         witness = ("central", center.vectors()[0])
     elif not complete:
         k = next(k for k in range(der_dim) if ds.inner.rows.get(k) != {k: ONE})
-        witness = ("outer", ds.basis_mats[k])
+        w, n = list(ds.space.rows.values())[k], ds.base.dim
+        witness = ("outer", Matrix([[w.get(r * n + c, ZERO) for c in range(n)] for r in range(n)]))
     return CompletenessCertificate(center.dim, der_dim, inner_dim, complete, witness)
 
 
@@ -333,22 +339,23 @@ def centralizer_in_der(ds: DerivationSpace, coords: Sequence[Sequence]) -> Subsp
     return SparseSystem(ds.dim, rows).kernel()
 
 
-def check_images(images: Sequence[Matrix], n: int) -> None:
+def check_images(images: Collection[dict], n: int) -> None:
     """Refuse images of phi that are not n x n matrices, in gl(g) for
-    dim g = n."""
-    if any(m.rows != n or m.cols != n for m in images):
-        raise ValueError(f"phi needs {n} x {n} images, one per basis vector of s")
+    dim g = n: each is given by its sparse row-major entries {r*n + c: q},
+    so every index must lie in range(n^2)."""
+    if any(not 0 <= t < n * n for m in images for t in m):
+        raise ValueError(f"phi needs {n} x {n} images: an entry index is outside range({n * n})")
 
 
-def f_s_subspace(ds: DerivationSpace, images: Sequence[Matrix]) -> Subspace:
+def f_s_subspace(ds: DerivationSpace, images: Collection[dict]) -> Subspace:
     """F_s(g) = {D in Der(g) : [D, phi(s_k)] inner for all k}, in
-    Der-coefficient coordinates, for the images phi(s_k).  A derivation is
-    inner exactly when it is orthogonal to every w in the complement of
-    ad(g) in Q^dim, so each image beta contributes the rows w . ad(beta) of
-    the Der algebra, summed over the sparse rows of both.  Raises ValueError
-    when an image lies outside Der(g)."""
-    check_images(images, ds.base.dim)
-    coords = [ds.coords_of(m) for m in images]
+    Der-coefficient coordinates, for the images phi(s_k), given by their
+    sparse entries.  A derivation is inner exactly when it is orthogonal to
+    every w in the complement of ad(g) in Q^dim, so each image beta
+    contributes the rows w . ad(beta) of the Der algebra, summed over the
+    sparse rows of both.  Raises ValueError when an image lies outside
+    Der(g), as an entry index outside range(n^2) does."""
+    coords = [ds.space.coords_of_row(m) for m in images]
     if None in coords:
         raise ValueError("an image of phi lies outside Der(g)")
     comp = ds.inner.orthogonal_complement().rows.values()
@@ -364,12 +371,14 @@ def f_s_subspace(ds: DerivationSpace, images: Sequence[Matrix]) -> Subspace:
     return SparseSystem(ds.dim, rows).kernel()
 
 
-def z_s_subspace(g: LieAlgebra, images: Sequence[Matrix]) -> Subspace:
-    """Z_s(g): central elements annihilated by every image phi(s_k), that
-    is, the centre met with the kernel of the rows of the images."""
-    check_images(images, g.dim)
-    rows = ({j: x for j, x in enumerate(row) if x} for m in images for row in m.data)
-    return g.center().intersect(SparseSystem(g.dim, rows).kernel())
+def z_s_subspace(g: LieAlgebra, images: Collection[dict]) -> Subspace:
+    """Z_s(g): central elements annihilated by every image phi(s_k), given
+    by their sparse entries, that is, the centre met with the kernel of the
+    rows of the images."""
+    n = g.dim
+    check_images(images, n)
+    rows = ({t % n: x for t, x in m.items() if t // n == r} for m in images for r in range(n))
+    return g.center().intersect(SparseSystem(n, rows).kernel())
 
 
 class TorusReport(NamedTuple):

@@ -39,6 +39,8 @@ def parse_algebra(text: str | bytes) -> LieAlgebra:
         raise AlgebraFileError(f"not valid JSON: {e}") from None
     except RecursionError:
         raise AlgebraFileError("not valid JSON: nested too deeply") from None
+    except ValueError:  # int() refused a JSON integer past its digit limit
+        raise AlgebraFileError("an integer has too many digits") from None
     if not isinstance(doc, dict):
         raise AlgebraFileError("top level must be an object")
     try:

@@ -16,8 +16,9 @@ preimage under ad of each of its basis vectors, and the centre Z(g) = ker ad;
 
 The Jacobi identity is validated eagerly, so an invalid table is
 unrepresentable downstream.  `check_dim_cap` refuses a dimension above
-LIE_DIM_CAP, which must be written in ASCII decimal digits; the constructors
-and the file loader call it before they build an algebra.
+LIE_DIM_CAP, which must be written in at most `MAX_COUNT_DIGITS` ASCII
+decimal digits; the constructors and the file loader call it before they
+build an algebra.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ from .linalg import (
 Element = tuple  # coordinate vector relative to the owning algebra's basis
 
 DEFAULT_DIM_CAP = 64
+# CPython's default bound on the digits of an int read from a string; a
+# count or cap past it is refused by its source, not by int()
+MAX_COUNT_DIGITS = 4300
 
 
 class DimensionCapError(ValueError):
@@ -59,6 +63,8 @@ def dim_cap() -> int:
         return DEFAULT_DIM_CAP
     if not is_ascii_decimal(raw):
         raise DimensionCapError(f"LIE_DIM_CAP must be a non-negative integer, not {raw!r}")
+    if len(raw) > MAX_COUNT_DIGITS:
+        raise DimensionCapError(f"LIE_DIM_CAP has {len(raw)} digits, over {MAX_COUNT_DIGITS}")
     return int(raw)
 
 

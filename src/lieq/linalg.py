@@ -99,10 +99,6 @@ class Matrix:
                 raise ValueError("ragged matrix rows")
 
     @staticmethod
-    def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix([[ZERO] * cols for _ in range(rows)])
-
-    @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
@@ -161,13 +157,6 @@ class Matrix:
     def flatten(self) -> tuple:
         """Row-major entry vector."""
         return tuple(x for row in self.data for x in row)
-
-    @staticmethod
-    def unflatten(v: Sequence, rows: int, cols: int) -> "Matrix":
-        """Inverse of flatten."""
-        if len(v) != rows * cols:
-            raise ValueError("shape mismatch")
-        return Matrix([v[i * cols : (i + 1) * cols] for i in range(rows)])
 
 
 def clear_denominators(entries: dict) -> tuple[dict, int]:

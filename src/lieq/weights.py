@@ -7,7 +7,7 @@ with pass/fail and a witness, plus a dimension table.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 from .constructions import (
     abelian,
@@ -160,13 +160,13 @@ def theorem1_pipeline(
     b_sub = Subspace.from_vectors(ds.dim, torus_coords)
     if b_sub.dim != p:
         raise ValueError("the torus generators are linearly dependent")
-    h1 = semidirect(abelian(p), g, torus_mats)
+    h1 = semidirect(abelian(p), g, [ds.from_coords(c) for c in torus_coords])
     tau_sub = centralizer_in_der(ds, torus_coords)
-    tau_mats = [ds.from_coords(v) for v in tau_sub.vectors()]
+    tau = [ds.from_coords(v) for v in tau_sub.vectors()]
     tau_alg = ds.algebra.subalgebra_structure(
         tau_sub, tuple(f"t{k}" for k in range(tau_sub.dim))
     )
-    h = semidirect(tau_alg, g, tau_mats)
+    h = semidirect(tau_alg, g, tau)
 
     dh1 = derivations(h1)
     report.dims = {
@@ -180,7 +180,7 @@ def theorem1_pipeline(
 
     # Images of the h basis under (t0, g0) -> D_{(t0, g0)}: D_{(t0, 0)} is t0
     # on the g slot of h1 = b x g, and D_{(0, g0)} = ad_h1(0, g0)
-    images = [_on_g_slot(t0, p) for t0 in tau_mats]
+    images = [_on_g_slot(t0, p, g.dim) for t0 in tau]
     images += [h1.ad_matrix(h1.basis_element(k)) for k in range(p, h1.dim)]
 
     span = _add_image_checks(report, h1, dh1, images, "h1", "Der(h1)")
@@ -201,10 +201,11 @@ def theorem1_pipeline(
     return report
 
 
-def _on_g_slot(t0: Matrix, p: int) -> Matrix:
-    """t0 on the g slot of b x g and zero on its p-dimensional b slot."""
-    width = p + t0.cols
-    return Matrix([[ZERO] * width] * p + [[ZERO] * p + list(row) for row in t0.data])
+def _on_g_slot(t0: dict, p: int, n: int) -> Matrix:
+    """The matrix of t0, given by its sparse entries on g of dimension n, on
+    the g slot of b x g, and zero on its p-dimensional b slot."""
+    rows = [[ZERO] * p + [t0.get(r * n + c, ZERO) for c in range(n)] for r in range(n)]
+    return Matrix([[ZERO] * (p + n)] * p + rows)
 
 
 def _lemma2_form_check(dh1: DerivationSpace, torus_mats: Sequence[Matrix]) -> tuple[bool, str]:
@@ -212,14 +213,16 @@ def _lemma2_form_check(dh1: DerivationSpace, torus_mats: Sequence[Matrix]) -> tu
     x_alpha on the torus slot, with x_alpha independent of b.  As b acts on
     g_alpha by alpha(b), that says the g-parts of D b_1, ..., D b_p are
     b_1 X, ..., b_p X for one X in g: stacked, they lie in the span of the
-    stacked columns (b_1 e_i, ..., b_p e_i) in Q^(p n)."""
-    p = len(torus_mats)
-    n = dh1.base.dim - p
+    stacked columns (b_1 e_i, ..., b_p e_i) in Q^(p n).  The g-parts are
+    read off the sparse rows of Der(h1): entry (r, j) of D is at r*dim + j."""
+    p, dim = len(torus_mats), dh1.base.dim
+    n = dim - p
     stacked = Subspace.from_vectors(
         p * n, ([x for b in torus_mats for x in b.column(i)] for i in range(n))
     )
-    for didx, d in enumerate(dh1.basis_mats):
-        if not stacked.contains_vector([x for j in range(p) for x in d.column(j)[p:]]):
+    for didx, d in enumerate(dh1.space.rows.values()):
+        g_parts = [d.get(r * dim + j, ZERO) for j in range(p) for r in range(p, dim)]
+        if not stacked.contains_vector(g_parts):
             return False, f"derivation {didx}: the torus slot breaks the alpha(b) x_alpha form"
     return True, ""
 
@@ -230,9 +233,10 @@ def _lemma2_form_check(dh1: DerivationSpace, torus_mats: Sequence[Matrix]) -> tu
 
 
 def lemma3_check(
-    s: LieAlgebra, g: LieAlgebra, images: Sequence[Matrix]
+    s: LieAlgebra, g: LieAlgebra, images: Collection[dict]
 ) -> PipelineReport:
-    """Lemma 3 on s x_phi g, for phi given by the images of s's basis."""
+    """Lemma 3 on s x_phi g, for phi given by the images of s's basis, as
+    their sparse row-major entries {r*n + c: q}."""
     report = PipelineReport("lemma3")
     h = semidirect(s, g, images)
     zs = z_s_subspace(g, images)
@@ -271,7 +275,7 @@ def theorem2_check(g: LieAlgebra) -> PipelineReport:
 
     fg = full_graph(g, dsg)
     dsf = derivations(fg)
-    fsub = f_s_subspace(dsg, dsg.basis_mats)
+    fsub = f_s_subspace(dsg, dsg.space.rows.values())
     report.dims = {
         "g": g.dim,
         "Der(g)": dsg.dim,
@@ -325,8 +329,8 @@ def _lemma4_image(dsg: DerivationSpace, d: tuple) -> Matrix:
     ad_d = der.ad_rows(d)
     rows = [ad_d.get(k, {}) for k in span]
     cols = [der.zero() + inner_preimage(dsg, [r.get(j, ZERO) for r in rows]) for j in span]
-    dm = dsg.from_coords(d)
-    cols += [der.zero() + dm.column(i) for i in range(dsg.base.dim)]
+    n, dm = dsg.base.dim, dsg.from_coords(d)
+    cols += [der.zero() + tuple(dm.get(r * n + i, ZERO) for r in range(n)) for i in range(n)]
     return Matrix.from_columns(cols)
 
 

@@ -49,6 +49,29 @@ def sparse(v):
     return {j: x for j, x in enumerate(v) if x}
 
 
+def zeros(rows, cols):
+    """The rows x cols zero matrix."""
+    return Matrix([[0] * cols for _ in range(rows)])
+
+
+def entries(m):
+    """The sparse row-major entries {r*n + c: value} of the n x n matrix m:
+    the form in which lieq passes a derivation."""
+    return sparse(m.flatten())
+
+
+def entries_mat(e, n):
+    """The n x n matrix with the sparse row-major entries e: the inverse of
+    entries."""
+    return Matrix([[e.get(r * n + c, Q(0)) for c in range(n)] for r in range(n)])
+
+
+def der_mats(ds):
+    """The canonical Der(g) basis of ds as dense matrices, read off its
+    sparse rows: the tests' dense view of Der(g)."""
+    return [entries_mat(row, ds.base.dim) for row in ds.space.rows.values()]
+
+
 def mat_vec(m, v):
     """The matrix-vector product m v, row by row: the tests' oracle for
     applying a matrix to a vector."""

@@ -32,7 +32,7 @@ from lieq.weights import (
     weight_decomposition,
 )
 
-from oracles import sparse
+from oracles import der_mats, entries, sparse, zeros
 
 
 def announce(num, ok, detail):
@@ -173,13 +173,11 @@ def test_criterion_7_property_suites():
     closure = True
     for g in constructed:
         ds = derivations(g)
-        leib &= all(is_derivation(g, m) for m in ds.basis_mats)
+        mats = der_mats(ds)
+        leib &= all(is_derivation(g, m) for m in mats)
         for a in range(ds.dim):
             for b in range(a + 1, ds.dim):
-                closure &= (
-                    ds.coords_of(ds.basis_mats[a].commutator(ds.basis_mats[b]))
-                    is not None
-                )
+                closure &= ds.coords_of(mats[a].commutator(mats[b])) is not None
     ok &= leib and closure
     details.append(f"Leibniz on Der bases: {leib}; commutator closure: {closure}")
 
@@ -242,10 +240,10 @@ def test_criterion_8_lemma3_instances():
     g = heisenberg(1)
     # faithful action: every derivation, acting as itself
     ds = derivations(g)
-    faithful = lemma3_check(ds.algebra, g, ds.basis_mats)
+    faithful = lemma3_check(ds.algebra, g, ds.space.rows.values())
     # documented hypothesis gap: abelian s, phi = 0
     s = abelian(1)
-    gap = lemma3_check(s, g, [Matrix.zero(3, 3)])
+    gap = lemma3_check(s, g, [entries(zeros(3, 3))])
     ok = faithful.ok and not gap.ok
     announce(
         8,

@@ -31,7 +31,7 @@ from lieq.derivations import (
 from lieq.linalg import Matrix, Subspace
 from lieq.weights import weight_decomposition
 
-from oracles import mat_vec, rebased, unimodular
+from oracles import der_mats, mat_vec, rebased, unimodular
 
 ALGEBRAS = (
     "heisenberg:1",
@@ -71,7 +71,7 @@ def test_change_of_basis_keeps_der_invariants(case):
     h = rebased(g, p, pinv)
     dh = derivations(h)
     assert (dh.dim, dh.inner.dim, h.center().dim, is_complete(dh).complete) == expected
-    for d in ds.basis_mats:
+    for d in der_mats(ds):
         conj = pinv @ d @ p
         assert is_derivation(h, conj)
         assert dh.coords_of(conj) is not None

@@ -118,6 +118,17 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: catalog:abelian:{count}: bad catalog count {count!r}\n"
 
+    @pytest.mark.parametrize("name", ("abelian:{}", "graded-power:nonabelian2:{}"))
+    def test_catalog_count_over_digit_bound_is_one(self, name, capsys):
+        # int() would refuse it with an interpreter limit; the count is
+        # refused first, by its digit count
+        src = "catalog:" + name.format("1" + "0" * 4300)
+        assert run_command(["construct", src]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {src}: catalog count has 4301 digits, over 4300\n"
+        assert "Exceeds the limit" not in captured.err
+
     @pytest.mark.parametrize("torus", ("diagonal", "grading"))
     def test_graded_power_zero_is_one(self, torus, capsys):
         # 0 is a value, not an absent --graded-power: graded_power refuses it
@@ -180,6 +191,27 @@ class TestExitCodes:
             proc = run_cli("analyze", str(p))
             assert proc.returncode == 1, doc
             assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"dim": %s}',
+            '{"dim": 3, "brackets": [{"i": %s, "j": 1, "value": []}]}',
+            '{"dim": 3, "brackets": [{"i": 0, "j": %s, "value": []}]}',
+        ],
+        ids=["dim", "i", "j"],
+    )
+    def test_integer_over_digit_bound_is_one(self, doc, tmp_path, capsys):
+        # the JSON decoder's int() refuses it with an interpreter limit,
+        # reported as a malformed file that names its path
+        p = tmp_path / "huge.json"
+        p.write_text(doc % ("7" * 5000))
+        with pytest.raises(AlgebraFileError, match="^an integer has too many digits$"):
+            parse_algebra(p.read_text())
+        assert run_command(["analyze", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {p}: an integer has too many digits\n"
 
     @pytest.mark.parametrize(
         "doc",
@@ -406,12 +438,19 @@ class TestCommands:
         for cap, message in (
             ("1", "dimension 2 exceeds LIE_DIM_CAP 1"),
             *((c, f"LIE_DIM_CAP must be a non-negative integer, not {c!r}") for c in malformed),
+            # past int()'s digit limit, refused by its digit count
+            ("7" * 5000, "LIE_DIM_CAP has 5000 digits, over 4300"),
+            ("0" * 4300 + "5", "LIE_DIM_CAP has 4301 digits, over 4300"),
         ):
             monkeypatch.setenv("LIE_DIM_CAP", cap)
             assert run_command(["analyze", "catalog:nonabelian2"]) == 1
             out, err = capsys.readouterr()
             assert out == ""
             assert message in err
+            assert "Exceeds the limit" not in err
+        # 4300 digits are read
+        monkeypatch.setenv("LIE_DIM_CAP", "1" + "0" * 4299)
+        assert run_command(["analyze", "catalog:nonabelian2"]) == 0
 
     def test_analyze_refuses_der_over_cap(self, monkeypatch, capsys):
         # abelian:24 is within the cap, but its Der = gl_24 has dimension

@@ -19,6 +19,8 @@ from lieq.derivations import (
 from lieq.liealg import DimensionCapError
 from lieq.linalg import Matrix, Q, ZERO
 
+from oracles import der_mats, entries, zeros
+
 
 class TestHeisenberg:
     def test_n1(self):
@@ -56,7 +58,7 @@ class TestHeisenberg:
 class TestSemidirect:
     def test_zero_phi_direct_sum(self):
         s, g = abelian(2), heisenberg(1)
-        w = semidirect(s, g, [Matrix.zero(3, 3)] * 2)
+        w = semidirect(s, g, [entries(zeros(3, 3))] * 2)
         assert w.dim == 5
         # mixed brackets vanish, g block reproduced verbatim
         e, f = w.basis_element, g.basis_element
@@ -67,26 +69,28 @@ class TestSemidirect:
 
     def test_grading_semidirect_dim7(self):
         s = abelian(1)
-        w = semidirect(s, graded_power(heisenberg(1), 2), [grading_derivation(heisenberg(1), 2)])
+        grading = entries(grading_derivation(heisenberg(1), 2))
+        w = semidirect(s, graded_power(heisenberg(1), 2), [grading])
         assert w.dim == 7
         assert w.validate().ok
 
     def test_mixed_bracket_equals_phi_action(self):
         g = heisenberg(1)
         ds = derivations(g)
-        w = semidirect(ds.algebra, g, ds.basis_mats)
+        w = semidirect(ds.algebra, g, ds.space.rows.values())
         p = ds.dim
         e = w.basis_element
+        mats = der_mats(ds)
         for i in range(p):
             for j in range(g.dim):
                 got = w.bracket(e(i), e(p + j))
-                expect = (ZERO,) * p + ds.basis_mats[i].column(j)
+                expect = (ZERO,) * p + mats[i].column(j)
                 assert got == expect
 
     def test_identity_phi_matches_full_graph(self):
         g = heisenberg(1)
         ds = derivations(g)
-        via_semidirect = semidirect(ds.algebra, g, ds.basis_mats)
+        via_semidirect = semidirect(ds.algebra, g, ds.space.rows.values())
         via_full_graph = full_graph(g, ds)
         assert via_semidirect.sc == via_full_graph.sc
 
@@ -211,7 +215,7 @@ def test_all_constructors_validate():
         heisenberg(2).validate(),
         gp.validate(),
         full_graph(heisenberg(1)).validate(),
-        semidirect(abelian(1), gp, [grading_derivation(heisenberg(1), 2)]).validate(),
+        semidirect(abelian(1), gp, [entries(grading_derivation(heisenberg(1), 2))]).validate(),
         derivations(heisenberg(1)).algebra.validate(),
     ]
     assert all(r.ok for r in candidates)

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lieq.derivations as DERIVATIONS_MODULE
+from lieq.cli import run_command
 from lieq.constructions import (
     abelian,
     catalog,
@@ -47,10 +49,14 @@ from oracles import (
     STRUCTURE_SOURCES,
     bumped,
     dense_is_derivation,
+    der_mats,
+    entries,
+    entries_mat,
     load_structure_source,
     mat_comb,
     sl2_plus_center,
     sparse,
+    zeros,
 )
 
 
@@ -123,28 +129,30 @@ class TestDerivations:
 
     def test_basis_passes_independent_verifier(self, ds_h3, ds_fh3):
         for ds in (ds_h3, ds_fh3):
-            for m in ds.basis_mats:
+            for m in der_mats(ds):
                 assert is_derivation(ds.base, m)
 
     def test_random_span_passes_verifier(self, ds_fh3):
         rng = random.Random(8)
         for _ in range(10):
             coeffs = [Q(rng.randint(-3, 3)) for _ in range(ds_fh3.dim)]
-            assert is_derivation(ds_fh3.base, ds_fh3.from_coords(coeffs))
+            m = entries_mat(ds_fh3.from_coords(coeffs), ds_fh3.base.dim)
+            assert is_derivation(ds_fh3.base, m)
 
     def test_closure_under_commutator(self, ds_h3):
+        mats = der_mats(ds_h3)
         for a in range(ds_h3.dim):
             for b in range(a + 1, ds_h3.dim):
-                comm = ds_h3.basis_mats[a].commutator(ds_h3.basis_mats[b])
+                comm = mats[a].commutator(mats[b])
                 assert ds_h3.coords_of(comm) is not None
 
     def test_algebra_matches_commutators(self, ds_h3):
-        alg = ds_h3.algebra
+        alg, mats = ds_h3.algebra, der_mats(ds_h3)
         for a in range(alg.dim):
             for b in range(a + 1, alg.dim):
                 coords = alg.bracket(alg.basis_element(a), alg.basis_element(b))
-                recon = ds_h3.from_coords(coords)
-                assert recon == ds_h3.basis_mats[a].commutator(ds_h3.basis_mats[b])
+                recon = entries_mat(ds_h3.from_coords(coords), 3)
+                assert recon == mats[a].commutator(mats[b])
 
     def test_from_coords_wrong_length(self, ds_h3):
         with pytest.raises(ValueError):
@@ -158,7 +166,7 @@ class TestDerivations:
     def test_canonical_basis_deterministic(self, h3, ds_h3):
         again = derivations(heisenberg(1))
         assert again.space == ds_h3.space
-        assert again.basis_mats == ds_h3.basis_mats
+        assert der_mats(again) == der_mats(ds_h3)
 
 
 def theorem1_torus(name, torus):
@@ -199,7 +207,7 @@ class TestIsDerivationOracle:
     @pytest.mark.parametrize("name", STRUCTURE_SOURCES)
     def test_basis_and_perturbed(self, name):
         g = load_structure_source(name)
-        self.agree_on_perturbations(g, derivations(g).basis_mats, random.Random(name))
+        self.agree_on_perturbations(g, der_mats(derivations(g)), random.Random(name))
 
     @pytest.mark.parametrize("name, torus", THEOREM1_TORI)
     def test_theorem1_tori(self, name, torus):
@@ -209,12 +217,13 @@ class TestIsDerivationOracle:
     def test_some_perturbations_stay_derivations(self):
         # on abelian(2) every matrix is a derivation: both checks accept
         g = abelian(2)
-        m = bumped(Matrix.zero(2, 2), 0, 1, Q(3))
+        m = bumped(zeros(2, 2), 0, 1, Q(3))
         assert is_derivation(g, m) and dense_is_derivation(g, m)
         # adding a derivation keeps a derivation, on a nonabelian algebra
         g = heisenberg(1)
         ds = derivations(g)
-        m = mat_comb((1, ds.basis_mats[0]), (Q(-2, 3), ds.basis_mats[1]))
+        mats = der_mats(ds)
+        m = mat_comb((1, mats[0]), (Q(-2, 3), mats[1]))
         assert is_derivation(g, m) and dense_is_derivation(g, m)
 
 
@@ -248,6 +257,39 @@ def test_derivations_reads_ad_off_sc(name, monkeypatch):
     assert ds.inner_flat == Subspace.from_vectors(n * n, flats)
 
 
+def counting_matrices(monkeypatch):
+    """The list of every Matrix built from here on."""
+    built = []
+    init = Matrix.__init__
+
+    def counting(self, data):
+        built.append(self)
+        init(self, data)
+
+    monkeypatch.setattr(Matrix, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("name", ["full-graph:heisenberg:1", "full-graph:full-graph:nonabelian2"])
+def test_der_and_full_graph_build_no_matrix(name, monkeypatch):
+    # Der(g) is held as its sparse rows, and full_graph hands them to
+    # semidirect as they are; f(h3) has an outer derivation, and
+    # f^2(nonabelian2) is complete
+    g = catalog(name)
+    built = counting_matrices(monkeypatch)
+    ds = derivations(g)
+    assert full_graph(g, ds).dim == g.dim + ds.dim
+    assert built == []
+
+
+@pytest.mark.parametrize("name", CATALOG_ANALYZE)
+def test_analyze_builds_only_the_outer_witness(name, monkeypatch, capsys):
+    built = counting_matrices(monkeypatch)
+    assert run_command(["analyze", f"catalog:{name}"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(built) == (doc.get("witness_kind") == "outer")
+
+
 class TestRankBound:
     """derivations() feeds no Leibniz row to the exact elimination when the
     rank mod P reaches n^2 - dim ad(g), and otherwise feeds every row."""
@@ -270,7 +312,7 @@ class TestRankBound:
         g = load_structure_source(name)
         ds = derivations(g)
         assert ds.space == dense_leibniz_kernel(g)
-        for m in ds.basis_mats:
+        for m in der_mats(ds):
             assert is_derivation(g, m)
 
     def test_bound_fires_on_complete_algebra(self, monkeypatch):
@@ -432,10 +474,11 @@ class TestCommutatorTable:
         # the table built the way the integer stage replaced: a dense
         # Fraction commutator per pair, then coordinates by reconstruction
         ds = derivations(load_structure_source(name))
+        mats = der_mats(ds)
         table = {}
         for a in range(ds.dim):
             for b in range(a + 1, ds.dim):
-                comm = ds.basis_mats[a].commutator(ds.basis_mats[b])
+                comm = mats[a].commutator(mats[b])
                 coords = ds.space.coords_of(comm.flatten())
                 assert coords is not None
                 table[(a, b)] = {k: c for k, c in enumerate(coords) if c}
@@ -455,7 +498,7 @@ class TestCommutatorTable:
         upper = [Matrix([[1, 0], [0, 0]]), Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [0, 1]])]
         span = Subspace.from_vectors(4, [(p @ m @ p_inv).flatten() for m in upper])
         assert [clear_denominators(dict(enumerate(v)))[1] for v in span.vectors()] == [1, 2, 1]
-        mats = [Matrix.unflatten(v, 2, 2) for v in span.vectors()]
+        mats = [entries_mat(row, 2) for row in span.rows.values()]
         table = commutator_table(span, 2)
         assert set(table) == {(0, 1), (0, 2), (1, 2)}
         for (a, b), coords in table.items():
@@ -471,7 +514,7 @@ class TestInnerPreimage:
         return inner_preimage(ds, ds.coords_of(m))
 
     def test_zero(self, fh3, ds_fh3):
-        z = Matrix.zero(fh3.dim, fh3.dim)
+        z = zeros(fh3.dim, fh3.dim)
         assert self.preimage(ds_fh3, z) == fh3.zero()
 
     def test_round_trip_basis(self):
@@ -502,7 +545,7 @@ class TestInnerPreimage:
     def test_not_inner(self, fh3, ds_fh3):
         outer = next(
             m
-            for k, m in enumerate(ds_fh3.basis_mats)
+            for k, m in enumerate(der_mats(ds_fh3))
             if not ds_fh3.inner_flat.contains_vector(m.flatten())
         )
         with pytest.raises(NotInnerError):
@@ -510,7 +553,7 @@ class TestInnerPreimage:
 
     def test_nonzero_center_rejected(self, h3, ds_h3):
         with pytest.raises(NonzeroCenterError):
-            self.preimage(ds_h3, Matrix.zero(3, 3))
+            self.preimage(ds_h3, zeros(3, 3))
 
 
 class TestIsComplete:
@@ -583,8 +626,8 @@ def test_is_complete_reads_the_one_ad_elimination(name, monkeypatch):
     if witness is not None:
         kind, w = witness
         flat = w.flatten() if kind == "outer" else w
-        entries = {t: q_str(x) for t, x in enumerate(flat) if x}
-        witness = (kind, ds.basis_mats.index(w), entries) if kind == "outer" else (kind, entries)
+        nonzero = {t: q_str(x) for t, x in enumerate(flat) if x}
+        witness = (kind, der_mats(ds).index(w), nonzero) if kind == "outer" else (kind, nonzero)
     assert (*cert[:4], witness) == SOURCE_CERTIFICATES[name]
 
 
@@ -608,12 +651,12 @@ class TestCentralizer:
         tau = centralizer_in_der(ds, [ds.coords_of(d)])
         # every tau element commutes with d, i.e. preserves both slots
         for v in tau.vectors():
-            assert not any(ds.from_coords(v).commutator(d).flatten())
+            assert not any(entries_mat(ds.from_coords(v), 6).commutator(d).flatten())
         # block matrices inside Der that commute with d, counted directly
         blocky = [
             v
             for v in ds.space.vectors()
-            if not any(Matrix.unflatten(v, 6, 6).commutator(d).flatten())
+            if not any(entries_mat(sparse(v), 6).commutator(d).flatten())
         ]
         assert tau.dim >= Subspace.from_vectors(36, blocky).dim
 
@@ -626,17 +669,17 @@ class TestCentralizer:
 
 class TestFsAndZs:
     def test_phi_zero_gives_everything(self, h3, ds_h3):
-        images = [Matrix.zero(3, 3)]  # phi = 0 on abelian(1)
+        images = [{}]  # phi = 0 on abelian(1)
         assert f_s_subspace(ds_h3, images) == Subspace.full(ds_h3.dim)
         assert z_s_subspace(h3, images) == h3.center()
 
     def test_identity_phi_on_complete_algebra(self):
         g = nonabelian2()
         ds = derivations(g)
-        assert f_s_subspace(ds, ds.basis_mats) == ds.inner  # F = ad(g) when Der = ad
+        assert f_s_subspace(ds, ds.space.rows.values()) == ds.inner  # F = ad(g) when Der = ad
 
     def test_inner_always_inside_f(self, ds_fh3, fh3):
-        f = f_s_subspace(ds_fh3, ds_fh3.basis_mats)
+        f = f_s_subspace(ds_fh3, ds_fh3.space.rows.values())
         assert f.contains(ds_fh3.inner)
         assert Subspace.full(ds_fh3.dim).contains(f)
 
@@ -646,19 +689,22 @@ class TestFsAndZs:
         d = Matrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
         assert is_derivation(abelian(3), d)
         with pytest.raises(ValueError, match=r"outside Der\(g\)"):
-            f_s_subspace(derivations(heisenberg(1)), [d])
+            f_s_subspace(derivations(heisenberg(1)), [entries(d)])
+        # so is an entry index outside range(9)
+        with pytest.raises(ValueError, match=r"outside Der\(g\)"):
+            f_s_subspace(derivations(heisenberg(1)), [{9: Q(1)}])
 
     def test_zs_killed_by_scaling_derivation(self, h3, ds_h3):
         # derivation with Dc = c (the one-dimensional 'b' part): kills Z_s
         d = Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
         assert is_derivation(h3, d)
-        assert z_s_subspace(h3, [d]).dim == 0
+        assert z_s_subspace(h3, [entries(d)]).dim == 0
 
     def test_zs_kernel_intersection(self):
         g = abelian(2)
         d = Matrix([[1, 0], [0, 0]])
         assert is_derivation(g, d)
-        zs = z_s_subspace(g, [d])
+        zs = z_s_subspace(g, [entries(d)])
         assert zs == Subspace.from_vectors(2, [g.basis_element(1)])
 
 
@@ -755,7 +801,7 @@ def dense_homomorphism_check(s, g, images):
 
 def semidirect_accepts(s, g, images):
     try:
-        semidirect(s, g, images)
+        semidirect(s, g, [entries(m) for m in images])
     except InvalidStructureError:
         return False
     return True
@@ -769,7 +815,7 @@ class TestDerHomomorphism:
         bad = Matrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
         assert not dense_homomorphism_check(abelian(1), h3, [bad])
         with pytest.raises(ValueError, match="Jacobi identity fails"):
-            semidirect(abelian(1), h3, [bad])
+            semidirect(abelian(1), h3, [entries(bad)])
 
     def test_bracket_incompatibility_rejected(self):
         g = abelian(2)
@@ -779,13 +825,17 @@ class TestDerHomomorphism:
         assert is_derivation(g, a) and is_derivation(g, b)
         assert not dense_homomorphism_check(abelian(2), g, [a, b])
         with pytest.raises(ValueError, match="Jacobi identity fails"):
-            semidirect(abelian(2), g, [a, b])
+            semidirect(abelian(2), g, [entries(a), entries(b)])
 
     def test_wrong_shape_rejected(self, h3):
         with pytest.raises(ValueError, match="per basis vector"):
-            semidirect(abelian(2), h3, [Matrix.zero(3, 3)])
-        with pytest.raises(ValueError, match="per basis vector"):
-            semidirect(abelian(1), h3, [Matrix.zero(2, 2)])
+            semidirect(abelian(2), h3, [{}])
+        # an entry of a 3 x 3 image has its index in range(9)
+        for check in (lambda im: semidirect(abelian(1), h3, im), lambda im: z_s_subspace(h3, im)):
+            with pytest.raises(ValueError, match=r"^phi needs 3 x 3 images: .* range\(9\)$"):
+                check([{9: Q(1)}])
+            with pytest.raises(ValueError, match=r"^phi needs 3 x 3 images"):
+                check([{-1: Q(1)}])
 
 
 ORACLE_ALGEBRAS = ("heisenberg:1", "abelian:2", "nonabelian2")
@@ -802,9 +852,9 @@ def phi_candidates(draw):
     g = catalog(draw(st.sampled_from(ORACLE_ALGEBRAS)))
     s = catalog(draw(st.sampled_from(ORACLE_SOURCES)))
     n = g.dim
-    basis = derivations(g).basis_mats
+    basis = der_mats(derivations(g))
     coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis)))
-    d0 = mat_comb((0, Matrix.zero(n, n)), *zip(coeffs, basis))
+    d0 = mat_comb((0, zeros(n, n)), *zip(coeffs, basis))
     images = []
     for _ in range(s.dim):
         img = mat_comb((draw(st.integers(-2, 2)), d0))
@@ -831,8 +881,8 @@ class TestIdentityOnDer:
         # the product's Jacobi validation and the dense oracle both agree
         g = load_structure_source(name)
         ds = derivations(g)
-        assert semidirect(ds.algebra, g, ds.basis_mats).validate().ok
-        assert dense_homomorphism_check(ds.algebra, g, ds.basis_mats)
+        assert semidirect(ds.algebra, g, ds.space.rows.values()).validate().ok
+        assert dense_homomorphism_check(ds.algebra, g, der_mats(ds))
 
 
 # Dense oracles for centralizer_in_der, f_s_subspace and [Der, Der]: every
@@ -844,7 +894,7 @@ def dense_centralizer(ds, b_mats):
     """Nullspace of the flattened [D_k, B] rows."""
     rows = []
     for b in b_mats:
-        cols = [m.commutator(b).flatten() for m in ds.basis_mats]
+        cols = [m.commutator(b).flatten() for m in der_mats(ds)]
         rows += [row for row in zip(*cols) if any(row)]
     return SparseSystem(ds.dim, map(sparse, rows)).kernel()
 
@@ -854,7 +904,7 @@ def dense_f_s(ds, images):
     comp = ds.inner_flat.orthogonal_complement()
     rows = []
     for img in images:
-        cols = [m.commutator(img).flatten() for m in ds.basis_mats]
+        cols = [m.commutator(img).flatten() for m in der_mats(ds)]
         for w in comp.vectors():
             row = [
                 sum((a * b for a, b in zip(w, col) if a and b), ZERO) for col in cols
@@ -875,7 +925,7 @@ def dense_z_s(g, images):
 
 def dense_der_der(ds):
     """Span of the commutators of the Der basis matrices, in Q^(n^2)."""
-    mats = ds.basis_mats
+    mats = der_mats(ds)
     flats = [
         mats[a].commutator(mats[b]).flatten()
         for a in range(len(mats))
@@ -890,7 +940,7 @@ def _graded_square_grading():
 
 def _identity_on(g):
     ds = derivations(g)
-    return ds, ds.basis_mats
+    return ds, der_mats(ds)
 
 
 ORACLE_CASES = {
@@ -915,18 +965,19 @@ class TestDenseOracles:
 
     def test_f_s_matches_dense(self, oracle_case):
         ds, images = oracle_case
-        assert f_s_subspace(ds, images) == dense_f_s(ds, images)
+        assert f_s_subspace(ds, [entries(m) for m in images]) == dense_f_s(ds, images)
 
     def test_z_s_matches_dense(self, oracle_case):
         ds, images = oracle_case
         for gens in (images, images[:1], images[:2], images[1::2], []):
-            assert z_s_subspace(ds.base, gens) == dense_z_s(ds.base, gens)
+            assert z_s_subspace(ds.base, [entries(m) for m in gens]) == dense_z_s(ds.base, gens)
 
     def test_kernels_build_no_matrix(self, oracle_case, monkeypatch):
         # the kernels read sparse ad rows off the Der algebra's structure
         # constants and the rows of the images: no ad matrix, no Matrix
         ds, images = oracle_case
         coords = [ds.coords_of(m) for m in images]
+        images = [entries(m) for m in images]
         calls = []
         ad_matrix, init = LieAlgebra.ad_matrix, Matrix.__init__
 
@@ -949,8 +1000,9 @@ class TestDenseOracles:
         ds, _ = oracle_case
         der_der = ds.algebra.derived_subalgebra()
         dense = dense_der_der(ds)
+        n = ds.base.dim
         flats = Subspace.from_vectors(
-            ds.base.dim ** 2, [ds.from_coords(v).flatten() for v in der_der.vectors()]
+            n ** 2, [entries_mat(ds.from_coords(v), n).flatten() for v in der_der.vectors()]
         )
         assert flats == dense
         assert ds.inner.contains(der_der) == ds.inner_flat.contains(dense)

@@ -1,13 +1,16 @@
 """CLI reports replayed against committed golden outputs, byte for byte.
 
-tests/golden/commands.json lists each command with its expected exit code;
+tests/golden/commands.json lists each command with its expected exit code
+and stderr, and the environment variables it runs under, if any;
 tests/golden/<name>.out holds its expected stdout.  h5_dense.json is the
 Heisenberg algebra h5 in a non-standard basis, so most of its structure
 constants are nonzero non-integer rationals.  f2_nonabelian2_dense.json is
 the first input of the perfbench dense-analyze workload at seed 1
 (perfbench/rebase.py): f^2(nonabelian2) in a dense rational basis.
 f2_nonabelian2_dense_s21c1.json and f2_nonabelian2_dense_s21c3.json are
-copies 1 and 3 of its inputs at seed 21.
+copies 1 and 3 of its inputs at seed 21.  dim_over_digit_bound.json has a
+dim of 4301 digits, past the default digit limit of the interpreter's
+int().
 
 The coverage guard keeps the replay list whole: every subcommand and every
 `verify` theorem is replayed, and the commands and .out files match one to
@@ -31,10 +34,13 @@ def test_report_matches_golden(case, monkeypatch, capsys):
     # file sources are given relative to the repository root, and the
     # report echoes them
     monkeypatch.chdir(ROOT)
+    for name, value in case.get("env", {}).items():
+        monkeypatch.setenv(name, value)
     code = run_command(case["argv"])
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert code == case["exit"]
     assert out.encode() == (GOLDEN / f"{case['name']}.out").read_bytes()
+    assert err == case["stderr"]
 
 
 def _choices(parser, dest):

@@ -27,7 +27,7 @@ from lieq.linalg import (
     solve,
 )
 
-from oracles import mat_comb, mat_vec, sparse
+from oracles import mat_comb, mat_vec, sparse, zeros
 
 
 def M(rows):
@@ -42,8 +42,8 @@ class TestRref:
         assert piv == (0, 1, 2)
 
     def test_zero_matrix(self):
-        r, piv = rref(Matrix.zero(2, 3))
-        assert r == Matrix.zero(2, 3)
+        r, piv = rref(zeros(2, 3))
+        assert r == zeros(2, 3)
         assert piv == ()
 
     def test_rank_one(self):
@@ -690,11 +690,11 @@ class TestMinimalPolynomial:
     def test_diag(self):
         # (x-1)(x-2) = x^2 - 3x + 2
         assert minimal_polynomial(M([[1, 0], [0, 2]])) == (2, -3, 1)
-        assert minimal_polynomial(Matrix.zero(0, 0)) == (1,)
+        assert minimal_polynomial(zeros(0, 0)) == (1,)
 
     def test_non_square(self):
         with pytest.raises(ValueError):
-            minimal_polynomial(Matrix.zero(2, 3))
+            minimal_polynomial(zeros(2, 3))
 
     def test_annihilates(self):
         rng = random.Random(5)
@@ -703,7 +703,7 @@ class TestMinimalPolynomial:
             m = M([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
             p = minimal_polynomial(m)
             # p(m) by Horner's rule
-            value = Matrix.zero(n, n)
+            value = zeros(n, n)
             for c in reversed(p):
                 value = mat_comb((1, value @ m), (c, Matrix.identity(n)))
             assert not any(value.flatten())

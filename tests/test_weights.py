@@ -26,6 +26,7 @@ from lieq.derivations import (
     diagonal_derivation_torus,
     f_s_subspace,
     inner_preimage,
+    is_complete,
     is_derivation,
     verify_torus,
 )
@@ -44,9 +45,12 @@ from lieq.linalg import (
 )
 from lieq.weights import (
     DegeneratePairError,
+    PipelineReport,
+    _add_image_checks,
     _lemma2_form_check,
     _lemma4_homomorphism_check,
     _lemma4_image,
+    _outer_witness_ok,
     TorusError,
     is_nondegenerate_pair,
     lemma3_check,
@@ -59,7 +63,7 @@ from lieq.weights import (
     weight_decomposition,
 )
 
-from oracles import mat_comb, mat_vec, rebased, sparse
+from oracles import der_mats, entries, entries_mat, mat_comb, mat_vec, rebased, sparse, zeros
 
 
 @pytest.fixture(scope="module")
@@ -222,7 +226,7 @@ REFINE_CASES = {
     "h3^(3) diagonal, rebased": _rebased_h3_cube_torus,
     # one generator twice, and the zero matrix as the one generator
     "repeated generator": lambda: (5, diagonal_derivation_torus(heisenberg(2))[:1] * 2),
-    "zero generator": lambda: (2, [Matrix.zero(2, 2)]),
+    "zero generator": lambda: (2, [zeros(2, 2)]),
 }
 
 
@@ -344,7 +348,7 @@ def weight_part_lemma2_check(dh1, p, parts):
     for _, sub in parts:
         offsets.append((off, off + sub.dim))
         off += sub.dim
-    for d in dh1.basis_mats:
+    for d in der_mats(dh1):
         gcomps = [combine(d.column(j)[p:], to_parts, n) for j in range(p)]
         for (fun, _), (lo, hi) in zip(parts, offsets):
             blocks = [tuple(gc[lo:hi]) for gc in gcomps]
@@ -369,18 +373,19 @@ LEMMA2_CASES = {
 
 
 def lemma2_setting(g, mats):
-    h1 = semidirect(abelian(len(mats)), g, mats)
+    h1 = semidirect(abelian(len(mats)), g, [entries(m) for m in mats])
     return derivations(h1), weight_decomposition(g, mats)
 
 
 def perturbed(dh1, p, rng):
     """dh1 with one to three entries of the g-parts of the torus columns of
     its basis matrices moved by small integers."""
-    mats = [list(map(list, d.data)) for d in dh1.basis_mats]
+    mats = [list(map(list, d.data)) for d in der_mats(dh1)]
     for _ in range(rng.randint(1, 3)):
         d = rng.choice(mats)
         d[rng.randrange(p, len(d))][rng.randrange(p)] += rng.choice((-2, -1, 1, 2))
-    return SimpleNamespace(base=dh1.base, basis_mats=[Matrix(d) for d in mats])
+    rows = {k: entries(Matrix(d)) for k, d in enumerate(mats)}
+    return SimpleNamespace(base=dh1.base, space=SimpleNamespace(rows=rows))
 
 
 class TestLemma2Form:
@@ -419,14 +424,14 @@ class TestLemma3:
     def test_faithful_identity_phi(self):
         g = heisenberg(1)
         ds = derivations(g)
-        rep = lemma3_check(ds.algebra, g, ds.basis_mats)
+        rep = lemma3_check(ds.algebra, g, ds.space.rows.values())
         assert rep.ok
 
     def test_scaling_derivation_kills_center(self):
         g = heisenberg(1)
         d = Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
         s = abelian(1)
-        rep = lemma3_check(s, g, [d])
+        rep = lemma3_check(s, g, [entries(d)])
         assert rep.ok
         assert rep.dims["center(h)"] == 0
 
@@ -434,13 +439,13 @@ class TestLemma3:
         # abelian s, phi = 0: central s vectors also centralize h, so the
         # literal statement fails; it must be reported, not crash
         s, g = abelian(1), heisenberg(1)
-        rep = lemma3_check(s, g, [Matrix.zero(3, 3)])
+        rep = lemma3_check(s, g, [{}])
         assert not rep.ok
         assert rep.dims["center(h)"] == 2 and rep.dims["Z_s(g)"] == 1
 
     def test_zero_phi_trivial_center_source(self):
         s, g = nonabelian2(), abelian(2)
-        rep = lemma3_check(s, g, [Matrix.zero(2, 2)] * 2)
+        rep = lemma3_check(s, g, [{}] * 2)
         assert rep.ok  # center of product = {0} + g = Z_s
 
 
@@ -468,7 +473,7 @@ def dense_lemma4_image(dsg, s, d):
     Matrix.commutator calls."""
     g = dsg.base
     cols = []
-    for s1 in dsg.basis_mats:
+    for s1 in der_mats(dsg):
         top = dsg.coords_of(s.commutator(s1))
         bottom = inner_preimage(dsg, dsg.coords_of(d.commutator(s1)))
         cols.append(tuple(top) + tuple(bottom))
@@ -485,14 +490,18 @@ def lemma4_image(fg, dsg, s, d):
 
 def dense_bracket_image(dsg, pair1, pair2):
     """The dense image of the bracket of two h-tilde elements."""
-    (s1, d1), (s2, d2) = [(dsg.from_coords(s), dsg.from_coords(d)) for s, d in (pair1, pair2)]
+    n = dsg.base.dim
+    (s1, d1), (s2, d2) = [
+        (entries_mat(dsg.from_coords(s), n), entries_mat(dsg.from_coords(d), n))
+        for s, d in (pair1, pair2)
+    ]
     db = mat_comb((1, s1.commutator(d2)), (-1, s2.commutator(d1)), (1, d1.commutator(d2)))
     return dense_lemma4_image(dsg, s1.commutator(s2), db)
 
 
 def theorem2_setting(g):
     dsg = derivations(g)
-    fsub = f_s_subspace(dsg, dsg.basis_mats)
+    fsub = f_s_subspace(dsg, dsg.space.rows.values())
     return dsg, fsub, full_graph(g, dsg)
 
 
@@ -536,7 +545,8 @@ class TestLemma4Oracle:
     def test_image_matches_dense(self, mixed):
         dsg, _, fg, pairs = mixed
         for s, d in pairs:
-            dense = dense_lemma4_image(dsg, dsg.from_coords(s), dsg.from_coords(d))
+            s_mat, d_mat = (entries_mat(dsg.from_coords(v), dsg.base.dim) for v in (s, d))
+            dense = dense_lemma4_image(dsg, s_mat, d_mat)
             assert lemma4_image(fg, dsg, s, d) == dense
 
     def test_law_matches_dense(self, mixed):
@@ -579,7 +589,7 @@ class TestTheorem3AndProps:
         for _ in range(n):
             fn = full_graph(fn)
         ds = derivations(fn)
-        mats = ds.basis_mats
+        mats = der_mats(ds)
         dense = Subspace.from_vectors(
             ds.base.dim ** 2,
             [
@@ -657,3 +667,38 @@ class TestFailingChecks:
     def test_rejected_witness_fails_outer_witness_verified(self, argv, name, monkeypatch, capsys):
         # the witness is the one is_derivation call of these pipelines
         assert failed_checks(monkeypatch, capsys, argv, rejecting(0)) == {name: ""}
+
+
+class TestPlantedFailures:
+    """Failures that no pipeline input produces, planted in the check
+    helpers: an inner "outer witness", and images whose span has the
+    dimension of Der but is not Der."""
+
+    def test_inner_witness_is_rejected(self):
+        fg = full_graph(heisenberg(1))
+        ds = derivations(fg)
+        cert = is_complete(ds)
+        assert _outer_witness_ok(fg, ds, cert)
+        # ad(e0) passes the Leibniz check, but it is inner
+        inner = fg.ad_matrix(fg.basis_element(0))
+        assert is_derivation(fg, inner) and any(inner.flatten())
+        assert not _outer_witness_ok(fg, ds, cert._replace(witness=("outer", inner)))
+
+    def test_swapped_image_fails_span(self):
+        g = heisenberg(1)
+        ds = derivations(g)
+        images = der_mats(ds)
+        report = PipelineReport("planted")
+        _add_image_checks(report, g, ds, images, "g", "Der(g)")
+        assert report.ok
+        # a matrix unit outside Der(g): images 1.. and it still span dim Der(g)
+        units = (Matrix([[int((r, c) == rc) for c in range(3)] for r in range(3)])
+                 for rc in itertools.product(range(3), repeat=2))
+        images[0] = next(m for m in units if not is_derivation(g, m))
+        report = PipelineReport("planted")
+        span = _add_image_checks(report, g, ds, images, "g", "Der(g)")
+        assert span.dim == ds.dim
+        assert [(c.name, c.passed, c.detail) for c in report.checks] == [
+            ("images_are_derivations", False, "image 0 fails the Leibniz identity"),
+            ("images_span_der_g", False, f"span dim {ds.dim}, Der(g) dim {ds.dim}"),
+        ]
