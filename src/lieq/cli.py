@@ -89,6 +89,12 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+def _matrix_strs(d: dict, n: int) -> list:
+    """The n x n matrix with the sparse row-major entries d, as rows of
+    'p/q' strings."""
+    return [[q_str(d.get(r * n + c, ZERO)) for c in range(n)] for r in range(n)]
+
+
 def cmd_analyze(args) -> int:
     g = load_source(args.src)
     try:
@@ -114,13 +120,9 @@ def cmd_analyze(args) -> int:
         if kind == "central":
             doc["witness"] = [q_str(x) for x in w]
         elif args.full:
-            doc["witness"] = [[q_str(x) for x in row] for row in w.data]
+            doc["witness"] = _matrix_strs(w, g.dim)
     if args.full:
-        n = g.dim
-        doc["der_basis"] = [
-            [[q_str(d.get(r * n + c, ZERO)) for c in range(n)] for r in range(n)]
-            for d in ds.space.rows.values()
-        ]
+        doc["der_basis"] = [_matrix_strs(d, g.dim) for d in ds.space.rows.values()]
     _emit(doc, args.out)
     return 0
 
@@ -158,10 +160,10 @@ def _theorem1_inputs(args):
         return graded_power(g, n), [grading_derivation(g, n)]
     if args.graded_power is not None:
         g = graded_power(g, args.graded_power)
-    mats = diagonal_derivation_torus(g)
-    if not mats:
+    torus = diagonal_derivation_torus(g)
+    if not torus:
         raise UsageError("the diagonal derivation torus is zero")
-    return g, mats
+    return g, torus
 
 
 def cmd_verify(args) -> int:

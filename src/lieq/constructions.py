@@ -5,8 +5,10 @@ Each builder returns the LieAlgebra it builds.  The basis of s x_phi g is
 that of s, then that of g: the g part occupies range(s.dim, s.dim + g.dim),
 and v in g embeds as s.zero() + v.  phi is given by the images of the basis
 of s as sparse row-major entries {r*n + c: q}, the form of the rows of
-Der(g), so `full_graph` passes those rows as they are.  Each builder
-refuses an algebra over LIE_DIM_CAP before it builds it.
+Der(g), so `full_graph` passes those rows as they are.  A derivation is
+given in that form here too: `grading_derivation` returns its entries, and
+no builder makes a matrix.  Each builder refuses an algebra over
+LIE_DIM_CAP before it builds it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Collection
 
 from .derivations import DerivationSpace, check_images, derivations
 from .liealg import MAX_COUNT_DIGITS, LieAlgebra, check_dim_cap, is_ascii_decimal
-from .linalg import Matrix, Q, ZERO
+from .linalg import Q
 
 
 def semidirect(s: LieAlgebra, g: LieAlgebra, images: Collection[dict]) -> LieAlgebra:
@@ -108,17 +110,12 @@ def graded_power(g: LieAlgebra, n: int) -> LieAlgebra:
     return LieAlgebra(dim, table, labels, check=True)
 
 
-def grading_derivation(g: LieAlgebra, n: int) -> Matrix:
+def grading_derivation(g: LieAlgebra, n: int) -> dict:
     """Diagonal derivation of graded_power(g, n) acting as multiplication by
-    k on slot k."""
+    k on slot k, by its sparse row-major entries {i*(dim + 1): k}."""
     m = g.dim
     dim = n * m
-    return Matrix(
-        [
-            [Q((i // m) + 1) if i == j else ZERO for j in range(dim)]
-            for i in range(dim)
-        ]
-    )
+    return {i * (dim + 1): Q(i // m + 1) for i in range(dim)}
 
 
 def abelian(n: int) -> LieAlgebra:

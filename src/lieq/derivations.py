@@ -16,7 +16,7 @@ certificate and an audit, not a second nullspace kernel: it never produces
 a basis.  A Der(g) whose dimension, known from the exact rank, exceeds
 max(LIE_DIM_CAP, 64) is refused before its basis is built.
 `is_derivation` is an independent checker (direct bracket evaluation over
-`sc` and the sparse columns of a matrix) that shares no code with the
+`sc` and the sparse columns of a derivation) that shares no code with the
 solver.
 
 ad(g) comes from `LieAlgebra.ad_image`, the one elimination of the sparse
@@ -31,8 +31,11 @@ Der(g) is held once, as the canonical sparse rows of `DerivationSpace.space`
 over the row-major entries of a matrix, {r*n + c: q}: the form in which the
 Leibniz unknowns are indexed.  The images of a phi: s -> Der(g) are passed
 in the same form (`check_images`), so `full_graph` hands the Der rows to
-`semidirect` as they are.  The one matrix built here is the outer witness
-of `is_complete`, a value that leaves the library.  Downstream, a
+`semidirect` as they are.  A derivation crosses every function boundary
+in this form: `is_derivation` reads it, the torus generators are given in
+it, and the outer witness of `is_complete` is the canonical Der row itself.
+The only matrices built here are the torus generators inside
+`verify_torus`, for their minimal polynomials and eigenspaces.  Downstream, a
 derivation is its coordinate vector in the canonical Der basis:
 `centralizer_in_der` takes the Der coordinates of its generators, and
 `f_s_subspace` reads the Der coordinates of the images of phi once, off
@@ -82,19 +85,24 @@ class NonzeroCenterError(ValueError):
     """Raised by operations that need ad to be injective."""
 
 
-def is_derivation(g: LieAlgebra, m: Matrix) -> bool:
+def is_derivation(g: LieAlgebra, d: dict) -> bool:
     """Leibniz check by direct bracket evaluation on all basis pairs i < j:
     D[e_i,e_j] - [De_i,e_j] - [e_i,De_j] = 0, summed over `sc` and the
-    sparse columns De_i of m.
+    sparse columns De_i of D, read off its row-major entries {r*n + c: q}.
+    Zero entries are ignored; an index outside range(n^2), even of a zero
+    entry, is no entry of an n x n matrix, so D is not a derivation of g.
 
     Deliberately independent of the nullspace solver behind `derivations`:
     it reads `sc`, not `integer_sc` or the Leibniz rows.
     """
     n = g.dim
-    if m.rows != n or m.cols != n:
-        return False
+    cols: list[dict] = [{} for _ in range(n)]
+    for t, x in d.items():
+        if not 0 <= t < n * n:
+            return False
+        if x:
+            cols[t % n][t // n] = x
     sc = g.sc
-    cols = [{k: x for k, row in enumerate(m.data) if (x := row[i])} for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             terms = [(k, c * x) for l, c in sc[i].get(j, {}).items() for k, x in cols[l].items()]
@@ -127,10 +135,6 @@ class DerivationSpace:
     @property
     def dim(self) -> int:
         return self.space.dim
-
-    def coords_of(self, m: Matrix) -> tuple | None:
-        """Coefficients of m in the canonical Der basis, or None if outside."""
-        return self.space.coords_of(m.flatten())
 
     def from_coords(self, coeffs: Sequence) -> dict:
         """The derivation with Der coordinates coeffs, as its sparse
@@ -309,7 +313,8 @@ class CompletenessCertificate(NamedTuple):
     der_dim: int
     inner_dim: int
     complete: bool
-    witness: tuple | None  # ('central', element) | ('outer', Matrix) | None
+    # ('central', element) | ('outer', {r*n + c: q}, a canonical Der row) | None
+    witness: tuple | None
 
 
 def is_complete(ds: DerivationSpace) -> CompletenessCertificate:
@@ -317,8 +322,8 @@ def is_complete(ds: DerivationSpace) -> CompletenessCertificate:
     ad(g) are the kernel and the image of the one elimination of the ad
     rows that `derivations` ran.  The outer witness is the first Der basis
     vector outside ad(g): as the rows of ds.inner are reduced, that is the
-    first k whose row is not {k: 1}.  It is the one matrix built here, from
-    its canonical row."""
+    first k whose row is not {k: 1}, given as that canonical row of Der(g)
+    itself, by its sparse row-major entries."""
     center, der_dim, inner_dim = ds.center, ds.dim, ds.inner.dim
     complete = center.dim == 0 and der_dim == inner_dim
     witness = None
@@ -326,8 +331,7 @@ def is_complete(ds: DerivationSpace) -> CompletenessCertificate:
         witness = ("central", center.vectors()[0])
     elif not complete:
         k = next(k for k in range(der_dim) if ds.inner.rows.get(k) != {k: ONE})
-        w, n = list(ds.space.rows.values())[k], ds.base.dim
-        witness = ("outer", Matrix([[w.get(r * n + c, ZERO) for c in range(n)] for r in range(n)]))
+        witness = ("outer", list(ds.space.rows.values())[k])
     return CompletenessCertificate(center.dim, der_dim, inner_dim, complete, witness)
 
 
@@ -387,27 +391,30 @@ class TorusReport(NamedTuple):
     parts: tuple | None  # the weight spaces, when ok
 
 
-def verify_torus(base: LieAlgebra, b_mats: Sequence[Matrix]) -> TorusReport:
-    """Check that b_mats generate a torus: derivations with a common
-    eigenbasis over Q.  Such matrices commute and are split semisimple, and
-    conversely (Hoffman & Kunze, Linear Algebra, 6.5), so no separate
-    commuting or semisimplicity test is needed.
+def verify_torus(base: LieAlgebra, gens: Sequence[dict]) -> TorusReport:
+    """Check that gens, each given by its sparse row-major entries
+    {r*n + c: q}, generate a torus: derivations with a common eigenbasis
+    over Q.  Such matrices commute and are split semisimple, and conversely
+    (Hoffman & Kunze, Linear Algebra, 6.5), so no separate commuting or
+    semisimplicity test is needed.
 
-    Each generator must pass `is_derivation`.  Then its spectrum is the
-    rational roots of its minimal polynomial, and `refine_eigenspaces`
-    splits g once into the joint eigenspaces, which are the weight spaces
-    when they fill g.  The report lists one ("derivation", ...) per
-    failing generator, or one ("diagonalizable", ...) when the joint
-    eigenspaces do not fill g."""
+    Each generator must pass `is_derivation`.  Then it is built as a dense
+    matrix, its spectrum is the rational roots of its minimal polynomial,
+    and `refine_eigenspaces` splits g once into the joint eigenspaces, which
+    are the weight spaces when they fill g.  The report lists one
+    ("derivation", ...) per failing generator, or one ("diagonalizable",
+    ...) when the joint eigenspaces do not fill g."""
     failures = [
         ("derivation", f"generator {k} fails the Leibniz identity")
-        for k, b in enumerate(b_mats)
+        for k, b in enumerate(gens)
         if not is_derivation(base, b)
     ]
     if not failures:
-        spectra = [rational_roots(minimal_polynomial(b)) for b in b_mats]
-        parts = tuple(refine_eigenspaces(base.dim, b_mats, spectra))
-        if sum(sub.dim for _, sub in parts) == base.dim:
+        n = base.dim
+        mats = [Matrix([[b.get(r * n + c, ZERO) for c in range(n)] for r in range(n)]) for b in gens]
+        spectra = [rational_roots(minimal_polynomial(b)) for b in mats]
+        parts = tuple(refine_eigenspaces(n, mats, spectra))
+        if sum(sub.dim for _, sub in parts) == n:
             return TorusReport(True, failures, parts)
         failures.append(
             ("diagonalizable", "no common eigenbasis: the joint eigenspaces do not fill g")
@@ -415,9 +422,10 @@ def verify_torus(base: LieAlgebra, b_mats: Sequence[Matrix]) -> TorusReport:
     return TorusReport(False, failures, None)
 
 
-def diagonal_derivation_torus(g: LieAlgebra) -> list[Matrix]:
+def diagonal_derivation_torus(g: LieAlgebra) -> list[dict]:
     """Basis of the space of diagonal derivations: diag(t) with
-    t_k = t_i + t_j for every nonzero structure constant c_ij^k.
+    t_k = t_i + t_j for every nonzero structure constant c_ij^k, each by its
+    sparse row-major entries {k*(n + 1): t_k}.
 
     Diagonal matrices commute and are split-semisimple, so this is always a
     torus on g (for many graded nilpotent algebras, a maximal one).
@@ -433,7 +441,7 @@ def diagonal_derivation_torus(g: LieAlgebra) -> list[Matrix]:
                     row[j] = row.get(j, 0) - 1
                     rows.append(row)
     return [
-        Matrix([[t.get(i, ZERO) if i == j else ZERO for j in range(n)] for i in range(n)])
+        {k * (n + 1): t[k] for k in sorted(t) if t[k]}
         for t in SparseSystem(n, rows).kernel().rows.values()
     ]
 

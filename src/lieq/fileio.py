@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 
-from .liealg import InvalidStructureError, LieAlgebra, check_dim_cap
-from .linalg import q_parse, q_str
+from .liealg import MAX_COUNT_DIGITS, InvalidStructureError, LieAlgebra, check_dim_cap
+from .linalg import is_rational_string, q_parse, q_str
 
 
 class AlgebraFileError(ValueError):
@@ -84,6 +84,12 @@ def parse_algebra(text: str | bytes) -> LieAlgebra:
                 raise AlgebraFileError(f"bracket value index {k} out of range")
             if k in coords:
                 raise AlgebraFileError(f"duplicate index {k} in bracket value of ({i}, {j})")
+            # past MAX_COUNT_DIGITS, int() would refuse p or q, quoting every digit
+            digits = max(map(len, s.lstrip("+-").split("/"))) if is_rational_string(s) else 0
+            if digits > MAX_COUNT_DIGITS:
+                raise AlgebraFileError(
+                    f"a rational string has {digits} digits in p or q, over {MAX_COUNT_DIGITS}"
+                )
             try:
                 coords[k] = q_parse(s)
             except (ValueError, ZeroDivisionError, TypeError):

@@ -184,6 +184,12 @@ class LieAlgebra:
         rows = self.ad_rows(x)
         return Matrix([[row.get(j, ZERO) for j in cols] for row in (rows.get(k, {}) for k in cols)])
 
+    def ad_entries(self, j: int) -> dict:
+        """ad(e_j) by its sparse row-major entries {k*n + i: c}: entry (k, i)
+        is c_ji^k, read off `sc`."""
+        n = self.dim
+        return {k * n + i: c for i, v in self.sc[j].items() for k, c in v.items()}
+
     def integer_sc(self) -> list[dict[int, dict[int, int]]]:
         """`sc` scaled by the lcm d of its denominators, in int; built once
         and shared, so callers must not modify it.
@@ -230,16 +236,12 @@ class LieAlgebra:
 
     def ad_image(self) -> tuple[Subspace, tuple, Subspace]:
         """(ad(g), preimages, Z(g)) from one elimination of the rows
-        (ad(e_j), e_j) in Q^(n^2) x Q^n, built from `sc`: entry (k, i) of
-        ad(e_j), at row-major index k*n + i, is c_ji^k.  ad(g) is in Q^(n^2);
-        the preimages give an x with ad(x) equal to each of its basis
-        vectors, in order; Z(g) is the kernel of ad.  See
+        (ad(e_j), e_j) in Q^(n^2) x Q^n, with ad(e_j) by `ad_entries`.
+        ad(g) is in Q^(n^2); the preimages give an x with ad(x) equal to each
+        of its basis vectors, in order; Z(g) is the kernel of ad.  See
         `image_with_preimages`."""
         n = self.dim
-        rows = (
-            {**{k * n + i: c for i, v in self.sc[j].items() for k, c in v.items()}, n * n + j: ONE}
-            for j in range(n)
-        )
+        rows = ({**self.ad_entries(j), n * n + j: ONE} for j in range(n))
         return image_with_preimages(n * n, n * n + n, rows)
 
     def center(self) -> Subspace:

@@ -75,11 +75,15 @@ def q_str(x) -> str:
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 
+def is_rational_string(s) -> bool:
+    """s is 'p' or 'p/q' in ASCII digits and nothing else, with q > 0: no
+    decimal notation, other scripts' digits or surrounding whitespace."""
+    return isinstance(s, str) and _RATIONAL_RE.fullmatch(s) is not None
+
+
 def q_parse(s: str) -> Scalar:
-    """Parse 'p' or 'p/q' exactly, in ASCII digits and nothing else: decimal
-    notation, other scripts' digits and surrounding whitespace are
-    rejected."""
-    if not isinstance(s, str) or not _RATIONAL_RE.fullmatch(s):
+    """Parse a string of `is_rational_string` exactly."""
+    if not is_rational_string(s):
         raise ValueError(f"not a rational string: {s!r}")
     return Q(s)
 
@@ -117,9 +121,6 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(q_str(x) for x in row) for row in self.data)
         return f"Matrix({self.rows}x{self.cols}: {body})"
-
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.data)
 
     def is_square(self) -> bool:
         return self.rows == self.cols

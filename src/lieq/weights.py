@@ -3,6 +3,11 @@
 Weight functionals are coordinate tuples with respect to the supplied torus
 generator list.  Every pipeline returns a structured report: named checks
 with pass/fail and a witness, plus a dimension table.
+
+A derivation is passed by its sparse row-major entries {r*n + c: q}, the
+form of the rows of Der(g): the torus generators, the images checked by
+`_add_image_checks` and the outer witness.  Theorem 2 alone builds dense
+matrices, its images, whose commutators state the Lemma 4 law.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .liealg import LieAlgebra
 from .linalg import (  # refine_eigenspaces is re-exported; verify_torus calls it
     InvariantError,
     Matrix,
+    SparseSystem,
     Subspace,
     ZERO,
     combine,
@@ -51,20 +57,19 @@ class TorusError(ValueError):
         super().__init__(f"torus verification failed: {report.failures}")
 
 
-def weight_decomposition(g: LieAlgebra, torus_mats: Sequence[Matrix]) -> tuple:
-    """The weight spaces of a verified torus, as the (functional, Subspace)
-    pairs of `refine_eigenspaces`; raises TorusError otherwise."""
-    report = verify_torus(g, torus_mats)
+def weight_decomposition(g: LieAlgebra, torus: Sequence[dict]) -> tuple:
+    """The weight spaces of a verified torus, its generators given by their
+    sparse entries, as the (functional, Subspace) pairs of
+    `refine_eigenspaces`; raises TorusError otherwise."""
+    report = verify_torus(g, torus)
     if not report.ok:
         raise TorusError(report)
     return report.parts
 
 
-def is_nondegenerate_pair(
-    g: LieAlgebra, torus_mats: Sequence[Matrix]
-) -> tuple[bool, tuple]:
+def is_nondegenerate_pair(g: LieAlgebra, torus: Sequence[dict]) -> tuple[bool, tuple]:
     """(no weight is zero, the weight spaces)."""
-    parts = weight_decomposition(g, torus_mats)
+    parts = weight_decomposition(g, torus)
     return g.dim == 0 or all(any(fun) for fun, _ in parts), parts
 
 
@@ -113,20 +118,21 @@ def _outer_witness_ok(h: LieAlgebra, ds: DerivationSpace, cert: CompletenessCert
         cert.witness is not None
         and cert.witness[0] == "outer"
         and is_derivation(h, cert.witness[1])
-        and not ds.inner_flat.contains_vector(cert.witness[1].flatten())
+        and ds.inner_flat.coords_of_row(cert.witness[1]) is None
     )
 
 
 def _add_image_checks(
     report: PipelineReport, h: LieAlgebra, dh: DerivationSpace, images: list, key: str, label: str
 ) -> Subspace:
-    """Add images_are_derivations, that each image matrix is a derivation of
-    h, and images_span_der_<key>, that together they span Der(h) = dh, shown
-    as label; returns their span in Q^(dim h ^ 2)."""
+    """Add images_are_derivations, that each image, given by its sparse
+    entries, is a derivation of h, and images_span_der_<key>, that together
+    they span Der(h) = dh, shown as label; returns their span in
+    Q^(dim h ^ 2)."""
     bad = next((k for k, m in enumerate(images) if not is_derivation(h, m)), None)
     detail = "" if bad is None else f"image {bad} fails the Leibniz identity"
     report.add("images_are_derivations", bad is None, detail)
-    span = Subspace.from_vectors(h.dim ** 2, [m.flatten() for m in images])
+    span = Subspace.from_system(SparseSystem(h.dim ** 2, images))
     report.add(
         f"images_span_der_{key}",
         span == dh.space,
@@ -140,27 +146,26 @@ def _add_image_checks(
 # ---------------------------------------------------------------------------
 
 
-def theorem1_pipeline(
-    g: LieAlgebra, torus_mats: Sequence[Matrix]
-) -> PipelineReport:
-    """Theorem 1 for the torus b spanned by torus_mats.  Raises TorusError
-    when they are not a torus, DegeneratePairError when a weight is zero,
-    and ValueError when they are not a basis of b."""
+def theorem1_pipeline(g: LieAlgebra, torus: Sequence[dict]) -> PipelineReport:
+    """Theorem 1 for the torus b spanned by the generators torus, given by
+    their sparse row-major entries.  Raises TorusError when they are not a
+    torus, DegeneratePairError when a weight is zero, and ValueError when
+    they are not a basis of b."""
     report = PipelineReport("theorem1")
-    nondeg, _ = is_nondegenerate_pair(g, torus_mats)
+    nondeg, _ = is_nondegenerate_pair(g, torus)
     if not nondeg:
         raise DegeneratePairError("the pair carries a zero weight")
-    p = len(torus_mats)
+    p = len(torus)
 
     # the torus passed verify_torus, so each generator has Der coordinates
     ds = derivations(g)
-    torus_coords = [ds.coords_of(b) for b in torus_mats]
+    torus_coords = [ds.space.coords_of_row(b) for b in torus]
     if None in torus_coords:
         raise InvariantError("derivation outside computed Der(g)")
     b_sub = Subspace.from_vectors(ds.dim, torus_coords)
     if b_sub.dim != p:
         raise ValueError("the torus generators are linearly dependent")
-    h1 = semidirect(abelian(p), g, [ds.from_coords(c) for c in torus_coords])
+    h1 = semidirect(abelian(p), g, torus)
     tau_sub = centralizer_in_der(ds, torus_coords)
     tau = [ds.from_coords(v) for v in tau_sub.vectors()]
     tau_alg = ds.algebra.subalgebra_structure(
@@ -181,7 +186,7 @@ def theorem1_pipeline(
     # Images of the h basis under (t0, g0) -> D_{(t0, g0)}: D_{(t0, 0)} is t0
     # on the g slot of h1 = b x g, and D_{(0, g0)} = ad_h1(0, g0)
     images = [_on_g_slot(t0, p, g.dim) for t0 in tau]
-    images += [h1.ad_matrix(h1.basis_element(k)) for k in range(p, h1.dim)]
+    images += [h1.ad_entries(k) for k in range(p, h1.dim)]
 
     span = _add_image_checks(report, h1, dh1, images, "h1", "Der(h1)")
     report.add("map_injective", span.dim == h.dim, f"rank {span.dim} vs dim h {h.dim}")
@@ -191,7 +196,7 @@ def theorem1_pipeline(
         f"dim Der(h1) = {dh1.dim}, dim tau + dim g = {tau_sub.dim + g.dim}",
     )
     _add_complete(report, "h_complete", is_complete(derivations(h)))
-    l2 = _lemma2_form_check(dh1, torus_mats)
+    l2 = _lemma2_form_check(dh1, torus)
     report.add("restriction_to_b_form", l2[0], l2[1])
 
     if b_sub == tau_sub:
@@ -201,24 +206,25 @@ def theorem1_pipeline(
     return report
 
 
-def _on_g_slot(t0: dict, p: int, n: int) -> Matrix:
-    """The matrix of t0, given by its sparse entries on g of dimension n, on
-    the g slot of b x g, and zero on its p-dimensional b slot."""
-    rows = [[ZERO] * p + [t0.get(r * n + c, ZERO) for c in range(n)] for r in range(n)]
-    return Matrix([[ZERO] * (p + n)] * p + rows)
+def _on_g_slot(t0: dict, p: int, n: int) -> dict:
+    """The sparse entries of t0, given by its sparse entries on g of
+    dimension n, on the g slot of b x g, and zero on its p-dimensional b
+    slot."""
+    return {(p + t // n) * (p + n) + p + t % n: x for t, x in t0.items()}
 
 
-def _lemma2_form_check(dh1: DerivationSpace, torus_mats: Sequence[Matrix]) -> tuple[bool, str]:
+def _lemma2_form_check(dh1: DerivationSpace, torus: Sequence[dict]) -> tuple[bool, str]:
     """Every derivation D of h1 = b x g satisfies D b = b' + sum alpha(b)
     x_alpha on the torus slot, with x_alpha independent of b.  As b acts on
     g_alpha by alpha(b), that says the g-parts of D b_1, ..., D b_p are
     b_1 X, ..., b_p X for one X in g: stacked, they lie in the span of the
-    stacked columns (b_1 e_i, ..., b_p e_i) in Q^(p n).  The g-parts are
-    read off the sparse rows of Der(h1): entry (r, j) of D is at r*dim + j."""
-    p, dim = len(torus_mats), dh1.base.dim
+    stacked columns (b_1 e_i, ..., b_p e_i) in Q^(p n).  The columns and
+    the g-parts are read off sparse entries: entry (r, j) of D is at
+    r*dim + j, and entry (r, i) of b_k at r*n + i."""
+    p, dim = len(torus), dh1.base.dim
     n = dim - p
     stacked = Subspace.from_vectors(
-        p * n, ([x for b in torus_mats for x in b.column(i)] for i in range(n))
+        p * n, ([b.get(r * n + i, ZERO) for b in torus for r in range(n)] for i in range(n))
     )
     for didx, d in enumerate(dh1.space.rows.values()):
         g_parts = [d.get(r * dim + j, ZERO) for j in range(p) for r in range(p, dim)]
@@ -302,12 +308,13 @@ def theorem2_check(g: LieAlgebra) -> PipelineReport:
     basis += [(zero, v) for v in fsub.vectors()]
     images = [fg.ad_matrix(fg.basis_element(j)) for j in range(dsg.dim)]
     images += [_lemma4_image(dsg, v) for v in fsub.vectors()]
-    span = _add_image_checks(report, fg, dsf, images, "fg", "Der(f(g))")
+    flats = [{t: x for t, x in enumerate(m.flatten()) if x} for m in images]
+    span = _add_image_checks(report, fg, dsf, flats, "fg", "Der(f(g))")
     report.add(
         "map_injective", span.dim == len(basis), f"rank {span.dim} of {len(basis)}"
     )
 
-    hom_ok, hom_detail = _lemma4_homomorphism_check(dsg, fsub, basis, images)
+    hom_ok, hom_detail = _lemma4_homomorphism_check(dsg, fsub, basis, images, flats)
     report.add("homomorphism_law", hom_ok, hom_detail)
 
     fg_cert = is_complete(dsf)
@@ -335,7 +342,7 @@ def _lemma4_image(dsg: DerivationSpace, d: tuple) -> Matrix:
 
 
 def _lemma4_homomorphism_check(
-    dsg: DerivationSpace, fsub: Subspace, basis: list, images: list
+    dsg: DerivationSpace, fsub: Subspace, basis: list, images: list, flats: list
 ) -> tuple[bool, str]:
     """[D_{(s1,D1)}, D_{(s2,D2)}] = D_{bracket} on h-tilde basis pairs, where
     bracket = ([s1,s2], [s1,D2] - [s2,D1] + [D1,D2]) is taken in dsg.algebra
@@ -343,10 +350,9 @@ def _lemma4_homomorphism_check(
     basis (the Der(g) units, then fsub's) the map is linear, so D_{bracket}
     combines the images with [s1,s2] and the fsub coordinates of the rest,
     which exist since F(g) is an ideal of Der(g).  The images are combined
-    as sparse rows of their nonzero entries."""
+    as flats, their sparse row-major entries."""
     br = dsg.algebra.bracket
     size = (dsg.dim + dsg.base.dim) ** 2
-    flats = [{t: x for t, x in enumerate(m.flatten()) if x} for m in images]
     for a, (s1, d1) in enumerate(basis):
         for b in range(a + 1, len(basis)):
             s2, d2 = basis[b]

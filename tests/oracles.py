@@ -66,10 +66,21 @@ def entries_mat(e, n):
     return Matrix([[e.get(r * n + c, Q(0)) for c in range(n)] for r in range(n)])
 
 
+def der_coords(ds, m):
+    """The Der(g) coordinates of the matrix m, or None when m is not in
+    Der(g) = ds: the coordinates of its entries in ds.space."""
+    return ds.space.coords_of_row(entries(m))
+
+
 def der_mats(ds):
     """The canonical Der(g) basis of ds as dense matrices, read off its
     sparse rows: the tests' dense view of Der(g)."""
     return [entries_mat(row, ds.base.dim) for row in ds.space.rows.values()]
+
+
+def column(m, j):
+    """Column j of the matrix m, read off its rows."""
+    return tuple(row[j] for row in m.data)
 
 
 def mat_vec(m, v):
@@ -95,7 +106,7 @@ def dense_is_derivation(g, m):
     oracle: mat_vec and LieAlgebra.bracket on every basis pair."""
     if m.rows != g.dim or m.cols != g.dim:
         return False
-    cols = [m.column(i) for i in range(g.dim)]
+    cols = [column(m, i) for i in range(g.dim)]
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             lhs = mat_vec(m, g.bracket(g.basis_element(i), g.basis_element(j)))
@@ -151,7 +162,7 @@ def bumped(m, i, j, by):
 
 def rebased(g, p, pinv):
     """g in the basis of the columns of p: [f_a, f_b] = p^-1 [p e_a, p e_b]."""
-    cols = [p.column(a) for a in range(g.dim)]
+    cols = [column(p, a) for a in range(g.dim)]
     table = {}
     for a in range(g.dim):
         for b in range(a + 1, g.dim):

@@ -7,14 +7,13 @@ import pytest
 
 import lieq.derivations as DERIVATIONS
 import lieq.linalg as LINALG
+import lieq.weights as WEIGHTS
 from lieq.cli import run_command
 from lieq.constructions import catalog, full_graph, heisenberg
 from lieq.derivations import diagonal_derivation_torus
 from lieq.fileio import AlgebraFileError, parse_algebra, serialize_algebra
-from lieq.linalg import SparseSystem, Subspace
+from lieq.linalg import Q, SparseSystem, Subspace
 from lieq.weights import theorem1_pipeline
-
-from oracles import mat_comb
 
 
 def run_cli(*args):
@@ -78,6 +77,41 @@ class TestFileFormat:
     def test_not_json(self):
         with pytest.raises(AlgebraFileError):
             parse_algebra(b"not json")
+
+    @staticmethod
+    def bracket_value(value):
+        doc = {"dim": 2, "brackets": [{"i": 0, "j": 1, "value": [[1, value]]}]}
+        return parse_algebra(json.dumps(doc)).sc[0][1][1]
+
+    @pytest.mark.parametrize(
+        "value, digits",
+        [
+            ("1" * 5000, 5000),
+            ("-" + "7" * 4301, 4301),
+            ("3/" + "1" * 4301, 4301),
+            ("+" + "0" * 4302, 4302),
+        ],
+        ids=["p", "signed p", "q", "leading zeros"],
+    )
+    def test_rational_over_digit_bound(self, value, digits):
+        # refused by its digit count, whole message shorter than the digits
+        match = f"^a rational string has {digits} digits in p or q, over 4300$"
+        with pytest.raises(AlgebraFileError, match=match):
+            self.bracket_value(value)
+
+    def test_rational_at_digit_bound_is_read(self):
+        p, q = "9" * 4300, "7" * 4300
+        assert self.bracket_value(f"{p}/{q}") == Q(int(p), int(q))
+
+    @pytest.mark.parametrize(
+        "value",
+        ["1" * 5000 + "x", "1/0" + "1" * 5000, "1" * 5000 + "/"],
+        ids=["letter", "q with a leading zero", "empty q"],
+    )
+    def test_malformed_long_rational_keeps_its_message(self, value):
+        with pytest.raises(AlgebraFileError) as e:
+            self.bracket_value(value)
+        assert str(e.value) == f"bad rational string {value!r}"
 
 
 class TestExitCodes:
@@ -143,9 +177,10 @@ class TestExitCodes:
         # None stands for t0 + t1: a torus of dimension 2 with 3 generators
         h3 = heisenberg(1)
         t0, t1 = diagonal_derivation_torus(h3)
-        mats = [mat_comb((1, t0), (1, t1)) if k is None else (t0, t1)[k] for k in pick]
+        total = {k: t0.get(k, 0) + t1.get(k, 0) for k in t0.keys() | t1.keys()}
+        torus = [total if k is None else (t0, t1)[k] for k in pick]
         with pytest.raises(ValueError, match="^the torus generators are linearly dependent$"):
-            theorem1_pipeline(h3, mats)
+            theorem1_pipeline(h3, torus)
 
     def test_dependent_torus_generators_is_one(self, capsys):
         # the grading derivation of the zero algebra is zero: one generator
@@ -323,7 +358,19 @@ class TestInternalChecks:
         )
 
     def test_torus_generator_outside_der(self, monkeypatch, capsys):
-        monkeypatch.setattr(DERIVATIONS.DerivationSpace, "coords_of", lambda self, m: None)
+        # theorem 1's Der(g) finds no coordinates for any derivation
+        class Outside(Subspace):
+            def coords_of_row(self, row):
+                return None
+
+        derivations = WEIGHTS.derivations
+
+        def losing(g):
+            ds = derivations(g)
+            ds.space = Outside(ds.space.ambient_dim, ds.space.rows)
+            return ds
+
+        monkeypatch.setattr(WEIGHTS, "derivations", losing)
         self.assert_internal_failure(
             self.THEOREM1, "derivation outside computed Der(g)", capsys
         )

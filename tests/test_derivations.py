@@ -49,6 +49,7 @@ from oracles import (
     STRUCTURE_SOURCES,
     bumped,
     dense_is_derivation,
+    der_coords,
     der_mats,
     entries,
     entries_mat,
@@ -129,22 +130,21 @@ class TestDerivations:
 
     def test_basis_passes_independent_verifier(self, ds_h3, ds_fh3):
         for ds in (ds_h3, ds_fh3):
-            for m in der_mats(ds):
-                assert is_derivation(ds.base, m)
+            for d in ds.space.rows.values():
+                assert is_derivation(ds.base, d)
 
     def test_random_span_passes_verifier(self, ds_fh3):
         rng = random.Random(8)
         for _ in range(10):
             coeffs = [Q(rng.randint(-3, 3)) for _ in range(ds_fh3.dim)]
-            m = entries_mat(ds_fh3.from_coords(coeffs), ds_fh3.base.dim)
-            assert is_derivation(ds_fh3.base, m)
+            assert is_derivation(ds_fh3.base, ds_fh3.from_coords(coeffs))
 
     def test_closure_under_commutator(self, ds_h3):
         mats = der_mats(ds_h3)
         for a in range(ds_h3.dim):
             for b in range(a + 1, ds_h3.dim):
                 comm = mats[a].commutator(mats[b])
-                assert ds_h3.coords_of(comm) is not None
+                assert der_coords(ds_h3, comm) is not None
 
     def test_algebra_matches_commutators(self, ds_h3):
         alg, mats = ds_h3.algebra, der_mats(ds_h3)
@@ -187,44 +187,68 @@ THEOREM1_TORI = (
 
 
 class TestIsDerivationOracle:
-    """The sparse is_derivation against the dense check it replaced: on
-    derivations, on derivations with one entry changed, and on random
-    small integer matrices."""
+    """The sparse is_derivation, given entries, against the dense check it
+    replaced, given the matrix: on derivations, on derivations with one
+    entry changed, and on random small integer matrices."""
 
     @staticmethod
-    def agree_on_perturbations(g, mats, rng):
+    def agree_on_perturbations(g, derivs, rng):
         n = g.dim
-        for m in mats:
-            assert is_derivation(g, m) and dense_is_derivation(g, m)
+        for d in derivs:
+            m = entries_mat(d, n)
+            assert is_derivation(g, d) and dense_is_derivation(g, m)
             for _ in range(3):
                 by = Q(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3))
                 m2 = bumped(m, rng.randrange(n), rng.randrange(n), by)
-                assert is_derivation(g, m2) == dense_is_derivation(g, m2)
+                assert is_derivation(g, entries(m2)) == dense_is_derivation(g, m2)
         for _ in range(5):
             m2 = Matrix([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)])
-            assert is_derivation(g, m2) == dense_is_derivation(g, m2)
+            assert is_derivation(g, entries(m2)) == dense_is_derivation(g, m2)
 
     @pytest.mark.parametrize("name", STRUCTURE_SOURCES)
     def test_basis_and_perturbed(self, name):
         g = load_structure_source(name)
-        self.agree_on_perturbations(g, der_mats(derivations(g)), random.Random(name))
+        rows = derivations(g).space.rows.values()
+        self.agree_on_perturbations(g, rows, random.Random(name))
 
     @pytest.mark.parametrize("name, torus", THEOREM1_TORI)
     def test_theorem1_tori(self, name, torus):
-        g, mats = theorem1_torus(name, torus)
-        self.agree_on_perturbations(g, mats, random.Random(name + torus))
+        g, gens = theorem1_torus(name, torus)
+        self.agree_on_perturbations(g, gens, random.Random(name + torus))
 
     def test_some_perturbations_stay_derivations(self):
         # on abelian(2) every matrix is a derivation: both checks accept
         g = abelian(2)
         m = bumped(zeros(2, 2), 0, 1, Q(3))
-        assert is_derivation(g, m) and dense_is_derivation(g, m)
+        assert is_derivation(g, entries(m)) and dense_is_derivation(g, m)
         # adding a derivation keeps a derivation, on a nonabelian algebra
         g = heisenberg(1)
         ds = derivations(g)
         mats = der_mats(ds)
         m = mat_comb((1, mats[0]), (Q(-2, 3), mats[1]))
-        assert is_derivation(g, m) and dense_is_derivation(g, m)
+        assert is_derivation(g, entries(m)) and dense_is_derivation(g, m)
+
+    def test_index_outside_the_matrix_is_no_derivation(self):
+        # an index n*n or -1 names no entry of an n x n matrix: False, and
+        # nothing raised, whatever the rest of the entries are
+        for g in (heisenberg(1), abelian(2), abelian(0)):
+            n = g.dim
+            for t in (n * n, -1):
+                assert not is_derivation(g, {t: Q(1)})
+                assert not is_derivation(g, {t: Q(0)})
+        assert not is_derivation(abelian(2), {0: Q(1), 4: Q(1)})
+
+    def test_zero_entries_are_ignored(self):
+        # diag(0, 0, 1) is no derivation of h3; the zero matrix is one,
+        # however many zeros its entries spell out
+        g = heisenberg(1)
+        assert is_derivation(g, {})
+        assert is_derivation(g, dict.fromkeys(range(9), Q(0)))
+        assert not is_derivation(g, {8: Q(1)})
+        assert not is_derivation(g, {8: Q(1), 0: Q(0), 4: Q(0)})
+        for d in derivations(g).space.rows.values():
+            padded = dict.fromkeys(range(9), Q(0)) | d
+            assert is_derivation(g, padded)
 
 
 CATALOG_ANALYZE = (
@@ -284,10 +308,34 @@ def test_der_and_full_graph_build_no_matrix(name, monkeypatch):
 
 @pytest.mark.parametrize("name", CATALOG_ANALYZE)
 def test_analyze_builds_only_the_outer_witness(name, monkeypatch, capsys):
+    # the outer witness is a canonical Der row, so analyze builds no Matrix,
+    # with an outer witness (full-graph:heisenberg:1 alone) or without
     built = counting_matrices(monkeypatch)
     assert run_command(["analyze", f"catalog:{name}"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert len(built) == (doc.get("witness_kind") == "outer")
+    assert (doc.get("witness_kind") == "outer") == (name == "full-graph:heisenberg:1")
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "analyze catalog:full-graph:heisenberg:1 --full",
+        "verify theorem3 --N 1 --n 2",
+        "verify prop2 --N 1",
+        "verify prop3 --N 1",
+        "verify prop4 --N 1",
+        "tower catalog:full-graph:heisenberg:1",
+        "verify lemma3 --g catalog:heisenberg:1 --phi identity",
+    ],
+)
+def test_commands_build_no_matrix(argv, monkeypatch, capsys):
+    # the outer witnesses of analyze --full, theorem 3 and prop 3 are
+    # re-verified and printed from their sparse entries
+    built = counting_matrices(monkeypatch)
+    assert run_command(argv.split()) == 0
+    capsys.readouterr()
+    assert built == []
 
 
 class TestRankBound:
@@ -312,8 +360,8 @@ class TestRankBound:
         g = load_structure_source(name)
         ds = derivations(g)
         assert ds.space == dense_leibniz_kernel(g)
-        for m in der_mats(ds):
-            assert is_derivation(g, m)
+        for d in ds.space.rows.values():
+            assert is_derivation(g, d)
 
     def test_bound_fires_on_complete_algebra(self, monkeypatch):
         for name in ("f2_nonabelian2_dense.json", "full-graph:full-graph:nonabelian2"):
@@ -323,7 +371,7 @@ class TestRankBound:
             assert fed == 0
             assert ds.dim == ds.inner.dim == n
             # the per-ad coordinates the modular certificate skips
-            ads = [ds.coords_of(g.ad_matrix(g.basis_element(i))) for i in range(n)]
+            ads = [der_coords(ds, g.ad_matrix(g.basis_element(i))) for i in range(n)]
             assert ds.inner == Subspace.from_vectors(ds.dim, ads)
 
     @pytest.mark.parametrize("name", ["nonabelian2", "full-graph:nonabelian2"])
@@ -511,7 +559,7 @@ class TestInnerPreimage:
 
     @staticmethod
     def preimage(ds, m):
-        return inner_preimage(ds, ds.coords_of(m))
+        return inner_preimage(ds, der_coords(ds, m))
 
     def test_zero(self, fh3, ds_fh3):
         z = zeros(fh3.dim, fh3.dim)
@@ -575,19 +623,21 @@ class TestIsComplete:
         assert not any(h3.ad_matrix(v).flatten())
 
     def test_outer_witness_verified(self, fh3, ds_fh3):
+        # the witness is a canonical Der row, by its sparse entries
         cert = is_complete(ds_fh3)
         assert not cert.complete
-        kind, m = cert.witness
+        kind, w = cert.witness
         assert kind == "outer"
-        assert is_derivation(fh3, m)
-        assert not ds_fh3.inner_flat.contains_vector(m.flatten())
+        assert w in ds_fh3.space.rows.values()
+        assert is_derivation(fh3, w)
+        assert not ds_fh3.inner_flat.contains_vector(entries_mat(w, fh3.dim).flatten())
 
 
 # The certificate of each structure source, recorded when is_complete still
 # solved for Z(g) apart from Der(g), so reading Z(g) off Der(g) must keep
 # it: (center_dim, der_dim, inner_dim, complete, witness), the witness as
 # its kind, its Der basis index when outer, and its nonzero entries
-# (row-major for a matrix) as strings.
+# (row-major for a derivation) as strings.
 SOURCE_CERTIFICATES = {
     "heisenberg:1": (1, 6, 2, False, ("central", {2: "1"})),
     "heisenberg:2": (1, 15, 4, False, ("central", {4: "1"})),
@@ -625,9 +675,12 @@ def test_is_complete_reads_the_one_ad_elimination(name, monkeypatch):
     witness = cert.witness
     if witness is not None:
         kind, w = witness
-        flat = w.flatten() if kind == "outer" else w
+        flat = entries_mat(w, g.dim).flatten() if kind == "outer" else w
         nonzero = {t: q_str(x) for t, x in enumerate(flat) if x}
-        witness = (kind, der_mats(ds).index(w), nonzero) if kind == "outer" else (kind, nonzero)
+        if kind == "outer":
+            witness = (kind, der_mats(ds).index(entries_mat(w, g.dim)), nonzero)
+        else:
+            witness = (kind, nonzero)
     assert (*cert[:4], witness) == SOURCE_CERTIFICATES[name]
 
 
@@ -639,7 +692,7 @@ class TestCentralizer:
         g = abelian(2)
         ds = derivations(g)
         ident = Matrix.identity(2)
-        assert centralizer_in_der(ds, [ds.coords_of(ident)]).dim == 4
+        assert centralizer_in_der(ds, [der_coords(ds, ident)]).dim == 4
 
     def test_grading_derivation_block_oracle(self):
         # On h3^+2 the centralizer of the grading derivation is the space of
@@ -647,8 +700,9 @@ class TestCentralizer:
         # per-block by brute force on the block-diagonal ansatz.
         g = graded_power(heisenberg(1), 2)
         ds = derivations(g)
-        d = grading_derivation(heisenberg(1), 2)
-        tau = centralizer_in_der(ds, [ds.coords_of(d)])
+        grading = grading_derivation(heisenberg(1), 2)
+        tau = centralizer_in_der(ds, [ds.space.coords_of_row(grading)])
+        d = entries_mat(grading, 6)
         # every tau element commutes with d, i.e. preserves both slots
         for v in tau.vectors():
             assert not any(entries_mat(ds.from_coords(v), 6).commutator(d).flatten())
@@ -664,7 +718,7 @@ class TestCentralizer:
         # a generator is given by its Der coordinates, which a
         # non-derivation does not have
         bad = Matrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
-        assert ds_h3.coords_of(bad) is None
+        assert der_coords(ds_h3, bad) is None
 
 
 class TestFsAndZs:
@@ -687,7 +741,7 @@ class TestFsAndZs:
         # diag(0, 0, 1) is a derivation of abelian(3) but not of h3, which
         # has the same dimension
         d = Matrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
-        assert is_derivation(abelian(3), d)
+        assert is_derivation(abelian(3), entries(d))
         with pytest.raises(ValueError, match=r"outside Der\(g\)"):
             f_s_subspace(derivations(heisenberg(1)), [entries(d)])
         # so is an entry index outside range(9)
@@ -697,13 +751,13 @@ class TestFsAndZs:
     def test_zs_killed_by_scaling_derivation(self, h3, ds_h3):
         # derivation with Dc = c (the one-dimensional 'b' part): kills Z_s
         d = Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
-        assert is_derivation(h3, d)
+        assert is_derivation(h3, entries(d))
         assert z_s_subspace(h3, [entries(d)]).dim == 0
 
     def test_zs_kernel_intersection(self):
         g = abelian(2)
         d = Matrix([[1, 0], [0, 0]])
-        assert is_derivation(g, d)
+        assert is_derivation(g, entries(d))
         zs = z_s_subspace(g, [entries(d)])
         assert zs == Subspace.from_vectors(2, [g.basis_element(1)])
 
@@ -720,7 +774,7 @@ class TestVerifyTorus:
 
     def test_nilpotent_derivation_fails(self, h3):
         ad_x1 = h3.ad_matrix(h3.basis_element(0))
-        rep = verify_torus(h3, [ad_x1])
+        rep = verify_torus(h3, [entries(ad_x1)])
         assert not rep.ok
         assert rep.failures == [
             ("diagonalizable", "no common eigenbasis: the joint eigenspaces do not fill g")
@@ -730,14 +784,15 @@ class TestVerifyTorus:
         g = abelian(2)
         a = Matrix([[0, 1], [0, 0]])
         b = Matrix([[0, 0], [1, 0]])
-        rep = verify_torus(g, [a, b])
+        rep = verify_torus(g, [entries(a), entries(b)])
         assert not rep.ok
         assert [name for name, _ in rep.failures] == ["diagonalizable"]
 
     def test_each_nonderivation_named(self, h3):
         # the identity sends z = [x, y] to z, not to [x, y] + [x, y] = 2z
         eye = Matrix.identity(3)
-        rep = verify_torus(h3, [eye, diagonal_derivation_torus(h3)[0], mat_comb((2, eye))])
+        gens = [entries(eye), diagonal_derivation_torus(h3)[0], entries(mat_comb((2, eye)))]
+        rep = verify_torus(h3, gens)
         assert not rep.ok and rep.parts is None
         assert rep.failures == [
             ("derivation", "generator 0 fails the Leibniz identity"),
@@ -745,9 +800,10 @@ class TestVerifyTorus:
         ]
 
     def test_diagonal_torus(self, h3):
-        mats = diagonal_derivation_torus(h3)
-        assert len(mats) == 2
-        assert verify_torus(h3, mats).ok
+        # diag(1, 0, 1) and diag(0, 1, 1), by their entries on the diagonal
+        torus = diagonal_derivation_torus(h3)
+        assert torus == [{0: Q(1), 8: Q(1)}, {4: Q(1), 8: Q(1)}]
+        assert verify_torus(h3, torus).ok
 
 
 class TestDerivationTower:
@@ -787,7 +843,7 @@ def dense_homomorphism_check(s, g, images):
     checked densely, kept as an oracle for the Jacobi validation of
     s x_phi g: each image passes `is_derivation`, then phi([s_a, s_b]) =
     [phi(s_a), phi(s_b)] by Matrix.commutator on every basis pair."""
-    if not all(is_derivation(g, m) for m in images):
+    if not all(is_derivation(g, entries(m)) for m in images):
         return False
     n, e = g.dim, s.basis_element
     flats = [m.flatten() for m in images]
@@ -822,7 +878,7 @@ class TestDerHomomorphism:
         a = Matrix([[0, 1], [0, 0]])
         b = Matrix([[0, 0], [1, 0]])
         # abelian source but non-commuting images, each a derivation
-        assert is_derivation(g, a) and is_derivation(g, b)
+        assert is_derivation(g, entries(a)) and is_derivation(g, entries(b))
         assert not dense_homomorphism_check(abelian(2), g, [a, b])
         with pytest.raises(ValueError, match="Jacobi identity fails"):
             semidirect(abelian(2), g, [entries(a), entries(b)])
@@ -935,7 +991,8 @@ def dense_der_der(ds):
 
 
 def _graded_square_grading():
-    return derivations(graded_power(heisenberg(1), 2)), [grading_derivation(heisenberg(1), 2)]
+    grading = grading_derivation(heisenberg(1), 2)
+    return derivations(graded_power(heisenberg(1), 2)), [entries_mat(grading, 6)]
 
 
 def _identity_on(g):
@@ -960,7 +1017,7 @@ class TestDenseOracles:
     def test_centralizer_matches_dense(self, oracle_case):
         ds, images = oracle_case
         for gens in (images, images[:2], images[1::2]):
-            coords = [ds.coords_of(m) for m in gens]
+            coords = [der_coords(ds, m) for m in gens]
             assert centralizer_in_der(ds, coords) == dense_centralizer(ds, gens)
 
     def test_f_s_matches_dense(self, oracle_case):
@@ -976,7 +1033,7 @@ class TestDenseOracles:
         # the kernels read sparse ad rows off the Der algebra's structure
         # constants and the rows of the images: no ad matrix, no Matrix
         ds, images = oracle_case
-        coords = [ds.coords_of(m) for m in images]
+        coords = [der_coords(ds, m) for m in images]
         images = [entries(m) for m in images]
         calls = []
         ad_matrix, init = LieAlgebra.ad_matrix, Matrix.__init__

@@ -3,7 +3,9 @@
 Each module imports only from modules earlier in LAYERS, so the imports
 have no cycle, and every import sits at module level, where it runs once
 and shows the dependency.  No module but linalg reads a nullspace basis:
-every kernel goes through `SparseSystem.kernel()`.
+every kernel goes through `SparseSystem.kernel()`.  Only linalg, liealg,
+derivations and weights name `Matrix`: everywhere else a derivation is
+passed by its sparse row-major entries.
 """
 
 import ast
@@ -81,11 +83,14 @@ def test_imports_only_earlier_layers(module):
     assert late == [], f"{module}.py imports from later layers: {late}"
 
 
-def _kernel_uses(tree):
-    """Lines that reference `nullspace_basis`."""
+def _uses(tree, target):
+    """Lines that name target: as an attribute, a name or an import."""
     for node in ast.walk(tree):
-        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
-        if name == "nullspace_basis":
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)]
+        if target in names:
             yield node.lineno
 
 
@@ -93,5 +98,16 @@ def _kernel_uses(tree):
 def test_kernels_only_in_linalg(module):
     # every other module takes a kernel through SparseSystem.kernel(), so
     # how a kernel is computed is decided in linalg alone
-    uses = sorted(set(_kernel_uses(_tree(module))))
+    uses = sorted(set(_uses(_tree(module), "nullspace_basis")))
     assert uses == [], f"{module}.py reaches for a kernel at lines {uses}"
+
+
+DENSE = ("linalg", "liealg", "derivations", "weights")
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES + ["__init__"] if m not in DENSE])
+def test_matrix_only_in_dense_layers(module):
+    # liealg's ad_matrix, the torus spectra in derivations and theorem 2's
+    # images in weights are the dense matrices left
+    uses = sorted(set(_uses(_tree(module), "Matrix")))
+    assert uses == [], f"{module}.py names Matrix at lines {uses}"

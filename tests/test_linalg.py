@@ -27,7 +27,7 @@ from lieq.linalg import (
     solve,
 )
 
-from oracles import mat_comb, mat_vec, sparse, zeros
+from oracles import column, entries, entries_mat, mat_comb, mat_vec, sparse, zeros
 
 
 def M(rows):
@@ -119,9 +119,9 @@ class TestImageWithPreimages:
             w = [Q(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(3)]
             c = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(4)]
             f = Matrix.from_columns([[a * x + b * y for x, y in zip(u, w)] for a, b in c])
-            rows = [sparse(f.column(j)) | {3 + j: Q(1)} for j in range(4)]
+            rows = [sparse(column(f, j)) | {3 + j: Q(1)} for j in range(4)]
             image, pre, kernel = image_with_preimages(3, 7, rows)
-            assert image == Subspace.from_vectors(3, [f.column(j) for j in range(4)])
+            assert image == Subspace.from_vectors(3, [column(f, j) for j in range(4)])
             assert len(pre) == image.dim
             for v, x in zip(image.vectors(), pre):
                 # sparse preimages, no dense copy
@@ -719,7 +719,7 @@ class TestMinimalPolynomial:
             return solve(a, b)
 
         monkeypatch.setattr(linalg, "solve", counting)
-        d = grading_derivation(nonabelian2(), 8)
+        d = entries_mat(grading_derivation(nonabelian2(), 8), 16)
         p = minimal_polynomial(d)
         assert calls == [8]
         assert rational_roots(p) == [Q(k) for k in range(1, 9)]
@@ -738,7 +738,7 @@ def weights_on_abelian(m):
     """The weights of m as a torus of abelian(n), where every matrix is a
     derivation, so the torus check is the diagonalizability test over Q;
     None when m has no eigenbasis over Q."""
-    rep = verify_torus(abelian(m.rows), [m])
+    rep = verify_torus(abelian(m.rows), [entries(m)])
     return tuple(fun[0] for fun, _ in rep.parts) if rep.ok else None
 
 

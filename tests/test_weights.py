@@ -63,7 +63,17 @@ from lieq.weights import (
     weight_decomposition,
 )
 
-from oracles import der_mats, entries, entries_mat, mat_comb, mat_vec, rebased, sparse, zeros
+from oracles import (
+    column,
+    der_coords,
+    der_mats,
+    entries,
+    entries_mat,
+    mat_comb,
+    mat_vec,
+    rebased,
+    sparse,
+)
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +83,7 @@ def gp2():
 
 @pytest.fixture(scope="module")
 def grading():
-    """The grading derivation of gp2."""
+    """The grading derivation of gp2, by its sparse entries."""
     return grading_derivation(heisenberg(1), 2)
 
 
@@ -97,27 +107,27 @@ class TestWeightDecomposition:
         # eigenvalues (1 -> -1, 2 -> 0); it is not itself a derivation, so
         # the refinement is called directly, without torus verification,
         # with the spectra verify_torus computes
-        d = grading
+        d = entries_mat(grading, gp2.dim)
         d2 = mat_comb((1, d @ d), (-2, d))
         spec, spec2 = (rational_roots(minimal_polynomial(m)) for m in (d, d2))
         parts1 = refine_eigenspaces(gp2.dim, [d], [spec])
         parts2 = refine_eigenspaces(gp2.dim, [d, d2], [spec, spec2])
         assert [fun for fun, _ in parts2] == [(Q(1), Q(-1)), (Q(2), Q(0))]
         assert [sub for _, sub in parts1] == [sub for _, sub in parts2]
-        assert weight_decomposition(gp2, [d]) == tuple(parts1)
+        assert weight_decomposition(gp2, [grading]) == tuple(parts1)
 
     def test_eigenspaces_verified_directly(self, gp2, grading):
         # re-verified by matrix application, independent of the refinement
-        d = grading
-        for fun, sub in weight_decomposition(gp2, [d]):
+        d = entries_mat(grading, gp2.dim)
+        for fun, sub in weight_decomposition(gp2, [grading]):
             for v in sub.vectors():
                 assert mat_vec(d, v) == tuple(fun[0] * x for x in v)
 
     def test_nonderivation_torus_rejected(self, gp2, grading):
-        d = grading
+        d = entries_mat(grading, gp2.dim)
         bad = mat_comb((1, d @ d), (-2, d))
         with pytest.raises(TorusError):
-            weight_decomposition(gp2, [bad])
+            weight_decomposition(gp2, [entries(bad)])
 
     def test_bracket_respects_weights(self):
         # [g_a, g_b] inside g_{a+b} (or zero when a+b is not a weight)
@@ -126,8 +136,8 @@ class TestWeightDecomposition:
             (graded_power(g3, 3), [grading_derivation(g3, 3)]),
             (g3, diagonal_derivation_torus(g3)),
         ]
-        for g, mats in cases:
-            parts = weight_decomposition(g, mats)
+        for g, torus in cases:
+            parts = weight_decomposition(g, torus)
             funs = {fun: sub for fun, sub in parts}
             for fa, sa in parts:
                 for fb, sb in parts:
@@ -146,11 +156,17 @@ def unipotent(n):
     return p, pinv
 
 
+def conjugated(torus, p, pinv):
+    """The entries of P^-1 D P for each generator D of torus, given by its
+    entries."""
+    return [entries(pinv @ entries_mat(d, p.rows) @ p) for d in torus]
+
+
 def rebased_diagonal_torus(g):
     """g in the basis of the columns of unipotent(g.dim), with its diagonal
-    torus D conjugated to P^-1 D P."""
+    torus D conjugated to P^-1 D P, by their entries."""
     p, pinv = unipotent(g.dim)
-    return rebased(g, p, pinv), [pinv @ d @ p for d in diagonal_derivation_torus(g)]
+    return rebased(g, p, pinv), conjugated(diagonal_derivation_torus(g), p, pinv)
 
 
 class TestRebasedTorus:
@@ -164,12 +180,12 @@ class TestRebasedTorus:
         n = g.dim
         p, pinv = unipotent(n)
         assert p @ pinv == Matrix.identity(n)
-        mats = diagonal_derivation_torus(g)
-        return g, mats, rebased(g, p, pinv), [pinv @ d @ p for d in mats], pinv
+        torus = diagonal_derivation_torus(g)
+        return g, torus, rebased(g, p, pinv), conjugated(torus, p, pinv), pinv
 
     def test_weight_spaces_map_under_p_inverse(self, pair):
-        g, mats, h, conj, pinv = pair
-        rep, rep2 = verify_torus(g, mats), verify_torus(h, conj)
+        g, torus, h, conj, pinv = pair
+        rep, rep2 = verify_torus(g, torus), verify_torus(h, conj)
         assert rep.ok and rep2.ok
         assert len(conj) == 6 and len(rep2.parts) == 9
         coordinate = [all(sum(1 for x in v if x) == 1 for v in sub.vectors()) for _, sub in rep2.parts]
@@ -180,8 +196,8 @@ class TestRebasedTorus:
             assert Subspace.from_vectors(g.dim, [mat_vec(pinv, v) for v in sub.vectors()]) == sub2
 
     def test_theorem1_agrees(self, pair):
-        g, mats, h, conj, _ = pair
-        rep, rep2 = theorem1_pipeline(g, mats), theorem1_pipeline(h, conj)
+        g, torus, h, conj, _ = pair
+        rep, rep2 = theorem1_pipeline(g, torus), theorem1_pipeline(h, conj)
         assert rep.ok and rep2.ok
         assert rep.dims == rep2.dims
         assert [c.name for c in rep.checks] == [c.name for c in rep2.checks]
@@ -217,6 +233,7 @@ def _rebased_h3_cube_torus():
     return g.dim, rebased_diagonal_torus(g)[1]
 
 
+# (n, torus), each generator by its entries
 REFINE_CASES = {
     "h3^(2) grading": lambda: (6, [grading_derivation(heisenberg(1), 2)]),
     "h5 diagonal": lambda: (5, diagonal_derivation_torus(heisenberg(2))),
@@ -226,13 +243,14 @@ REFINE_CASES = {
     "h3^(3) diagonal, rebased": _rebased_h3_cube_torus,
     # one generator twice, and the zero matrix as the one generator
     "repeated generator": lambda: (5, diagonal_derivation_torus(heisenberg(2))[:1] * 2),
-    "zero generator": lambda: (2, [zeros(2, 2)]),
+    "zero generator": lambda: (2, [{}]),
 }
 
 
 @pytest.mark.parametrize("name", list(REFINE_CASES))
 def test_refine_eigenspaces_matches_kernel_lift(name):
-    n, mats = REFINE_CASES[name]()
+    n, torus = REFINE_CASES[name]()
+    mats = [entries_mat(d, n) for d in torus]
     spectra = [rational_roots(minimal_polynomial(b)) for b in mats]
     parts = refine_eigenspaces(n, mats, spectra)
     assert parts == dense_refine_eigenspaces(n, mats, spectra)
@@ -252,7 +270,7 @@ class TestNondegeneratePair:
     def test_weight_zero_on_center(self):
         g = heisenberg(1)
         d = Matrix([[1, 0, 0], [0, -1, 0], [0, 0, 0]])
-        flag, parts = is_nondegenerate_pair(g, [d])
+        flag, parts = is_nondegenerate_pair(g, [entries(d)])
         assert not flag
         zero_part = next(sub for fun, sub in parts if fun == (Q(0),))
         assert zero_part.contains_vector(g.basis_element(2))
@@ -285,9 +303,9 @@ class TestTheorem1:
 
     def test_maximal_torus_on_graded_square(self):
         g = graded_power(heisenberg(1), 2)
-        mats = diagonal_derivation_torus(g)
-        assert len(mats) == 5
-        rep = theorem1_pipeline(g, mats)
+        torus = diagonal_derivation_torus(g)
+        assert len(torus) == 5
+        rep = theorem1_pipeline(g, torus)
         assert rep.ok
         assert any(c.name == "maximal_torus_h1_complete" for c in rep.checks)
 
@@ -308,9 +326,9 @@ class TestTheorem1:
                     monkeypatch.setattr(mod, name, counting)
         h3 = heisenberg(1)
         gp = graded_power(nonabelian2(), 2)
-        for g, mats in ((h3, diagonal_derivation_torus(h3)), (gp, [grading_derivation(nonabelian2(), 2)])):
+        for g, torus in ((h3, diagonal_derivation_torus(h3)), (gp, [grading_derivation(nonabelian2(), 2)])):
             calls.update(verify_torus=0, refine_eigenspaces=0)
-            assert theorem1_pipeline(g, mats).ok
+            assert theorem1_pipeline(g, torus).ok
             assert calls == {"verify_torus": 1, "refine_eigenspaces": 1}
 
     def test_der_h1_solved_once(self, monkeypatch, capsys):
@@ -349,7 +367,7 @@ def weight_part_lemma2_check(dh1, p, parts):
         offsets.append((off, off + sub.dim))
         off += sub.dim
     for d in der_mats(dh1):
-        gcomps = [combine(d.column(j)[p:], to_parts, n) for j in range(p)]
+        gcomps = [combine(column(d, j)[p:], to_parts, n) for j in range(p)]
         for (fun, _), (lo, hi) in zip(parts, offsets):
             blocks = [tuple(gc[lo:hi]) for gc in gcomps]
             j0 = next((j for j, a in enumerate(fun) if a != 0), None)
@@ -372,9 +390,9 @@ LEMMA2_CASES = {
 }
 
 
-def lemma2_setting(g, mats):
-    h1 = semidirect(abelian(len(mats)), g, [entries(m) for m in mats])
-    return derivations(h1), weight_decomposition(g, mats)
+def lemma2_setting(g, torus):
+    h1 = semidirect(abelian(len(torus)), g, torus)
+    return derivations(h1), weight_decomposition(g, torus)
 
 
 def perturbed(dh1, p, rng):
@@ -391,16 +409,16 @@ def perturbed(dh1, p, rng):
 class TestLemma2Form:
     @pytest.mark.parametrize("name", list(LEMMA2_CASES))
     def test_matches_weight_part_oracle(self, name):
-        g, mats, p = LEMMA2_CASES[name]()
-        assert len(mats) == p
-        dh1, parts = lemma2_setting(g, mats)
-        assert _lemma2_form_check(dh1, mats) == (True, "")
+        g, torus, p = LEMMA2_CASES[name]()
+        assert len(torus) == p
+        dh1, parts = lemma2_setting(g, torus)
+        assert _lemma2_form_check(dh1, torus) == (True, "")
         assert weight_part_lemma2_check(dh1, p, parts)
         rng = random.Random(19)
         verdicts = []
         for _ in range(300):
             bent = perturbed(dh1, p, rng)
-            ok, detail = _lemma2_form_check(bent, mats)
+            ok, detail = _lemma2_form_check(bent, torus)
             assert ok == weight_part_lemma2_check(bent, p, parts)
             assert ok or re.fullmatch(
                 r"derivation \d+: the torus slot breaks the alpha\(b\) x_alpha form", detail
@@ -411,12 +429,12 @@ class TestLemma2Form:
     def test_one_generator_never_rejects(self, gp2, grading):
         # with no zero weight the one generator b is invertible on g, so
         # every g-part is b X for some X
-        mats = [grading]
-        dh1, parts = lemma2_setting(gp2, mats)
+        torus = [grading]
+        dh1, parts = lemma2_setting(gp2, torus)
         rng = random.Random(23)
         for _ in range(20):
             bent = perturbed(dh1, 1, rng)
-            assert _lemma2_form_check(bent, mats) == (True, "")
+            assert _lemma2_form_check(bent, torus) == (True, "")
             assert weight_part_lemma2_check(bent, 1, parts)
 
 
@@ -474,8 +492,8 @@ def dense_lemma4_image(dsg, s, d):
     g = dsg.base
     cols = []
     for s1 in der_mats(dsg):
-        top = dsg.coords_of(s.commutator(s1))
-        bottom = inner_preimage(dsg, dsg.coords_of(d.commutator(s1)))
+        top = der_coords(dsg, s.commutator(s1))
+        bottom = inner_preimage(dsg, der_coords(dsg, d.commutator(s1)))
         cols.append(tuple(top) + tuple(bottom))
     sd = mat_comb((1, s), (1, d))
     for i in range(g.dim):
@@ -558,7 +576,8 @@ class TestLemma4Oracle:
                 assert images[a].commutator(images[b]) == expect
         # the linear check, on the basis it is written for
         basis, basis_images = pipeline_basis(dsg, fsub, fg)
-        assert _lemma4_homomorphism_check(dsg, fsub, basis, basis_images) == (True, "")
+        flats = [entries(m) for m in basis_images]
+        assert _lemma4_homomorphism_check(dsg, fsub, basis, basis_images, flats) == (True, "")
 
     @pytest.mark.parametrize("k", (0, 1))
     def test_scaled_image_breaks_law(self, pipeline, k):
@@ -567,7 +586,8 @@ class TestLemma4Oracle:
         dsg, fsub, basis, images = pipeline
         scaled = list(images)
         scaled[k] = mat_comb((2, images[k]))
-        ok, detail = _lemma4_homomorphism_check(dsg, fsub, basis, scaled)
+        flats = [entries(m) for m in scaled]
+        ok, detail = _lemma4_homomorphism_check(dsg, fsub, basis, scaled, flats)
         assert not ok
         match = re.fullmatch(r"law fails on basis pair \((\d+), (\d+)\)", detail)
         a, b = int(match[1]), int(match[2])
@@ -680,20 +700,19 @@ class TestPlantedFailures:
         cert = is_complete(ds)
         assert _outer_witness_ok(fg, ds, cert)
         # ad(e0) passes the Leibniz check, but it is inner
-        inner = fg.ad_matrix(fg.basis_element(0))
-        assert is_derivation(fg, inner) and any(inner.flatten())
+        inner = entries(fg.ad_matrix(fg.basis_element(0)))
+        assert is_derivation(fg, inner) and inner
         assert not _outer_witness_ok(fg, ds, cert._replace(witness=("outer", inner)))
 
     def test_swapped_image_fails_span(self):
         g = heisenberg(1)
         ds = derivations(g)
-        images = der_mats(ds)
+        images = list(ds.space.rows.values())
         report = PipelineReport("planted")
         _add_image_checks(report, g, ds, images, "g", "Der(g)")
         assert report.ok
         # a matrix unit outside Der(g): images 1.. and it still span dim Der(g)
-        units = (Matrix([[int((r, c) == rc) for c in range(3)] for r in range(3)])
-                 for rc in itertools.product(range(3), repeat=2))
+        units = ({3 * r + c: Q(1)} for r, c in itertools.product(range(3), repeat=2))
         images[0] = next(m for m in units if not is_derivation(g, m))
         report = PipelineReport("planted")
         span = _add_image_checks(report, g, ds, images, "g", "Der(g)")
