@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from . import __version__
 from .constructions import (
@@ -33,7 +34,7 @@ from .fileio import (
     report_to_dict,
     serialize_algebra,
 )
-from .liealg import DimensionCapError, LieAlgebra
+from .liealg import DimensionCapError, LieAlgebra, clip, read_count
 from .linalg import InvariantError, ZERO, q_str
 from .weights import (
     lemma3_check,
@@ -52,12 +53,12 @@ class UsageError(ValueError):
 def load_source(src: str) -> LieAlgebra:
     """catalog:<name> or a path to an algebra file.  An algebra whose
     dimension exceeds LIE_DIM_CAP is a usage error, raised before it is
-    built."""
+    built.  A refused catalog name is echoed by `clip`."""
     if src.startswith("catalog:"):
         try:
             return catalog(src.split(":", 1)[1])
         except (KeyError, ValueError) as e:  # unknown name, count out of range, cap
-            raise UsageError(f"{src}: {e.args[0]}") from None
+            raise UsageError(f"{clip(src)}: {e.args[0]}") from None
     try:
         with open(src, "rb") as fh:
             return parse_algebra(fh.read())
@@ -65,6 +66,12 @@ def load_source(src: str) -> LieAlgebra:
         raise UsageError(f"cannot read {src}: {e}") from None
     except (AlgebraFileError, DimensionCapError) as e:
         raise UsageError(f"{src}: {e}") from None
+
+
+# An integer option is read as a catalog count is.  argparse echoes all of
+# a value whose type raises ValueError, and only the message of an
+# ArgumentTypeError, which read_count bounds.
+_count_option = partial(read_count, what="count", error=argparse.ArgumentTypeError)
 
 
 def _write(path: str, text: str) -> None:
@@ -223,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("tower", help="derivation tower of a center-free algebra")
     pt.add_argument("src")
-    pt.add_argument("--max-steps", type=int, default=4)
+    pt.add_argument("--max-steps", type=_count_option, default=4)
     pt.add_argument("--out")
     pt.set_defaults(func=cmd_tower)
 
@@ -233,12 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["theorem1", "theorem2", "theorem3", "lemma3", "prop2", "prop3", "prop4"],
     )
     pv.add_argument("--g", help="source algebra (catalog:<name> or file)")
-    pv.add_argument("--graded-power", type=int, help="replace g by its graded power")
+    pv.add_argument("--graded-power", type=_count_option, help="replace g by its graded power")
     pv.add_argument("--torus", choices=["grading", "diagonal"], default="grading")
     pv.add_argument("--phi", choices=["zero", "identity"], default="zero")
-    pv.add_argument("--s-dim", type=int, default=1, help="abelian s dimension for lemma3 --phi zero")
-    pv.add_argument("--N", type=int, default=1, help="Heisenberg parameter")
-    pv.add_argument("--n", type=int, default=1, help="full-graph iteration depth")
+    pv.add_argument(
+        "--s-dim", type=_count_option, default=1, help="abelian s dimension for lemma3 --phi zero"
+    )
+    pv.add_argument("--N", type=_count_option, default=1, help="Heisenberg parameter")
+    pv.add_argument("--n", type=_count_option, default=1, help="full-graph iteration depth")
     pv.add_argument("--out")
     pv.set_defaults(func=cmd_verify)
     return p

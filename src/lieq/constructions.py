@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Collection
 
 from .derivations import DerivationSpace, check_images, derivations
-from .liealg import MAX_COUNT_DIGITS, LieAlgebra, check_dim_cap, is_ascii_decimal
+from .liealg import LieAlgebra, check_dim_cap, clip, read_count
 from .linalg import Q
 
 
@@ -147,23 +147,14 @@ def catalog(name: str) -> LieAlgebra:
     if name == "nonabelian2":
         return nonabelian2()
     if name.startswith("abelian:"):
-        return abelian(_count(name.split(":", 1)[1]))
+        return abelian(read_count(name.split(":", 1)[1], "catalog count"))
     if name.startswith("heisenberg:"):
-        return heisenberg(_count(name.split(":", 1)[1]))
+        return heisenberg(read_count(name.split(":", 1)[1], "catalog count"))
     if name.startswith("graded-power:"):
         rest = name.split(":", 1)[1]
         inner_name, _, n = rest.rpartition(":")
-        return graded_power(catalog(inner_name), _count(n))
+        return graded_power(catalog(inner_name), read_count(n, "catalog count"))
     if name.startswith("full-graph:"):
         return full_graph(catalog(name.split(":", 1)[1]))
-    raise KeyError(f"unknown catalog name {name!r} (expected {CATALOG_HELP})")
+    raise KeyError(f"unknown catalog name {clip(name)!r} (expected {CATALOG_HELP})")
 
-
-def _count(s: str) -> int:
-    """A catalog count, written in at most MAX_COUNT_DIGITS ASCII decimal
-    digits (`is_ascii_decimal`)."""
-    if not is_ascii_decimal(s):
-        raise KeyError(f"bad catalog count {s!r}")
-    if len(s) > MAX_COUNT_DIGITS:
-        raise KeyError(f"catalog count has {len(s)} digits, over {MAX_COUNT_DIGITS}")
-    return int(s)

@@ -28,6 +28,7 @@ Brackets of derivations are computed once, as the structure constants of
 `DerivationSpace.algebra`, each audited against its full matrix commutator.
 
 Der(g) is held once, as the canonical sparse rows of `DerivationSpace.space`
+(a NamedTuple, like the result records)
 over the row-major entries of a matrix, {r*n + c: q}: the form in which the
 Leibniz unknowns are indexed.  The images of a phi: s -> Der(g) are passed
 in the same form (`check_images`), so `full_graph` hands the Der rows to
@@ -116,21 +117,18 @@ def is_derivation(g: LieAlgebra, d: dict) -> bool:
     return True
 
 
-class DerivationSpace:
+class DerivationSpace(NamedTuple):
     """Der(g): its canonical basis, held as the sparse rows of `space`, its
     own Lie algebra structure, the inner-derivation subspace in
     Der-coefficient coordinates, and the centre of g, the kernel of ad."""
 
-    __slots__ = ("base", "space", "algebra", "inner", "inner_flat", "ad_preimages", "center")
-
-    def __init__(self, base, space, algebra, inner, inner_flat, ad_preimages, center):
-        self.base = base
-        self.space = space  # Subspace of Q^(n^2), RREF-canonical: rows {r*n + c: q}
-        self.algebra = algebra  # bracket = matrix commutator
-        self.inner = inner  # Subspace of Q^dim (Der coefficients)
-        self.inner_flat = inner_flat  # ad(g) inside Q^(n^2)
-        self.ad_preimages = ad_preimages  # an x with ad(x) = each inner basis vector
-        self.center = center  # Z(g) = ker ad, a Subspace of Q^n
+    base: LieAlgebra
+    space: Subspace  # of Q^(n^2), RREF-canonical: rows {r*n + c: q}
+    algebra: LieAlgebra  # bracket = matrix commutator
+    inner: Subspace  # of Q^dim (Der coefficients)
+    inner_flat: Subspace  # ad(g) inside Q^(n^2)
+    ad_preimages: tuple  # an x with ad(x) = each inner basis vector
+    center: Subspace  # Z(g) = ker ad, in Q^n
 
     @property
     def dim(self) -> int:
@@ -141,9 +139,6 @@ class DerivationSpace:
         row-major entries {r*n + c: q}."""
         n = self.base.dim
         return {t: x for t, x in enumerate(combine(coeffs, self.space.rows.values(), n * n)) if x}
-
-    def __repr__(self):
-        return f"DerivationSpace(base dim {self.base.dim}, dim {self.dim})"
 
 
 def _bump(row: dict, idx: int, val: int) -> None:

@@ -9,7 +9,8 @@ sc[j][i] holding the negated constants.  Antisymmetry therefore holds by
 construction.  Every operation reads `sc`, so its cost follows the nonzero
 constants and not dim^2 table entries.  Jacobi validation and the derived
 and lower central series run over `integer_sc`, its denominator-cleared
-copy, and feed integer rows to the elimination kernel.  `ad_image`
+copy, and feed integer rows to the elimination kernel; [g, g] is
+`product_space` of g with itself.  `ad_image`
 eliminates the rows (ad(e_j), e_j) once and reads off all three of ad(g), a
 preimage under ad of each of its basis vectors, and the centre Z(g) = ker ad;
 `center` is that kernel.
@@ -18,7 +19,8 @@ The Jacobi identity is validated eagerly, so an invalid table is
 unrepresentable downstream.  `check_dim_cap` refuses a dimension above
 LIE_DIM_CAP, which must be written in at most `MAX_COUNT_DIGITS` ASCII
 decimal digits; the constructors and the file loader call it before they
-build an algebra.
+build an algebra.  `read_count` reads a count by the same rule, and
+`clip` bounds the input an error message echoes.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ DEFAULT_DIM_CAP = 64
 # CPython's default bound on the digits of an int read from a string; a
 # count or cap past it is refused by its source, not by int()
 MAX_COUNT_DIGITS = 4300
+# the most characters of an input value that an error message echoes
+ECHO_CHARS = 40
 
 
 class DimensionCapError(ValueError):
@@ -57,12 +61,28 @@ def is_ascii_decimal(s: str) -> bool:
     return s.isascii() and s.isdigit()
 
 
+def clip(s: str) -> str:
+    """s as an error message echoes it: its first ECHO_CHARS characters,
+    then '…' when it is longer."""
+    return s if len(s) <= ECHO_CHARS else s[:ECHO_CHARS] + "…"
+
+
+def read_count(s: str, what: str, error: type = ValueError) -> int:
+    """s as a count: at most MAX_COUNT_DIGITS ASCII decimal digits
+    (`is_ascii_decimal`).  Raises error, naming what, otherwise."""
+    if not is_ascii_decimal(s):
+        raise error(f"bad {what} {clip(s)!r}")
+    if len(s) > MAX_COUNT_DIGITS:
+        raise error(f"{what} has {len(s)} digits, over {MAX_COUNT_DIGITS}")
+    return int(s)
+
+
 def dim_cap() -> int:
     raw = os.environ.get("LIE_DIM_CAP")
     if raw is None:
         return DEFAULT_DIM_CAP
     if not is_ascii_decimal(raw):
-        raise DimensionCapError(f"LIE_DIM_CAP must be a non-negative integer, not {raw!r}")
+        raise DimensionCapError(f"LIE_DIM_CAP must be a non-negative integer, not {clip(raw)!r}")
     if len(raw) > MAX_COUNT_DIGITS:
         raise DimensionCapError(f"LIE_DIM_CAP has {len(raw)} digits, over {MAX_COUNT_DIGITS}")
     return int(raw)
@@ -264,17 +284,11 @@ class LieAlgebra:
         rows = (_integer_bracket(isc, u, v) for u, v in pairs)
         return Subspace.from_system(SparseSystem(self.dim, rows))
 
-    def derived_subalgebra(self) -> Subspace:
-        """[g, g]: the span of the brackets [e_i, e_j], i < j, read off
-        `integer_sc`."""
-        rows = (v for i, row in enumerate(self.integer_sc()) for j, v in row.items() if i < j)
-        return Subspace.from_system(SparseSystem(self.dim, rows))
-
     def series(self) -> "SeriesReport":
-        """Derived and lower central series; both have [g, g] as their
-        second term, computed once."""
+        """Derived and lower central series; both have [g, g] =
+        product_space(g, g) as their second term, computed once."""
         full = Subspace.full(self.dim)
-        second = self.derived_subalgebra()
+        second = self.product_space(full, full)
         derived = _descend(full, second, lambda s: self.product_space(s, s))
         lower = _descend(full, second, lambda s: self.product_space(full, s))
         return SeriesReport(

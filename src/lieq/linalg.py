@@ -32,7 +32,8 @@ exact elimination.
 which the Der(g) structure constants and the Jacobi check are computed.
 `image_with_preimages` reads a map's image, a sparse preimage of each
 image basis vector and the map's kernel off the reduced rows of the one
-elimination of the sparse rows (f(x), x);
+elimination of the sparse rows (f(x), x); `Subspace.intersect` is such a
+kernel, of the Zassenhaus rows;
 `combine` forms the linear combinations of sparse rows that such bases and
 preimages are used in.
 `InvariantError` marks the failure of an internal check: a bug, not bad
@@ -483,17 +484,13 @@ class Subspace:
         return all(self.coords_of_row(row) is not None for row in other.rows.values())
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: the reduced rows of the span of the rows (a, a) and
-        (b, 0) that lead in the right half carry the intersection there."""
+        """Zassenhaus: the span of the rows (u, u) and (w, 0), for the rows u
+        of self and w of other, meets 0 x Q^n in 0 x (self & other), which is
+        the kernel that `image_with_preimages` reads off its reduced rows."""
         self._check_ambient(other)
         n = self.ambient_dim
         rows = [{**row, **{n + c: x for c, x in row.items()}} for row in self.rows.values()]
-        reduced = SparseSystem(2 * n, rows + list(other.rows.values())).reduced_rows()
-        return Subspace(n, {
-            lead - n: {c - n: x for c, x in row.items()}
-            for lead, row in reduced.items()
-            if lead >= n
-        })
+        return image_with_preimages(n, 2 * n, rows + list(other.rows.values()))[2]
 
     def orthogonal_complement(self) -> "Subspace":
         return SparseSystem(self.ambient_dim, self.rows.values()).kernel()

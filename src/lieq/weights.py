@@ -7,7 +7,9 @@ with pass/fail and a witness, plus a dimension table.
 A derivation is passed by its sparse row-major entries {r*n + c: q}, the
 form of the rows of Der(g): the torus generators, the images checked by
 `_add_image_checks` and the outer witness.  Theorem 2 alone builds dense
-matrices, its images, whose commutators state the Lemma 4 law.
+matrices, its images, whose commutators state the Lemma 4 law.  Lemma 3's
+expected centre {(0, z)} is the canonical rows of Z_s(g) shifted past s,
+and theorem 3's [Der, Der] is `product_space` of Der with itself.
 """
 
 from __future__ import annotations
@@ -246,7 +248,10 @@ def lemma3_check(
     report = PipelineReport("lemma3")
     h = semidirect(s, g, images)
     zs = z_s_subspace(g, images)
-    expected = Subspace.from_vectors(h.dim, [s.zero() + v for v in zs.vectors()])
+    # {(0, z)}: the canonical rows of Z_s(g), shifted past the s slot
+    p = s.dim
+    shifted = {k + p: {c + p: x for c, x in r.items()} for k, r in zs.rows.items()}
+    expected = Subspace(h.dim, shifted)
     actual = h.center()
     holds = actual == expected
     report.dims = {
@@ -399,7 +404,8 @@ def theorem3_check(N: int, n_max: int) -> PipelineReport:
         if cert.witness is not None and cert.witness[0] == "outer":
             report.add(f"{tag}_outer_witness_verified", _outer_witness_ok(fn, ds_fn, cert))
         _add_complete(report, f"{tag}_der_complete", is_complete(derivations(ds_fn.algebra)))
-        der_der = ds_fn.algebra.derived_subalgebra()
+        full = Subspace.full(ds_fn.dim)
+        der_der = ds_fn.algebra.product_space(full, full)
         report.add(
             f"{tag}_der_der_inside_ad",
             ds_fn.inner.contains(der_der),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from lieq.constructions import catalog
 from lieq.fileio import parse_algebra
 from lieq.liealg import LieAlgebra
-from lieq.linalg import Matrix, Q
+from lieq.linalg import Matrix, Q, SparseSystem, Subspace
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -115,6 +115,14 @@ def dense_is_derivation(g, m):
             if any(a != b + c for a, b, c in zip(lhs, rhs, rhs2)):
                 return False
     return True
+
+
+def bracket_span(g):
+    """[g, g] as the span of the nonzero brackets [e_i, e_j], i < j, read
+    off sc: the formula that product_space(g, g) replaced, kept as an
+    oracle."""
+    rows = (v for i, row in enumerate(g.sc) for j, v in row.items() if i < j)
+    return Subspace.from_system(SparseSystem(g.dim, rows))
 
 
 def dense_rref(rows, n):

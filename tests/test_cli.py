@@ -155,12 +155,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("name", ("abelian:{}", "graded-power:nonabelian2:{}"))
     def test_catalog_count_over_digit_bound_is_one(self, name, capsys):
         # int() would refuse it with an interpreter limit; the count is
-        # refused first, by its digit count
+        # refused first, by its digit count, and the error echoes 40
+        # characters of the source, then an ellipsis
         src = "catalog:" + name.format("1" + "0" * 4300)
         assert run_command(["construct", src]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {src}: catalog count has 4301 digits, over 4300\n"
+        assert captured.err == f"error: {src[:40]}…: catalog count has 4301 digits, over 4300\n"
         assert "Exceeds the limit" not in captured.err
 
     @pytest.mark.parametrize("torus", ("diagonal", "grading"))
@@ -192,11 +193,56 @@ class TestExitCodes:
         assert captured.err == "error: the torus generators are linearly dependent\n"
 
     def test_negative_max_steps_is_one(self, capsys):
+        # refused by argparse, as a count with a sign
         argv = ["tower", "catalog:full-graph:heisenberg:1", "--max-steps", "-1"]
         assert run_command(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: max_steps must be >= 0, not -1\n"
+        assert captured.err.endswith("error: argument --max-steps: bad count '-1'\n")
+
+    INTEGER_OPTIONS = {
+        "--N": ["verify", "prop2"],
+        "--n": ["verify", "theorem3"],
+        "--graded-power": ["verify", "theorem1", "--g", "catalog:nonabelian2"],
+        "--s-dim": ["verify", "lemma3", "--g", "catalog:heisenberg:1"],
+        "--max-steps": ["tower", "catalog:full-graph:heisenberg:1"],
+    }
+
+    @pytest.mark.parametrize("option", INTEGER_OPTIONS)
+    @pytest.mark.parametrize("value", ("1_0", "+1", " 1", "١", "１"))
+    def test_integer_option_is_ascii_decimal(self, option, value, capsys):
+        # int() reads each of these as 10 or 1; a catalog count refuses them
+        assert run_command([*self.INTEGER_OPTIONS[option], option, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument {option}: bad count {value!r}\n")
+
+    @pytest.mark.parametrize("option", INTEGER_OPTIONS)
+    def test_integer_option_over_digit_bound(self, option, capsys):
+        value = "1" * 5000
+        assert run_command([*self.INTEGER_OPTIONS[option], option, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument {option}: count has 5000 digits, over 4300\n")
+        assert len(captured.err.encode()) < 1024
+
+    def test_integer_option_at_digit_bound_is_read(self, capsys):
+        # nonabelian2 is complete, so the tower stops at step 0
+        argv = ["tower", "catalog:nonabelian2", "--max-steps", "1" + "0" * 4299]
+        assert run_command(argv) == 0
+        assert json.loads(capsys.readouterr().out)["stable_index"] == 0
+
+    def test_long_catalog_names_are_clipped(self, capsys):
+        # 40 characters of a refused value are echoed, then an ellipsis
+        for src, tail in (
+            ("catalog:abelian:" + "x" * 5000, "bad catalog count 'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx…'"),
+            ("catalog:" + "y" * 5000, "unknown catalog name 'yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy…'"),
+        ):
+            assert run_command(["construct", src]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {src[:40]}…: {tail}")
+            assert len(captured.err.encode()) < 1024
 
     @pytest.mark.parametrize("theorem", ("theorem1", "theorem2", "lemma3"))
     def test_verify_without_source_is_one(self, theorem):
@@ -367,8 +413,7 @@ class TestInternalChecks:
 
         def losing(g):
             ds = derivations(g)
-            ds.space = Outside(ds.space.ambient_dim, ds.space.rows)
-            return ds
+            return ds._replace(space=Outside(ds.space.ambient_dim, ds.space.rows))
 
         monkeypatch.setattr(WEIGHTS, "derivations", losing)
         self.assert_internal_failure(
@@ -488,6 +533,8 @@ class TestCommands:
             # past int()'s digit limit, refused by its digit count
             ("7" * 5000, "LIE_DIM_CAP has 5000 digits, over 4300"),
             ("0" * 4300 + "5", "LIE_DIM_CAP has 4301 digits, over 4300"),
+            # a malformed cap is echoed to 40 characters
+            ("z" * 5000, f"LIE_DIM_CAP must be a non-negative integer, not '{'z' * 40}…'\n"),
         ):
             monkeypatch.setenv("LIE_DIM_CAP", cap)
             assert run_command(["analyze", "catalog:nonabelian2"]) == 1

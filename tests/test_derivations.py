@@ -1055,7 +1055,8 @@ class TestDenseOracles:
 
     def test_der_der_matches_dense(self, oracle_case):
         ds, _ = oracle_case
-        der_der = ds.algebra.derived_subalgebra()
+        full = Subspace.full(ds.dim)
+        der_der = ds.algebra.product_space(full, full)
         dense = dense_der_der(ds)
         n = ds.base.dim
         flats = Subspace.from_vectors(

@@ -11,6 +11,8 @@ f2_nonabelian2_dense_s21c1.json and f2_nonabelian2_dense_s21c3.json are
 copies 1 and 3 of its inputs at seed 21.  dim_over_digit_bound.json has a
 dim of 4301 digits, past the default digit limit of the interpreter's
 int(), and rational_over_digit_bound.json a bracket value of 5000 digits.
+The replays of refused integer options set COLUMNS, since argparse wraps
+the usage line it prints to the terminal width.
 
 The coverage guard keeps the replay list whole: every subcommand and every
 `verify` theorem is replayed, and the commands and .out files match one to

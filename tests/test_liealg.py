@@ -8,7 +8,14 @@ from lieq.constructions import abelian, catalog, heisenberg, nonabelian2
 from lieq.liealg import InvalidStructureError, LieAlgebra, NotClosedError
 from lieq.linalg import Matrix, Q, Subspace, rank_bareiss, solve
 
-from oracles import STRUCTURE_SOURCES, column, dense_center, load_structure_source, sl2_plus_center
+from oracles import (
+    STRUCTURE_SOURCES,
+    bracket_span,
+    column,
+    dense_center,
+    load_structure_source,
+    sl2_plus_center,
+)
 
 
 @pytest.fixture
@@ -314,7 +321,7 @@ def test_series_matches_product_space(g):
     if isinstance(g, str):
         g = load_structure_source(g)
     full = Subspace.full(g.dim)
-    assert g.derived_subalgebra() == g.product_space(full, full)
+    assert g.product_space(full, full) == bracket_span(g)
     rep = g.series()
     assert (rep.derived_series, rep.lower_central_series) == product_space_series(g)
     for s in rep.derived_series + rep.lower_central_series:
