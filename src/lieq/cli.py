@@ -53,7 +53,9 @@ class UsageError(ValueError):
 def load_source(src: str) -> LieAlgebra:
     """catalog:<name> or a path to an algebra file.  An algebra whose
     dimension exceeds LIE_DIM_CAP is a usage error, raised before it is
-    built.  A refused catalog name is echoed by `clip`."""
+    built.  A refused catalog name is echoed by `clip`; so is the path of a
+    file that cannot be read, followed by the OSError's strerror, which does
+    not quote it."""
     if src.startswith("catalog:"):
         try:
             return catalog(src.split(":", 1)[1])
@@ -63,15 +65,30 @@ def load_source(src: str) -> LieAlgebra:
         with open(src, "rb") as fh:
             return parse_algebra(fh.read())
     except OSError as e:
-        raise UsageError(f"cannot read {src}: {e}") from None
+        raise UsageError(f"cannot read {clip(src)}: {e.strerror}") from None
     except (AlgebraFileError, DimensionCapError) as e:
         raise UsageError(f"{src}: {e}") from None
 
 
 # An integer option is read as a catalog count is.  argparse echoes all of
-# a value whose type raises ValueError, and only the message of an
-# ArgumentTypeError, which read_count bounds.
+# a value whose type raises ValueError, or that its choices refuse, and only
+# the message of an ArgumentTypeError, which read_count and _choice bound.
 _count_option = partial(read_count, what="count", error=argparse.ArgumentTypeError)
+
+
+def _choice(names: list, s: str) -> str:
+    """s when it is one of names.  Any other value is refused with the
+    message argparse's choices give, but echoed by `clip`.  The argument
+    keeps choices=names for its usage line; argparse checks them only after
+    this type accepts the value."""
+    if s not in names:
+        shown = ", ".join(map(repr, names))
+        raise argparse.ArgumentTypeError(f"invalid choice: {clip(s)!r} (choose from {shown})")
+    return s
+
+
+def _add_choice(parser: argparse.ArgumentParser, name: str, names: list, **kw) -> None:
+    parser.add_argument(name, type=partial(_choice, names), choices=names, **kw)
 
 
 def _write(path: str, text: str) -> None:
@@ -235,14 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
     pt.set_defaults(func=cmd_tower)
 
     pv = sub.add_parser("verify", help="run a theorem or proposition pipeline")
-    pv.add_argument(
-        "theorem",
-        choices=["theorem1", "theorem2", "theorem3", "lemma3", "prop2", "prop3", "prop4"],
+    _add_choice(
+        pv, "theorem", ["theorem1", "theorem2", "theorem3", "lemma3", "prop2", "prop3", "prop4"]
     )
     pv.add_argument("--g", help="source algebra (catalog:<name> or file)")
     pv.add_argument("--graded-power", type=_count_option, help="replace g by its graded power")
-    pv.add_argument("--torus", choices=["grading", "diagonal"], default="grading")
-    pv.add_argument("--phi", choices=["zero", "identity"], default="zero")
+    _add_choice(pv, "--torus", ["grading", "diagonal"], default="grading")
+    _add_choice(pv, "--phi", ["zero", "identity"], default="zero")
     pv.add_argument(
         "--s-dim", type=_count_option, default=1, help="abelian s dimension for lemma3 --phi zero"
     )

@@ -25,7 +25,8 @@ basis vector v of ad(g), and the centre Z(g) = ker ad; `inner_preimage`
 combines the preimages, and `DerivationSpace` keeps the centre, so
 `is_complete` reads both halves of its certificate off Der(g) alone.
 Brackets of derivations are computed once, as the structure constants of
-`DerivationSpace.algebra`, each audited against its full matrix commutator.
+`DerivationSpace.algebra`, each audited against its full matrix commutator,
+formed by `linalg.mul_into`, the library's one matrix product.
 
 Der(g) is held once, as the canonical sparse rows of `DerivationSpace.space`
 (a NamedTuple, like the result records)
@@ -35,9 +36,9 @@ in the same form (`check_images`), so `full_graph` hands the Der rows to
 `semidirect` as they are.  A derivation crosses every function boundary
 in this form: `is_derivation` reads it, the torus generators are given in
 it, and the outer witness of `is_complete` is the canonical Der row itself.
-The only matrices built here are the torus generators inside
-`verify_torus`, for their minimal polynomials and eigenspaces.  Downstream, a
-derivation is its coordinate vector in the canonical Der basis:
+No dense matrix is built here: `verify_torus` hands the sparse entries of
+its generators to `minimal_polynomial` and `refine_eigenspaces`.
+Downstream, a derivation is its coordinate vector in the canonical Der basis:
 `centralizer_in_der` takes the Der coordinates of its generators, and
 `f_s_subspace` reads the Der coordinates of the images of phi once, off
 their sparse entries; both take kernels of sparse ad rows of that algebra,
@@ -59,10 +60,9 @@ from __future__ import annotations
 from math import lcm
 from typing import Collection, Iterator, NamedTuple, Sequence
 
-from .liealg import DEFAULT_DIM_CAP, DimensionCapError, LieAlgebra, dim_cap
+from .liealg import DEFAULT_DIM_CAP, DimensionCapError, LieAlgebra, check_dim_cap, dim_cap
 from .linalg import (
     InvariantError,
-    Matrix,
     ONE,
     Q,
     SparseSystem,
@@ -71,7 +71,9 @@ from .linalg import (
     clear_denominators,
     combine,
     image_with_preimages,
+    matrix_rows,
     minimal_polynomial,
+    mul_into,
     rank_mod_p,
     rational_roots,
     refine_eigenspaces,
@@ -170,16 +172,6 @@ def _leibniz_rows(g: LieAlgebra) -> Iterator[dict[int, int]]:
             yield from rows
 
 
-def _check_der_dim(d: int) -> None:
-    """Refuse a Der(g) of dimension d before its basis is built.  The bound
-    is LIE_DIM_CAP, but never below DEFAULT_DIM_CAP: a lower cap bounds the
-    algebras built from the input, while a Der(g) within the default costs
-    at most DEFAULT_DIM_CAP^3 / 6 Jacobi triples."""
-    cap = max(dim_cap(), DEFAULT_DIM_CAP)
-    if d > cap:
-        raise DimensionCapError(f"Der(g): dimension {d} exceeds LIE_DIM_CAP {cap}")
-
-
 def derivations(g: LieAlgebra) -> DerivationSpace:
     """Compute Der(g) from the Leibniz system.
 
@@ -213,7 +205,10 @@ def derivations(g: LieAlgebra) -> DerivationSpace:
         sys = SparseSystem(n * n, rows)
         if sys.rank < rank_p:
             raise InvariantError("Leibniz rank over Q below its rank mod P")
-        _check_der_dim(n * n - sys.rank)
+        # the bound is LIE_DIM_CAP, but never below DEFAULT_DIM_CAP: a lower
+        # cap bounds the algebras built from the input, while a Der(g) within
+        # the default costs at most DEFAULT_DIM_CAP^3 / 6 Jacobi triples
+        check_dim_cap(n * n - sys.rank, max(dim_cap(), DEFAULT_DIM_CAP), "Der(g): dimension")
         space = sys.kernel()
         d = space.dim
         inner_rows = []
@@ -229,28 +224,15 @@ def derivations(g: LieAlgebra) -> DerivationSpace:
     return DerivationSpace(g, space, algebra, inner, inner_flat, pre, center)
 
 
-def _mul_into(acc: dict, a: dict, b: dict, n: int, sign: int) -> None:
-    """acc += sign * a b for sparse integer n x n matrices {row: {col: int}};
-    acc is keyed by the row-major index r*n + c."""
-    for r, row in a.items():
-        base = r * n
-        for k, x in row.items():
-            brow = b.get(k)
-            if brow:
-                x *= sign
-                for c, y in brow.items():
-                    t = base + c
-                    acc[t] = acc.get(t, 0) + x * y
-
-
 def commutator_table(space: Subspace, n: int) -> dict:
     """Structure constants {(a, b): {t: c}}, a < b, of the matrix commutator
     on the n x n matrices D_a whose row-major entries are the RREF basis of
     `space`: [D_a, D_b] = sum_t c D_t.
 
     Each D_a is taken once as an integer matrix over one common denominator,
-    D_a = N_a / d_a, together with its pivot p_a (the lead of its reduced
-    row, where N_a holds d_a).  With C = N_a N_b - N_b N_a, coordinate t of
+    D_a = N_a / d_a, held as its sparse rows, together with its pivot p_a
+    (the lead of its reduced row, where N_a holds d_a).  With
+    C = N_a N_b - N_b N_a, formed by `mul_into`, coordinate t of
     [D_a, D_b] is C[p_t] / (d_a d_b), because the basis is RREF.  Every
     commutator is rebuilt from its coordinates as an audit, multiplied
     through by L d_a d_b with L = lcm(d_t): sum_t C[p_t] (L / d_t) N_t = L C,
@@ -260,11 +242,8 @@ def commutator_table(space: Subspace, n: int) -> dict:
     flats, mats, dens = [], [], []
     for row in space.rows.values():
         ints, den = clear_denominators(row)
-        rows: dict[int, dict[int, int]] = {}
-        for t, x in ints.items():
-            rows.setdefault(t // n, {})[t % n] = x
         flats.append(ints)
-        mats.append(rows)
+        mats.append(matrix_rows(ints, n))
         dens.append(den)
     pivots = list(space.rows)
     big_l = lcm(*dens)
@@ -272,9 +251,8 @@ def commutator_table(space: Subspace, n: int) -> dict:
     table = {}
     for a, (na, da) in enumerate(zip(mats, dens)):
         for b in range(a + 1, len(mats)):
-            comm: dict[int, int] = {}
-            _mul_into(comm, na, mats[b], n, 1)
-            _mul_into(comm, mats[b], na, n, -1)
+            comm = mul_into({}, na, mats[b], n, 1)
+            mul_into(comm, mats[b], na, n, -1)
             audit = {t: big_l * x for t, x in comm.items()}
             coords = {}
             for t, p in enumerate(pivots):
@@ -393,10 +371,10 @@ def verify_torus(base: LieAlgebra, gens: Sequence[dict]) -> TorusReport:
     (Hoffman & Kunze, Linear Algebra, 6.5), so no separate commuting or
     semisimplicity test is needed.
 
-    Each generator must pass `is_derivation`.  Then it is built as a dense
-    matrix, its spectrum is the rational roots of its minimal polynomial,
-    and `refine_eigenspaces` splits g once into the joint eigenspaces, which
-    are the weight spaces when they fill g.  The report lists one
+    Each generator must pass `is_derivation`.  Then its spectrum is the
+    rational roots of its minimal polynomial, and `refine_eigenspaces`
+    splits g once into the joint eigenspaces, which are the weight spaces
+    when they fill g; both read the sparse entries.  The report lists one
     ("derivation", ...) per failing generator, or one ("diagonalizable",
     ...) when the joint eigenspaces do not fill g."""
     failures = [
@@ -406,9 +384,8 @@ def verify_torus(base: LieAlgebra, gens: Sequence[dict]) -> TorusReport:
     ]
     if not failures:
         n = base.dim
-        mats = [Matrix([[b.get(r * n + c, ZERO) for c in range(n)] for r in range(n)]) for b in gens]
-        spectra = [rational_roots(minimal_polynomial(b)) for b in mats]
-        parts = tuple(refine_eigenspaces(n, mats, spectra))
+        spectra = [rational_roots(minimal_polynomial(n, b)) for b in gens]
+        parts = tuple(refine_eigenspaces(n, gens, spectra))
         if sum(sub.dim for _, sub in parts) == n:
             return TorusReport(True, failures, parts)
         failures.append(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .liealg import MAX_COUNT_DIGITS, InvalidStructureError, LieAlgebra, check_dim_cap
+from .liealg import MAX_COUNT_DIGITS, InvalidStructureError, LieAlgebra, check_dim_cap, clip
 from .linalg import is_rational_string, q_parse, q_str
 
 
@@ -79,21 +79,22 @@ def parse_algebra(text: str | bytes) -> LieAlgebra:
             try:
                 k, s = entry
             except (TypeError, ValueError):
-                raise AlgebraFileError("bracket value entries must be [index, 'p/q'] pairs") from None
+                s = None
+            if not isinstance(s, str):
+                raise AlgebraFileError("bracket value entries must be [index, 'p/q'] pairs")
             if not (type(k) is int and 0 <= k < dim):
                 raise AlgebraFileError(f"bracket value index {k} out of range")
             if k in coords:
                 raise AlgebraFileError(f"duplicate index {k} in bracket value of ({i}, {j})")
+            if not is_rational_string(s):
+                raise AlgebraFileError(f"bad rational string {clip(s)!r}")
             # past MAX_COUNT_DIGITS, int() would refuse p or q, quoting every digit
-            digits = max(map(len, s.lstrip("+-").split("/"))) if is_rational_string(s) else 0
+            digits = max(map(len, s.lstrip("+-").split("/")))
             if digits > MAX_COUNT_DIGITS:
                 raise AlgebraFileError(
                     f"a rational string has {digits} digits in p or q, over {MAX_COUNT_DIGITS}"
                 )
-            try:
-                coords[k] = q_parse(s)
-            except (ValueError, ZeroDivisionError, TypeError):
-                raise AlgebraFileError(f"bad rational string {s!r}") from None
+            coords[k] = q_parse(s)
         if (i, j) in table:
             raise AlgebraFileError(f"duplicate bracket record for ({i}, {j})")
         table[(i, j)] = coords

@@ -20,7 +20,8 @@ unrepresentable downstream.  `check_dim_cap` refuses a dimension above
 LIE_DIM_CAP, which must be written in at most `MAX_COUNT_DIGITS` ASCII
 decimal digits; the constructors and the file loader call it before they
 build an algebra.  `read_count` reads a count by the same rule, and
-`clip` bounds the input an error message echoes.
+`clip` and `echo_count` bound the input and the counts an error message
+echoes.
 """
 
 from __future__ import annotations
@@ -67,6 +68,18 @@ def clip(s: str) -> str:
     return s if len(s) <= ECHO_CHARS else s[:ECHO_CHARS] + "…"
 
 
+def echo_count(k: int) -> str:
+    """The count k as an error message echoes it: in decimal up to
+    ECHO_CHARS digits, else by its number of digits, counted without
+    converting k, which int to str refuses past MAX_COUNT_DIGITS digits."""
+    if k < 10 ** ECHO_CHARS:
+        return str(k)
+    digits = k.bit_length() * 3 // 10  # at most the number: log10(2) > 0.3
+    while k >= 10 ** digits:
+        digits += 1
+    return f"of {digits} digits"
+
+
 def read_count(s: str, what: str, error: type = ValueError) -> int:
     """s as a count: at most MAX_COUNT_DIGITS ASCII decimal digits
     (`is_ascii_decimal`).  Raises error, naming what, otherwise."""
@@ -88,11 +101,13 @@ def dim_cap() -> int:
     return int(raw)
 
 
-def check_dim_cap(dim: int) -> None:
-    """Refuse an algebra of dimension dim before it is built."""
-    cap = dim_cap()
+def check_dim_cap(dim: int, cap: int | None = None, what: str = "dimension") -> None:
+    """Refuse an algebra of dimension dim, named by what, over cap (by
+    default LIE_DIM_CAP) before it is built; the message echoes both
+    numbers by `echo_count`."""
+    cap = dim_cap() if cap is None else cap
     if dim > cap:
-        raise DimensionCapError(f"dimension {dim} exceeds LIE_DIM_CAP {cap}")
+        raise DimensionCapError(f"{what} {echo_count(dim)} exceeds LIE_DIM_CAP {echo_count(cap)}")
 
 
 class InvalidStructureError(ValueError):

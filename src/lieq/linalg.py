@@ -8,8 +8,20 @@ in lowest terms with positive denominator, so equality is exact.
 
 Scalars are coerced by `as_q` at the API boundaries (Matrix(), the vectors
 and coefficients passed in); arithmetic on them stays in the scalar type.
-A polynomial is its tuple of coefficients, lowest degree first:
+Sparse rows and entries are read as they are given, with int or scalar
+values.  A polynomial is its tuple of coefficients, lowest degree first:
 `minimal_polynomial` returns one, `rational_roots` reads one.
+
+There is one matrix product.  `mul_into` multiplies n x n matrices held as
+sparse rows {row: {col: x}} into sparse row-major entries {r*n + c: x}, the
+form in which a derivation crosses every function boundary; `matrix_rows`
+reads such entries back into rows and refuses an index outside range(n^2).
+The Der(g) structure constants (`derivations.commutator_table`),
+`Matrix.commutator` and the powers in `minimal_polynomial` all run on it,
+and `minimal_polynomial` and `refine_eigenspaces` take their matrices as
+sparse entries.  A dense `Matrix` is storage only, rows of scalars: `rref`,
+`solve` and `rank_bareiss` read it, and theorem 2 states its lemma-4 law
+with `Matrix.commutator`.
 
 There is one elimination kernel.  `SparseSystem(ncols, rows)` clears each
 sparse row's denominators, eliminates fraction-free over Z and back-reduces
@@ -104,10 +116,6 @@ class Matrix:
                 raise ValueError("ragged matrix rows")
 
     @staticmethod
-    def identity(n: int) -> "Matrix":
-        return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @staticmethod
     def from_columns(cols: Sequence[Sequence]) -> "Matrix":
         return Matrix(list(zip(*cols, strict=True)))
 
@@ -123,38 +131,15 @@ class Matrix:
         body = "; ".join(" ".join(q_str(x) for x in row) for row in self.data)
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        return Matrix(self._product_rows(other))
-
-    def _product_rows(self, other: "Matrix") -> list[list]:
-        """Rows of self @ other, skipping zero entries of both factors."""
-        out = []
-        for row in self.data:
-            acc = [ZERO] * other.cols
-            for a, orow in zip(row, other.data):
-                if a:
-                    for k, b in enumerate(orow):
-                        if b:
-                            acc[k] += a * b
-            out.append(acc)
-        return out
-
     def commutator(self, other: "Matrix") -> "Matrix":
-        """self @ other - other @ self, subtracting only the nonzero entries
-        of the second product."""
-        if not (self.is_square() and (self.rows, self.cols) == (other.rows, other.cols)):
+        """self other - other self, by `mul_into` on the nonzero entries."""
+        n = self.rows
+        if not n == self.cols == other.rows == other.cols:
             raise ValueError("shape mismatch")
-        rows = self._product_rows(other)
-        for row, sub in zip(rows, other._product_rows(self)):
-            for k, b in enumerate(sub):
-                if b:
-                    row[k] -= b
-        return Matrix(rows)
+        a, b = ({r: row for r, v in enumerate(m.data) if (row := _sparse(v))} for m in (self, other))
+        acc = mul_into({}, a, b, n, 1)
+        mul_into(acc, b, a, n, -1)
+        return Matrix([[acc.get(r * n + c, ZERO) for c in range(n)] for r in range(n)])
 
     def flatten(self) -> tuple:
         """Row-major entry vector."""
@@ -171,6 +156,37 @@ def clear_denominators(entries: dict) -> tuple[dict, int]:
         for k, x in entries.items()
         if x
     }, den
+
+
+def matrix_rows(d: dict, n: int) -> dict[int, dict]:
+    """The n x n matrix with the sparse row-major entries d = {r*n + c: x} as
+    its sparse rows {r: {c: x}}, zero entries dropped.  Raises ValueError
+    when an index lies outside range(n^2), being no entry of an n x n
+    matrix."""
+    rows: dict[int, dict] = {}
+    for t, x in d.items():
+        if not 0 <= t < n * n:
+            raise ValueError(f"an entry index is outside range({n * n})")
+        if x:
+            rows.setdefault(t // n, {})[t % n] = x
+    return rows
+
+
+def mul_into(acc: dict, a: dict, b: dict, n: int, sign: int) -> dict:
+    """acc += sign * a b for sparse n x n matrices {row: {col: x}}, with int
+    or scalar entries: the one matrix product.  acc is keyed by the
+    row-major index r*n + c, keeps the entries that cancel, as zeros, and is
+    returned."""
+    for r, row in a.items():
+        base = r * n
+        for k, x in row.items():
+            brow = b.get(k)
+            if brow:
+                x *= sign
+                for c, y in brow.items():
+                    t = base + c
+                    acc[t] = acc.get(t, 0) + x * y
+    return acc
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -558,49 +574,53 @@ def _divisors(n: int, top: int) -> list[int]:
     return sorted(out)
 
 
-def minimal_polynomial(m: Matrix) -> tuple:
+def minimal_polynomial(n: int, d: dict) -> tuple:
     """Coefficients, lowest degree first, of the monic polynomial of least
-    degree annihilating m.  I, m, m^2, ... are fed to one SparseSystem until
-    m^k depends on the powers before it; one `solve` then gives
-    m^k = sum x_i m^i, and the polynomial is x^k - sum x_i x^i.  Raises
+    degree annihilating the n x n matrix m with the sparse row-major entries
+    d = {r*n + c: x}.  I, m, m^2, ... are formed by `mul_into` and fed to one
+    SparseSystem until m^k depends on the powers before it; one `solve`
+    then gives m^k = sum x_i m^i, and the polynomial is x^k - sum x_i x^i.
+    Raises ValueError when an index of d lies outside range(n^2), and
     InvariantError if k would exceed n, which Cayley-Hamilton rules out."""
-    if not m.is_square():
-        raise ValueError("minimal polynomial of a non-square matrix")
-    n = m.rows
-    powers = [Matrix.identity(n)]
-    system = SparseSystem(n * n, [_sparse(powers[0].flatten())])
+    m = matrix_rows(d, n)
+    powers = [{r * (n + 1): ONE for r in range(n)}]
+    system = SparseSystem(n * n, powers)
     while system.rank == len(powers):
         if len(powers) > n:
             raise InvariantError("minimal polynomial search exceeded dimension")
-        powers.append(powers[-1] @ m)
-        system.add_row(_sparse(powers[-1].flatten()))
-    *lower, top = (p.flatten() for p in powers)
+        powers.append(mul_into({}, matrix_rows(powers[-1], n), m, n, 1))
+        system.add_row(powers[-1])
+    *lower, top = ([p.get(t, ZERO) for t in range(n * n)] for p in powers)
     x = solve(Matrix.from_columns(lower), top)
     return (*(-c for c in x), ONE)
 
 
 def refine_eigenspaces(
-    n: int, mats: Sequence[Matrix], spectra: Sequence[Sequence]
+    n: int, gens: Sequence[dict], spectra: Sequence[Sequence]
 ) -> list[tuple[tuple, Subspace]]:
-    """The nonzero joint eigenspaces of Q^n under mats, whose rational
+    """The nonzero joint eigenspaces of Q^n under the n x n matrices with
+    the sparse row-major entries gens, {r*n + c: x} each, whose rational
     eigenvalues are given by spectra.
 
-    A part splits, for each lam of b, into its intersection with
-    ker(b - lam), computed once per (b, lam); empty intersections are
-    skipped.  So the parts are the joint eigenspaces of any matrices; their
-    sum is direct, and it fills Q^n exactly when the mats have a common
-    eigenbasis over Q, that is, when they commute and each is diagonalizable
-    over Q, as the generators of a torus are.
+    A part splits, for each generator b and each lam of b, into its
+    intersection with ker(b - lam), computed once per (b, lam); empty
+    intersections are skipped.  So the parts are the joint eigenspaces of
+    any matrices; their sum is direct, and it fills Q^n exactly when the
+    generators have a common eigenbasis over Q, that is, when they commute
+    and each is diagonalizable over Q, as the generators of a torus are.
+    Raises ValueError when an index of a generator lies outside range(n^2).
 
     Returns (functional, subspace) pairs; the functional records one
     eigenvalue per generator, in list order.  Parts are sorted
     lexicographically on the functional values.
     """
     parts: list[tuple[tuple, Subspace]] = [((), Subspace.full(n))]
-    for b, spectrum in zip(mats, spectra, strict=True):
+    for d, spectrum in zip(gens, spectra, strict=True):
+        b = matrix_rows(d, n)
+        rows = [b.get(i, {}) for i in range(n)]
         kernels = []
         for lam in spectrum:
-            shifted = ({**_sparse(row), i: row[i] - lam} for i, row in enumerate(b.data))
+            shifted = ({**row, i: row.get(i, ZERO) - lam} for i, row in enumerate(rows))
             kernels.append((lam, SparseSystem(n, shifted).kernel()))
         parts = [
             (fun + (lam,), part)

@@ -5,9 +5,11 @@ generator list.  Every pipeline returns a structured report: named checks
 with pass/fail and a witness, plus a dimension table.
 
 A derivation is passed by its sparse row-major entries {r*n + c: q}, the
-form of the rows of Der(g): the torus generators, the images checked by
+form of the rows of Der(g): the torus generators, whose minimal polynomials
+and joint eigenspaces are read off those entries, the images checked by
 `_add_image_checks` and the outer witness.  Theorem 2 alone builds dense
-matrices, its images, whose commutators state the Lemma 4 law.  Lemma 3's
+matrices, its images, whose commutators state the Lemma 4 law; they are
+formed by `linalg.mul_into`, the one matrix product.  Lemma 3's
 expected centre {(0, z)} is the canonical rows of Z_s(g) shifted past s,
 and theorem 3's [Der, Der] is `product_space` of Der with itself.
 """

@@ -2,7 +2,9 @@
 
 Not a test module: the test modules import from here, never from each
 other.  The dense helpers read `Matrix.data` and `LieAlgebra.bracket` only,
-so they share no code with the sparse paths of the library they check.
+so they share no code with the sparse paths of the library they check;
+`mat_mul` is the reference product for `linalg.mul_into`, the library's one
+matrix product.
 """
 
 from pathlib import Path
@@ -52,6 +54,24 @@ def sparse(v):
 def zeros(rows, cols):
     """The rows x cols zero matrix."""
     return Matrix([[0] * cols for _ in range(rows)])
+
+
+def identity(n):
+    """The n x n identity matrix."""
+    return Matrix([[int(r == c) for c in range(n)] for r in range(n)])
+
+
+def mat_mul(a, b):
+    """The product a b, each entry the sum over the inner index: the tests'
+    reference product, sharing no code with linalg.mul_into."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    return Matrix(
+        [
+            [sum((row[k] * b.data[k][j] for k in range(a.cols)), Q(0)) for j in range(b.cols)]
+            for row in a.data
+        ]
+    )
 
 
 def entries(m):
@@ -189,12 +209,12 @@ def unimodular(draw, n):
     """(P, P^-1) in GL_n(Z): P a product of a few elementary integer
     matrices with small entries (none when n = 1), its inverse the product
     of the inverses reversed."""
-    p = pinv = Matrix.identity(n)
+    p = pinv = identity(n)
     for _ in range(draw(st.integers(1, 4)) if n > 1 else 0):
         i = draw(st.integers(0, n - 1))
         j = draw(st.integers(0, n - 2))
         j += j >= i
         c = draw(st.sampled_from((-2, -1, 1, 2)))
-        p = p @ elementary(n, i, j, c)
-        pinv = elementary(n, i, j, -c) @ pinv
+        p = mat_mul(p, elementary(n, i, j, c))
+        pinv = mat_mul(elementary(n, i, j, -c), pinv)
     return p, pinv

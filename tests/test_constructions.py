@@ -19,7 +19,7 @@ from lieq.derivations import (
 from lieq.liealg import DimensionCapError
 from lieq.linalg import Matrix, Q, Subspace, ZERO
 
-from oracles import column, der_mats, entries, entries_mat, zeros
+from oracles import column, der_mats, entries, entries_mat, identity, zeros
 
 
 class TestHeisenberg:
@@ -190,7 +190,7 @@ class TestGradedPower:
         assert verify_torus(gp, [d]).ok
 
     def test_grading_derivation_n1_identity(self):
-        assert grading_derivation(heisenberg(1), 1) == entries(Matrix.identity(3))
+        assert grading_derivation(heisenberg(1), 1) == entries(identity(3))
 
 
 class TestCatalog:

@@ -53,8 +53,10 @@ from oracles import (
     der_mats,
     entries,
     entries_mat,
+    identity,
     load_structure_source,
     mat_comb,
+    mat_mul,
     sl2_plus_center,
     sparse,
     zeros,
@@ -544,7 +546,7 @@ class TestCommutatorTable:
         p = Matrix([[2, 1], [1, 3]])
         p_inv = Matrix([[Q(3, 5), Q(-1, 5)], [Q(-1, 5), Q(2, 5)]])
         upper = [Matrix([[1, 0], [0, 0]]), Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [0, 1]])]
-        span = Subspace.from_vectors(4, [(p @ m @ p_inv).flatten() for m in upper])
+        span = Subspace.from_vectors(4, [mat_mul(mat_mul(p, m), p_inv).flatten() for m in upper])
         assert [clear_denominators(dict(enumerate(v)))[1] for v in span.vectors()] == [1, 2, 1]
         mats = [entries_mat(row, 2) for row in span.rows.values()]
         table = commutator_table(span, 2)
@@ -691,7 +693,7 @@ class TestCentralizer:
     def test_identity_central_in_gl(self):
         g = abelian(2)
         ds = derivations(g)
-        ident = Matrix.identity(2)
+        ident = identity(2)
         assert centralizer_in_der(ds, [der_coords(ds, ident)]).dim == 4
 
     def test_grading_derivation_block_oracle(self):
@@ -790,7 +792,7 @@ class TestVerifyTorus:
 
     def test_each_nonderivation_named(self, h3):
         # the identity sends z = [x, y] to z, not to [x, y] + [x, y] = 2z
-        eye = Matrix.identity(3)
+        eye = identity(3)
         gens = [entries(eye), diagonal_derivation_torus(h3)[0], entries(mat_comb((2, eye)))]
         rep = verify_torus(h3, gens)
         assert not rep.ok and rep.parts is None

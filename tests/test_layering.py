@@ -3,9 +3,9 @@
 Each module imports only from modules earlier in LAYERS, so the imports
 have no cycle, and every import sits at module level, where it runs once
 and shows the dependency.  No module but linalg reads a nullspace basis:
-every kernel goes through `SparseSystem.kernel()`.  Only linalg, liealg,
-derivations and weights name `Matrix`: everywhere else a derivation is
-passed by its sparse row-major entries.
+every kernel goes through `SparseSystem.kernel()`.  Only linalg, liealg and
+weights name `Matrix`: everywhere else, derivations included, a derivation
+is passed by its sparse row-major entries.
 """
 
 import ast
@@ -102,12 +102,12 @@ def test_kernels_only_in_linalg(module):
     assert uses == [], f"{module}.py reaches for a kernel at lines {uses}"
 
 
-DENSE = ("linalg", "liealg", "derivations", "weights")
+DENSE = ("linalg", "liealg", "weights")
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES + ["__init__"] if m not in DENSE])
 def test_matrix_only_in_dense_layers(module):
-    # liealg's ad_matrix, the torus spectra in derivations and theorem 2's
-    # images in weights are the dense matrices left
+    # liealg's ad_matrix and theorem 2's images in weights are the dense
+    # matrices left; the torus spectra read sparse entries
     uses = sorted(set(_uses(_tree(module), "Matrix")))
     assert uses == [], f"{module}.py names Matrix at lines {uses}"

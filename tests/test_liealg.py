@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieq.constructions import abelian, catalog, heisenberg, nonabelian2
-from lieq.liealg import InvalidStructureError, LieAlgebra, NotClosedError
+from lieq.liealg import InvalidStructureError, LieAlgebra, NotClosedError, echo_count
 from lieq.linalg import Matrix, Q, Subspace, rank_bareiss, solve
 
 from oracles import (
@@ -348,3 +348,21 @@ class TestSubalgebraStructure:
         i, j, escaped = exc.value.witness
         assert (i, j) == (0, 1)
         assert escaped == h3.basis_element(2)
+
+
+class TestEchoCount:
+    @pytest.mark.parametrize(
+        "k, shown",
+        [
+            (0, "0"),
+            (10**40 - 1, "9" * 40),
+            (10**40, "of 41 digits"),
+            (10**4300 - 1, "of 4300 digits"),
+            (2 * 10**4300 + 1, "of 4301 digits"),
+            (10**9999, "of 10000 digits"),
+        ],
+        ids=["0", "40 nines", "10^40", "4300 nines", "2 10^4300 + 1", "10^9999"],
+    )
+    def test_decimal_or_digit_count(self, k, shown):
+        # past 4300 digits, str(k) would raise: the count is taken in ints
+        assert echo_count(k) == shown

@@ -3,7 +3,7 @@ import time
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lieq import linalg
@@ -23,11 +23,21 @@ from lieq.linalg import (
     rank_bareiss,
     rank_mod_p,
     rational_roots,
+    refine_eigenspaces,
     rref,
     solve,
 )
 
-from oracles import column, entries, entries_mat, mat_comb, mat_vec, sparse, zeros
+from oracles import (
+    column,
+    entries,
+    identity,
+    mat_comb,
+    mat_mul,
+    mat_vec,
+    sparse,
+    zeros,
+)
 
 
 def M(rows):
@@ -36,7 +46,7 @@ def M(rows):
 
 class TestRref:
     def test_identity_fixed(self):
-        i3 = Matrix.identity(3)
+        i3 = identity(3)
         r, piv = rref(i3)
         assert r == i3
         assert piv == (0, 1, 2)
@@ -86,7 +96,7 @@ class TestNullspace:
 
 class TestSolve:
     def test_identity(self):
-        assert solve(Matrix.identity(2), [3, 5]) == (Q(3), Q(5))
+        assert solve(identity(2), [3, 5]) == (Q(3), Q(5))
 
     def test_inconsistent(self):
         assert solve(M([[1], [0]]), [0, 1]) is None
@@ -275,20 +285,28 @@ def _bareiss_pivots(m):
     return tuple(c for c in range(m.cols) if ranks[c + 1] > ranks[c])
 
 
+def sparse_squares(n):
+    """Random n x n rational matrices with many zero entries."""
+    entry = st.one_of(st.just(Q(0)), st.builds(Q, st.integers(-5, 5), st.integers(1, 4)))
+    square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    return square.map(Matrix)
+
+
 @st.composite
 def matrix_pairs(draw):
     """Two random n x n rational matrices, n <= 4, with many zero entries."""
-    n = draw(st.integers(1, 4))
-    entry = st.one_of(st.just(Q(0)), st.builds(Q, st.integers(-5, 5), st.integers(1, 4)))
-    square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
-    return Matrix(draw(square)), Matrix(draw(square))
+    n = draw(st.integers(0, 4))
+    return draw(sparse_squares(n)), draw(sparse_squares(n))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(matrix_pairs())
+@example((zeros(0, 0), zeros(0, 0)))
+@example((zeros(3, 3), Matrix([[1, 2, 0], [0, Q(1, 2), 0], [3, 0, -1]])))
 def test_commutator_is_difference_of_products(pair):
     a, b = pair
-    assert a.commutator(b) == mat_comb((1, a @ b), (-1, b @ a))
+    assert a.commutator(b) == mat_comb((1, mat_mul(a, b)), (-1, mat_mul(b, a)))
+    assert a.commutator(a) == zeros(a.rows, a.rows)
 
 
 class TestClearDenominators:
@@ -667,47 +685,64 @@ class TestPolynomial:
         assert rational_roots([Q(c, den) for c in ints]) == expected == _rational_roots_oracle(ints)
 
 
+def minpoly(m):
+    """minimal_polynomial of the square matrix m, given by its entries."""
+    return minimal_polynomial(m.rows, entries(m))
+
+
 def _minimal_polynomial_oracle(m):
     """The least k with m^k = sum_(i<k) x_i m^i, found by one solve per
-    degree, as (-x_0, ..., -x_(k-1), 1)."""
-    n = m.rows
-    powers = [Matrix.identity(n)]
+    degree over the powers formed by the reference product, as
+    (-x_0, ..., -x_(k-1), 1)."""
+    powers = [identity(m.rows)]
     while True:
-        target = (powers[-1] @ m).flatten()
-        x = solve(Matrix.from_columns([p.flatten() for p in powers]), target)
+        powers.append(mat_mul(powers[-1], m))
+        *lower, top = (p.flatten() for p in powers)
+        x = solve(Matrix.from_columns(lower), top)
         if x is not None:
             return (*(-c for c in x), ONE)
-        powers.append(powers[-1] @ m)
+
+
+def _assert_minpoly(m):
+    """minpoly(m) annihilates m, by Horner's rule over the reference
+    product, and is the oracle's polynomial of least degree."""
+    p = minpoly(m)
+    n = m.rows
+    value = zeros(n, n)
+    for c in reversed(p):
+        value = mat_comb((1, mat_mul(value, m)), (c, identity(n)))
+    assert not any(value.flatten())
+    assert p == _minimal_polynomial_oracle(m)
 
 
 class TestMinimalPolynomial:
     def test_identity(self):
-        assert minimal_polynomial(Matrix.identity(4)) == (-1, 1)
+        assert minpoly(identity(4)) == (-1, 1)
 
     def test_nilpotent(self):
-        assert minimal_polynomial(M([[0, 1], [0, 0]])) == (0, 0, 1)
+        assert minimal_polynomial(2, {1: 1}) == (0, 0, 1)
 
     def test_diag(self):
         # (x-1)(x-2) = x^2 - 3x + 2
-        assert minimal_polynomial(M([[1, 0], [0, 2]])) == (2, -3, 1)
-        assert minimal_polynomial(zeros(0, 0)) == (1,)
+        assert minimal_polynomial(2, {0: 1, 3: 2}) == (2, -3, 1)
+        assert minimal_polynomial(0, {}) == (1,)
 
-    def test_non_square(self):
-        with pytest.raises(ValueError):
-            minimal_polynomial(zeros(2, 3))
+    @pytest.mark.parametrize(
+        "d", [{4: 1}, {-1: 1}, {0: 1, 9: 0}], ids=["past-n2", "negative", "zero-entry"]
+    )
+    def test_entry_index_outside_range(self, d):
+        # an index outside range(n^2), even of a zero entry, is no entry of
+        # an n x n matrix, as check_images refuses it
+        with pytest.raises(ValueError, match=r"^an entry index is outside range\(4\)$"):
+            minimal_polynomial(2, d)
+        with pytest.raises(ValueError, match=r"^an entry index is outside range\(4\)$"):
+            refine_eigenspaces(2, [d], [[Q(0)]])
 
     def test_annihilates(self):
         rng = random.Random(5)
         for _ in range(25):
             n = rng.randint(1, 4)
-            m = M([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
-            p = minimal_polynomial(m)
-            # p(m) by Horner's rule
-            value = zeros(n, n)
-            for c in reversed(p):
-                value = mat_comb((1, value @ m), (c, Matrix.identity(n)))
-            assert not any(value.flatten())
-            assert p == _minimal_polynomial_oracle(m)
+            _assert_minpoly(M([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]))
 
     def test_one_solve_per_call(self, monkeypatch):
         # the grading derivation of nonabelian2^(8) has eigenvalues 1 .. 8,
@@ -719,10 +754,17 @@ class TestMinimalPolynomial:
             return solve(a, b)
 
         monkeypatch.setattr(linalg, "solve", counting)
-        d = entries_mat(grading_derivation(nonabelian2(), 8), 16)
-        p = minimal_polynomial(d)
+        p = minimal_polynomial(16, grading_derivation(nonabelian2(), 8))
         assert calls == [8]
         assert rational_roots(p) == [Q(k) for k in range(1, 9)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 4).flatmap(sparse_squares))
+@example(zeros(0, 0))
+@example(zeros(3, 3))
+def test_minimal_polynomial_matches_reference_product(m):
+    _assert_minpoly(m)
 
 
 def companion(coeffs):
@@ -752,7 +794,7 @@ class TestSplitSemisimple:
     def test_jordan_block(self):
         # x^2: one rational root, but not squarefree, so no eigenbasis
         m = M([[0, 1], [0, 0]])
-        assert rational_roots(minimal_polynomial(m)) == [Q(0)]
+        assert rational_roots(minpoly(m)) == [Q(0)]
         assert weights_on_abelian(m) is None
 
     @pytest.mark.parametrize(
@@ -768,12 +810,12 @@ class TestSplitSemisimple:
     )
     def test_companion(self, coeffs, roots, weights):
         m = companion(coeffs)
-        assert minimal_polynomial(m) == _monic(coeffs)
-        assert rational_roots(minimal_polynomial(m)) == roots
+        assert minpoly(m) == _monic(coeffs)
+        assert rational_roots(minpoly(m)) == roots
         assert weights_on_abelian(m) == weights
 
     def test_rotation_not_split(self):
         # x^2 + 1 is squarefree but has no rational root
         m = M([[0, -1], [1, 0]])
-        assert rational_roots(minimal_polynomial(m)) == []
+        assert rational_roots(minpoly(m)) == []
         assert weights_on_abelian(m) is None

@@ -69,7 +69,9 @@ from oracles import (
     der_mats,
     entries,
     entries_mat,
+    identity,
     mat_comb,
+    mat_mul,
     mat_vec,
     rebased,
     sparse,
@@ -107,11 +109,12 @@ class TestWeightDecomposition:
         # eigenvalues (1 -> -1, 2 -> 0); it is not itself a derivation, so
         # the refinement is called directly, without torus verification,
         # with the spectra verify_torus computes
-        d = entries_mat(grading, gp2.dim)
-        d2 = mat_comb((1, d @ d), (-2, d))
-        spec, spec2 = (rational_roots(minimal_polynomial(m)) for m in (d, d2))
-        parts1 = refine_eigenspaces(gp2.dim, [d], [spec])
-        parts2 = refine_eigenspaces(gp2.dim, [d, d2], [spec, spec2])
+        n = gp2.dim
+        d = entries_mat(grading, n)
+        d2 = entries(mat_comb((1, mat_mul(d, d)), (-2, d)))
+        spec, spec2 = (rational_roots(minimal_polynomial(n, m)) for m in (grading, d2))
+        parts1 = refine_eigenspaces(n, [grading], [spec])
+        parts2 = refine_eigenspaces(n, [grading, d2], [spec, spec2])
         assert [fun for fun, _ in parts2] == [(Q(1), Q(-1)), (Q(2), Q(0))]
         assert [sub for _, sub in parts1] == [sub for _, sub in parts2]
         assert weight_decomposition(gp2, [grading]) == tuple(parts1)
@@ -125,7 +128,7 @@ class TestWeightDecomposition:
 
     def test_nonderivation_torus_rejected(self, gp2, grading):
         d = entries_mat(grading, gp2.dim)
-        bad = mat_comb((1, d @ d), (-2, d))
+        bad = mat_comb((1, mat_mul(d, d)), (-2, d))
         with pytest.raises(TorusError):
             weight_decomposition(gp2, [entries(bad)])
 
@@ -159,7 +162,7 @@ def unipotent(n):
 def conjugated(torus, p, pinv):
     """The entries of P^-1 D P for each generator D of torus, given by its
     entries."""
-    return [entries(pinv @ entries_mat(d, p.rows) @ p) for d in torus]
+    return [entries(mat_mul(mat_mul(pinv, entries_mat(d, p.rows)), p)) for d in torus]
 
 
 def rebased_diagonal_torus(g):
@@ -179,7 +182,7 @@ class TestRebasedTorus:
         g = graded_power(heisenberg(1), 3)
         n = g.dim
         p, pinv = unipotent(n)
-        assert p @ pinv == Matrix.identity(n)
+        assert mat_mul(p, pinv) == identity(n)
         torus = diagonal_derivation_torus(g)
         return g, torus, rebased(g, p, pinv), conjugated(torus, p, pinv), pinv
 
@@ -203,25 +206,21 @@ class TestRebasedTorus:
         assert [c.name for c in rep.checks] == [c.name for c in rep2.checks]
 
 
-def dense_refine_eigenspaces(n, mats, spectra):
+def dense_refine_eigenspaces(n, gens, spectra):
     """The per-part kernel-lift refinement that refine_eigenspaces replaced,
-    kept as an oracle: a part with basis V splits, for each lam, into the
-    lift of the kernel of the matrix with columns (b - lam) v."""
+    kept as an oracle, for generators given by their entries: a part with
+    basis V, the columns of a matrix, splits, for each lam, into the lift V c
+    of the kernel of (b - lam) V, formed by the reference product."""
     parts = [((), Subspace.full(n))]
-    for b, spectrum in zip(mats, spectra, strict=True):
+    for d, spectrum in zip(gens, spectra, strict=True):
+        b = entries_mat(d, n)
         new_parts = []
         for fun, sub in parts:
-            vecs = sub.vectors()
-            images = [mat_vec(b, v) for v in vecs]
+            basis = Matrix.from_columns(sub.vectors())
             for lam in spectrum:
-                shifted = Matrix.from_columns(
-                    [[x - lam * y for x, y in zip(bv, v)] for bv, v in zip(images, vecs)]
-                )
-                kernel = SparseSystem(len(vecs), map(sparse, shifted.data)).kernel()
-                lifted = [
-                    [sum((c * v[k] for c, v in zip(coeffs, vecs)), ZERO) for k in range(n)]
-                    for coeffs in kernel.vectors()
-                ]
+                shifted = mat_mul(mat_comb((1, b), (-lam, identity(n))), basis)
+                kernel = SparseSystem(basis.cols, map(sparse, shifted.data)).kernel()
+                lifted = [mat_vec(basis, coeffs) for coeffs in kernel.vectors()]
                 if lifted:
                     new_parts.append((fun + (lam,), Subspace.from_vectors(n, lifted)))
         parts = new_parts
@@ -250,10 +249,9 @@ REFINE_CASES = {
 @pytest.mark.parametrize("name", list(REFINE_CASES))
 def test_refine_eigenspaces_matches_kernel_lift(name):
     n, torus = REFINE_CASES[name]()
-    mats = [entries_mat(d, n) for d in torus]
-    spectra = [rational_roots(minimal_polynomial(b)) for b in mats]
-    parts = refine_eigenspaces(n, mats, spectra)
-    assert parts == dense_refine_eigenspaces(n, mats, spectra)
+    spectra = [rational_roots(minimal_polynomial(n, d)) for d in torus]
+    parts = refine_eigenspaces(n, torus, spectra)
+    assert parts == dense_refine_eigenspaces(n, torus, spectra)
     assert sum(sub.dim for _, sub in parts) == n
 
 
