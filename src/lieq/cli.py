@@ -92,12 +92,14 @@ def _add_choice(parser: argparse.ArgumentParser, name: str, names: list, **kw) -
 
 
 def _write(path: str, text: str) -> None:
-    """Write text to path; a path that cannot be written is a usage error."""
+    """Write text to path; a path that cannot be written is a usage error,
+    echoed by `clip` and followed by the OSError's strerror, as in
+    `load_source`."""
     try:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as e:
-        raise UsageError(f"cannot write {path}: {e}") from None
+        raise UsageError(f"cannot write {clip(path)}: {e.strerror}") from None
 
 
 def _emit(doc: dict, out: str | None) -> None:

@@ -60,14 +60,10 @@ def semidirect(s: LieAlgebra, g: LieAlgebra, images: Collection[dict]) -> LieAlg
     return LieAlgebra(dim, table, labels, check=True)
 
 
-def full_graph(g: LieAlgebra, ds: DerivationSpace | None = None) -> LieAlgebra:
-    """f(g) = Der(g) x_id g.  Der(g) is computed here (canonical basis)
-    unless a precomputed DerivationSpace for g is supplied."""
-    if ds is None:
-        ds = derivations(g)
-    elif ds.base is not g and ds.base.sc != g.sc:
-        raise ValueError("derivation space does not belong to this algebra")
-    return semidirect(ds.algebra, g, ds.space.rows.values())
+def full_graph(ds: DerivationSpace) -> LieAlgebra:
+    """f(g) = Der(g) x_id g for g = ds.base, with Der(g) in its canonical
+    basis: the rows of ds are the images of the identity phi."""
+    return semidirect(ds.algebra, ds.base, ds.space.rows.values())
 
 
 def heisenberg(N: int) -> LieAlgebra:
@@ -155,6 +151,6 @@ def catalog(name: str) -> LieAlgebra:
         inner_name, _, n = rest.rpartition(":")
         return graded_power(catalog(inner_name), read_count(n, "catalog count"))
     if name.startswith("full-graph:"):
-        return full_graph(catalog(name.split(":", 1)[1]))
+        return full_graph(derivations(catalog(name.split(":", 1)[1])))
     raise KeyError(f"unknown catalog name {clip(name)!r} (expected {CATALOG_HELP})")
 

@@ -25,7 +25,7 @@ def serialize_algebra(g: LieAlgebra) -> str:
         if i < j
     ]
     doc = {"dim": g.dim, "labels": list(g.labels), "brackets": brackets}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dumps_report(doc)
 
 
 def parse_algebra(text: str | bytes) -> LieAlgebra:
@@ -69,7 +69,9 @@ def parse_algebra(text: str | bytes) -> LieAlgebra:
         except (KeyError, TypeError) as e:
             raise AlgebraFileError(f"malformed bracket record: {e}") from None
         if not (type(i) is int and type(j) is int and 0 <= i < j < dim):
-            raise AlgebraFileError(f"bracket indices ({i}, {j}) out of range or not i < j")
+            raise AlgebraFileError(
+                f"bracket indices ({clip(str(i))}, {clip(str(j))}) out of range or not i < j"
+            )
         if not isinstance(value, list):
             raise AlgebraFileError(
                 f"bracket value of ({i}, {j}) must be a list of [index, 'p/q'] pairs"
@@ -83,7 +85,7 @@ def parse_algebra(text: str | bytes) -> LieAlgebra:
             if not isinstance(s, str):
                 raise AlgebraFileError("bracket value entries must be [index, 'p/q'] pairs")
             if not (type(k) is int and 0 <= k < dim):
-                raise AlgebraFileError(f"bracket value index {k} out of range")
+                raise AlgebraFileError(f"bracket value index {clip(str(k))} out of range")
             if k in coords:
                 raise AlgebraFileError(f"duplicate index {k} in bracket value of ({i}, {j})")
             if not is_rational_string(s):

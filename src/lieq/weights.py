@@ -61,22 +61,6 @@ class TorusError(ValueError):
         super().__init__(f"torus verification failed: {report.failures}")
 
 
-def weight_decomposition(g: LieAlgebra, torus: Sequence[dict]) -> tuple:
-    """The weight spaces of a verified torus, its generators given by their
-    sparse entries, as the (functional, Subspace) pairs of
-    `refine_eigenspaces`; raises TorusError otherwise."""
-    report = verify_torus(g, torus)
-    if not report.ok:
-        raise TorusError(report)
-    return report.parts
-
-
-def is_nondegenerate_pair(g: LieAlgebra, torus: Sequence[dict]) -> tuple[bool, tuple]:
-    """(no weight is zero, the weight spaces)."""
-    parts = weight_decomposition(g, torus)
-    return g.dim == 0 or all(any(fun) for fun, _ in parts), parts
-
-
 class Check(NamedTuple):
     name: str
     passed: bool
@@ -115,24 +99,25 @@ def _add_complete(
     report.add(name, cert.complete, lead + detail)
 
 
-def _outer_witness_ok(h: LieAlgebra, ds: DerivationSpace, cert: CompletenessCertificate) -> bool:
-    """cert's witness is an outer derivation of h, re-verified: it passes the
-    independent Leibniz check and lies outside ad(h), ds being Der(h)."""
+def _outer_witness_ok(ds: DerivationSpace, cert: CompletenessCertificate) -> bool:
+    """cert's witness is an outer derivation of h = ds.base, re-verified: it
+    passes the independent Leibniz check and lies outside ad(h)."""
     return (
         cert.witness is not None
         and cert.witness[0] == "outer"
-        and is_derivation(h, cert.witness[1])
+        and is_derivation(ds.base, cert.witness[1])
         and ds.inner_flat.coords_of_row(cert.witness[1]) is None
     )
 
 
 def _add_image_checks(
-    report: PipelineReport, h: LieAlgebra, dh: DerivationSpace, images: list, key: str, label: str
+    report: PipelineReport, dh: DerivationSpace, images: list, key: str, label: str
 ) -> Subspace:
     """Add images_are_derivations, that each image, given by its sparse
-    entries, is a derivation of h, and images_span_der_<key>, that together
-    they span Der(h) = dh, shown as label; returns their span in
+    entries, is a derivation of h = dh.base, and images_span_der_<key>, that
+    together they span Der(h) = dh, shown as label; returns their span in
     Q^(dim h ^ 2)."""
+    h = dh.base
     bad = next((k for k, m in enumerate(images) if not is_derivation(h, m)), None)
     detail = "" if bad is None else f"image {bad} fails the Leibniz identity"
     report.add("images_are_derivations", bad is None, detail)
@@ -152,13 +137,16 @@ def _add_image_checks(
 
 def theorem1_pipeline(g: LieAlgebra, torus: Sequence[dict]) -> PipelineReport:
     """Theorem 1 for the torus b spanned by the generators torus, given by
-    their sparse row-major entries.  Raises TorusError when they are not a
-    torus, DegeneratePairError when a weight is zero, and ValueError when
-    they are not a basis of b."""
-    report = PipelineReport("theorem1")
-    nondeg, _ = is_nondegenerate_pair(g, torus)
-    if not nondeg:
+    their sparse row-major entries.  Raises TorusError when `verify_torus`
+    refuses them, DegeneratePairError when a weight of its parts is zero
+    (the pair is degenerate), and ValueError when they are not a basis of
+    b."""
+    checked = verify_torus(g, torus)
+    if not checked.ok:
+        raise TorusError(checked)
+    if g.dim and not all(any(fun) for fun, _ in checked.parts):
         raise DegeneratePairError("the pair carries a zero weight")
+    report = PipelineReport("theorem1")
     p = len(torus)
 
     # the torus passed verify_torus, so each generator has Der coordinates
@@ -192,7 +180,7 @@ def theorem1_pipeline(g: LieAlgebra, torus: Sequence[dict]) -> PipelineReport:
     images = [_on_g_slot(t0, p, g.dim) for t0 in tau]
     images += [h1.ad_entries(k) for k in range(p, h1.dim)]
 
-    span = _add_image_checks(report, h1, dh1, images, "h1", "Der(h1)")
+    span = _add_image_checks(report, dh1, images, "h1", "Der(h1)")
     report.add("map_injective", span.dim == h.dim, f"rank {span.dim} vs dim h {h.dim}")
     report.add(
         "dim_identity",
@@ -286,7 +274,7 @@ def theorem2_check(g: LieAlgebra) -> PipelineReport:
     if not der_cert.complete:
         raise ValueError("theorem 2 requires Der(g) to be complete")
 
-    fg = full_graph(g, dsg)
+    fg = full_graph(dsg)
     dsf = derivations(fg)
     fsub = f_s_subspace(dsg, dsg.space.rows.values())
     report.dims = {
@@ -316,7 +304,7 @@ def theorem2_check(g: LieAlgebra) -> PipelineReport:
     images = [fg.ad_matrix(fg.basis_element(j)) for j in range(dsg.dim)]
     images += [_lemma4_image(dsg, v) for v in fsub.vectors()]
     flats = [{t: x for t, x in enumerate(m.flatten()) if x} for m in images]
-    span = _add_image_checks(report, fg, dsf, flats, "fg", "Der(f(g))")
+    span = _add_image_checks(report, dsf, flats, "fg", "Der(f(g))")
     report.add(
         "map_injective", span.dim == len(basis), f"rank {span.dim} of {len(basis)}"
     )
@@ -388,7 +376,7 @@ def theorem3_check(N: int, n_max: int) -> PipelineReport:
     current = heisenberg(N)
     ds_cur = derivations(current)
     for n in range(1, n_max + 1):
-        fn = full_graph(current, ds_cur)
+        fn = full_graph(ds_cur)
         ds_fn = derivations(fn)
         tag = f"f^{n}"
         report.dims[f"{tag}(g)"] = fn.dim
@@ -404,7 +392,7 @@ def theorem3_check(N: int, n_max: int) -> PipelineReport:
             f"der {cert.der_dim}, inner {cert.inner_dim}",
         )
         if cert.witness is not None and cert.witness[0] == "outer":
-            report.add(f"{tag}_outer_witness_verified", _outer_witness_ok(fn, ds_fn, cert))
+            report.add(f"{tag}_outer_witness_verified", _outer_witness_ok(ds_fn, cert))
         _add_complete(report, f"{tag}_der_complete", is_complete(derivations(ds_fn.algebra)))
         full = Subspace.full(ds_fn.dim)
         der_der = ds_fn.algebra.product_space(full, full)
@@ -450,13 +438,13 @@ def prop3_check(N: int) -> PipelineReport:
     derivation witness is re-verified by the independent Leibniz checker."""
     report = PipelineReport("prop3")
     g = heisenberg(N)
-    fg = full_graph(g)
+    fg = full_graph(derivations(g))
     ds = derivations(fg)
     report.dims = {"f(g)": fg.dim, "Der(f(g))": ds.dim}
     cert = is_complete(ds)
     report.add("center_trivial", cert.center_dim == 0, f"center dim {cert.center_dim}")
     report.add("not_complete", not cert.complete)
-    report.add("outer_witness_verified", _outer_witness_ok(fg, ds, cert))
+    report.add("outer_witness_verified", _outer_witness_ok(ds, cert))
     return report
 
 
@@ -464,7 +452,7 @@ def prop4_check(N: int) -> PipelineReport:
     """Der(f(h_{2N+1})) is complete with dim = dim f(h) + 1."""
     report = PipelineReport("prop4")
     g = heisenberg(N)
-    fg = full_graph(g)
+    fg = full_graph(derivations(g))
     ds = derivations(fg)
     report.dims = {"f(g)": fg.dim, "Der(f(g))": ds.dim}
     report.add(

@@ -20,16 +20,15 @@ from lieq.derivations import (
     diagonal_derivation_torus,
     is_complete,
     is_derivation,
+    verify_torus,
 )
 from lieq.linalg import Matrix, Q, SparseSystem, Subspace, rank_bareiss
 from lieq.weights import (
-    is_nondegenerate_pair,
     lemma3_check,
     prop4_check,
     theorem1_pipeline,
     theorem2_check,
     theorem3_check,
-    weight_decomposition,
 )
 
 from oracles import der_coords, der_mats, entries, entries_mat, sparse, zeros
@@ -61,7 +60,7 @@ def test_criterion_1_heisenberg_derivation_dimensions():
 def test_criterion_2_prop3_full_graph_not_complete():
     t0 = time.monotonic()
     g = heisenberg(1)
-    fg = full_graph(g)
+    fg = full_graph(derivations(g))
     ds = derivations(fg)
     center_dim = fg.center().dim
     cert = is_complete(ds)
@@ -83,7 +82,7 @@ def test_criterion_2_prop3_full_graph_not_complete():
 
 def test_criterion_3_prop4_der_of_full_graph():
     t0 = time.monotonic()
-    fg = full_graph(heisenberg(1))
+    fg = full_graph(derivations(heisenberg(1)))
     ds = derivations(fg)
     cert = is_complete(derivations(ds.algebra))
     dt = time.monotonic() - t0
@@ -134,7 +133,8 @@ def test_criterion_5_theorem1_graded_square():
 def test_criterion_6_prop1_nondegenerate_and_maximal_torus():
     t0 = time.monotonic()
     g = graded_power(heisenberg(1), 2)
-    flag, _ = is_nondegenerate_pair(g, [grading_derivation(heisenberg(1), 2)])
+    parts = verify_torus(g, [grading_derivation(heisenberg(1), 2)]).parts
+    flag = all(any(fun) for fun, _ in parts)
     # the maximal diagonal torus satisfies tau = b, certifying h1 complete
     torus = diagonal_derivation_torus(g)
     rep = theorem1_pipeline(g, torus)
@@ -161,7 +161,7 @@ def test_criterion_7_property_suites():
     constructed = [
         heisenberg(2),
         gp,
-        full_graph(heisenberg(1)),
+        full_graph(derivations(heisenberg(1))),
         derivations(heisenberg(1)).algebra,
     ]
     jac = all(g.validate().ok for g in constructed)
@@ -187,7 +187,7 @@ def test_criterion_7_property_suites():
         (gp, [grading_derivation(heisenberg(1), 2)]),
         (heisenberg(1), diagonal_derivation_torus(heisenberg(1))),
     ):
-        parts = weight_decomposition(g, torus)
+        parts = verify_torus(g, torus).parts
         funs = {fun: sub for fun, sub in parts}
         for fa, sa in parts:
             for fb, sb in parts:
@@ -226,7 +226,7 @@ def test_criterion_7_property_suites():
     details.append(f"Bareiss = Gauss rank on 200 matrices: {ranks}")
 
     # Lemma-4 homomorphism law inside theorem2_check
-    rep = theorem2_check(full_graph(heisenberg(1)))
+    rep = theorem2_check(full_graph(derivations(heisenberg(1))))
     law = next(c for c in rep.checks if c.name == "homomorphism_law")
     ok &= law.passed and rep.ok
     details.append(f"lemma-4 homomorphism law: {law.passed}")

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import subprocess
 import sys
 import time
@@ -9,7 +11,7 @@ import lieq.derivations as DERIVATIONS
 import lieq.linalg as LINALG
 import lieq.weights as WEIGHTS
 from lieq.cli import run_command
-from lieq.constructions import catalog, full_graph, heisenberg
+from lieq.constructions import catalog, heisenberg
 from lieq.derivations import diagonal_derivation_torus
 from lieq.fileio import AlgebraFileError, parse_algebra, serialize_algebra
 from lieq.liealg import clip
@@ -113,6 +115,39 @@ class TestFileFormat:
         with pytest.raises(AlgebraFileError) as e:
             self.bracket_value(value)
         assert str(e.value) == f"bad rational string {clip(value)!r}"
+
+    @staticmethod
+    def refused_echo(doc, tmp_path, capsys):
+        """The message parse_algebra refuses doc with, checked to be the
+        one line that `analyze` prints for the file, after its path."""
+        text = json.dumps(doc)
+        with pytest.raises(AlgebraFileError) as e:
+            parse_algebra(text)
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        assert run_command(["analyze", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: {p}: {e.value}\n"
+        return str(e.value)
+
+    @pytest.mark.parametrize(
+        "i, shown",
+        [("i" * 5000, "i" * 40 + "…"), (-1, "-1"), ([0], "[0]"), (False, "False")],
+        ids=["long", "negative", "list", "bool"],
+    )
+    def test_bracket_indices_are_clipped(self, i, shown, tmp_path, capsys):
+        doc = {"dim": 2, "brackets": [{"i": i, "j": 1, "value": []}]}
+        msg = self.refused_echo(doc, tmp_path, capsys)
+        assert msg == f"bracket indices ({shown}, 1) out of range or not i < j"
+
+    @pytest.mark.parametrize(
+        "k, shown",
+        [("k" * 5000, "k" * 40 + "…"), (2, "2"), ([0], "[0]"), (True, "True")],
+        ids=["long", "out of range", "list", "bool"],
+    )
+    def test_bracket_value_index_is_clipped(self, k, shown, tmp_path, capsys):
+        doc = {"dim": 2, "brackets": [{"i": 0, "j": 1, "value": [[k, "1"]]}]}
+        msg = self.refused_echo(doc, tmp_path, capsys)
+        assert msg == f"bracket value index {shown} out of range"
 
 
 class TestExitCodes:
@@ -332,11 +367,19 @@ class TestExitCodes:
         ids=lambda argv: argv[0],
     )
     def test_unwritable_out_is_one(self, tmp_path, argv):
+        # the path is echoed by clip, then the strerror, once
         out = tmp_path / "missing" / "report"
         proc = run_cli(*argv, "--out", str(out))
         assert proc.returncode == 1
-        assert f"error: cannot write {out}" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"error: cannot write {clip(str(out))}: {os.strerror(errno.ENOENT)}\n"
+
+    def test_long_unwritable_out_is_clipped(self, tmp_path, capsys):
+        out = str(tmp_path / ("o" * 5000))
+        assert run_command(["construct", "catalog:nonabelian2", "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out[:40]}…: ")
+        assert len(captured.err.encode()) < 200
 
 
 class TestInternalChecks:

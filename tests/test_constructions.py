@@ -92,13 +92,13 @@ class TestSemidirect:
         g = heisenberg(1)
         ds = derivations(g)
         via_semidirect = semidirect(ds.algebra, g, ds.space.rows.values())
-        via_full_graph = full_graph(g, ds)
+        via_full_graph = full_graph(ds)
         assert via_semidirect.sc == via_full_graph.sc
 
     def test_g_slot_preserves_table(self):
         g = heisenberg(2)
         ds = derivations(g)
-        w = full_graph(g, ds)
+        w = full_graph(ds)
         p = ds.dim
         e, f = w.basis_element, g.basis_element
         for i, row in enumerate(g.sc):
@@ -108,39 +108,39 @@ class TestSemidirect:
 
 class TestFullGraph:
     def test_abelian1(self):
-        w = full_graph(abelian(1))
+        w = full_graph(derivations(abelian(1)))
         assert w.dim == 2
         # [D, x] = x: nonabelian
         assert w.bracket(w.basis_element(0), w.basis_element(1)) != w.zero()
 
     def test_heisenberg_dim9(self):
-        assert full_graph(heisenberg(1)).dim == 9
+        assert full_graph(derivations(heisenberg(1))).dim == 9
 
     def test_center_free(self):
-        assert full_graph(heisenberg(1)).center().dim == 0
+        assert full_graph(derivations(heisenberg(1))).center().dim == 0
 
     def test_dim_identity(self):
         for g in (heisenberg(1), nonabelian2(), abelian(2)):
             ds = derivations(g)
-            assert full_graph(g, ds).dim == ds.dim + g.dim
+            assert full_graph(ds).dim == ds.dim + g.dim
 
 
 class TestFullGraphIter:
     def test_heisenberg_dims_9_19(self):
-        f1 = full_graph(heisenberg(1))
-        assert [f1.dim, full_graph(f1).dim] == [9, 19]
+        f1 = full_graph(derivations(heisenberg(1)))
+        assert [f1.dim, full_graph(derivations(f1)).dim] == [9, 19]
 
     def test_abelian1_chain(self):
-        f1 = full_graph(abelian(1))
+        f1 = full_graph(derivations(abelian(1)))
         ds1 = derivations(f1)
-        assert full_graph(f1).dim == f1.dim + ds1.dim
+        assert full_graph(ds1).dim == f1.dim + ds1.dim
 
     def test_cap_enforced(self, monkeypatch):
         # f(h3) 9, f^2(h3) 19, then f^3(h3) = Der(f^2) 20 + 19 is refused
         monkeypatch.setenv("LIE_DIM_CAP", "20")
-        f2 = full_graph(full_graph(heisenberg(1)))
+        f2 = full_graph(derivations(full_graph(derivations(heisenberg(1)))))
         with pytest.raises(DimensionCapError, match="dimension 39 exceeds LIE_DIM_CAP 20"):
-            full_graph(f2)
+            full_graph(derivations(f2))
 
 
 class TestGradedPower:
@@ -217,7 +217,7 @@ def test_all_constructors_validate():
     candidates = [
         heisenberg(2).validate(),
         gp.validate(),
-        full_graph(heisenberg(1)).validate(),
+        full_graph(derivations(heisenberg(1))).validate(),
         semidirect(abelian(1), gp, [grading_derivation(heisenberg(1), 2)]).validate(),
         derivations(heisenberg(1)).algebra.validate(),
     ]

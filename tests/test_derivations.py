@@ -108,7 +108,7 @@ def ds_h3(h3):
 
 @pytest.fixture(scope="module")
 def fh3(h3, ds_h3):
-    return full_graph(h3, ds_h3)
+    return full_graph(ds_h3)
 
 
 @pytest.fixture(scope="module")
@@ -304,7 +304,7 @@ def test_der_and_full_graph_build_no_matrix(name, monkeypatch):
     g = catalog(name)
     built = counting_matrices(monkeypatch)
     ds = derivations(g)
-    assert full_graph(g, ds).dim == g.dim + ds.dim
+    assert full_graph(ds).dim == g.dim + ds.dim
     assert built == []
 
 
@@ -514,7 +514,7 @@ class TestDerDimCap:
         # derivations() itself at LIE_DIM_CAP=9
         monkeypatch.setattr(DERIVATIONS_MODULE, "DEFAULT_DIM_CAP", 0)
         monkeypatch.setenv("LIE_DIM_CAP", "9")
-        rep = derivation_tower(full_graph(heisenberg(1)))
+        rep = derivation_tower(full_graph(derivations(heisenberg(1))))
         assert (rep.dims, rep.stabilized, rep.budget_exceeded) == ((9,), False, True)
 
 
@@ -1004,7 +1004,7 @@ def _identity_on(g):
 
 ORACLE_CASES = {
     "h3^(2), grading torus": _graded_square_grading,
-    "f(h3), identity": lambda: _identity_on(full_graph(heisenberg(1))),
+    "f(h3), identity": lambda: _identity_on(full_graph(derivations(heisenberg(1)))),
     # its Der basis carries non-integer denominators
     "h5_dense.json, identity": lambda: _identity_on(load_structure_source("h5_dense.json")),
 }

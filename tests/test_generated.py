@@ -111,7 +111,7 @@ def test_file_round_trip_keeps_table_and_report(g):
 @given(ALGEBRAS)
 def test_full_graph_dimension(g):
     ds = derivations(g)
-    assert full_graph(g, ds).dim == g.dim + ds.dim
+    assert full_graph(ds).dim == g.dim + ds.dim
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

@@ -111,3 +111,51 @@ def test_matrix_only_in_dense_layers(module):
     # matrices left; the torus spectra read sparse entries
     uses = sorted(set(_uses(_tree(module), "Matrix")))
     assert uses == [], f"{module}.py names Matrix at lines {uses}"
+
+
+def _defaulted(tree):
+    """Qualified names of every parameter with a default and every
+    NamedTuple field with a default, as "Owner.name": a function's
+    parameters under its qualified name, a class's fields under its own."""
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                owner = prefix + child.name
+                for stmt in child.body:
+                    if isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                        yield f"{owner}.{stmt.target.id}"
+                yield from visit(child, owner + ".")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                owner = prefix + getattr(child, "name", "<lambda>")
+                args = child.args
+                positional = args.posonlyargs + args.args
+                with_default = positional[len(positional) - len(args.defaults):]
+                with_default += [
+                    a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+                ]
+                yield from (f"{owner}.{a.arg}" for a in with_default)
+                yield from visit(child, owner + ".")
+            else:
+                yield from visit(child, prefix)
+
+    return visit(tree, "")
+
+
+def test_defaulted_parameters_are_pinned():
+    # a default is an option a caller may leave out; a new one is a new knob,
+    # and adding it means editing this set on purpose
+    found = {f"{m}.{name}" for m in MODULES for name in _defaulted(_tree(m))}
+    assert found == {
+        "cli.run_command.argv",
+        "derivations.derivation_tower.max_steps",
+        "liealg.read_count.error",
+        "liealg.check_dim_cap.cap",
+        "liealg.check_dim_cap.what",
+        "liealg.LieAlgebra.__init__.labels",
+        "liealg.LieAlgebra.__init__.check",
+        "liealg.LieAlgebra.subalgebra_structure.labels",
+        "weights._add_complete.lead",
+        "weights.PipelineReport.add.detail",
+        "weights.Check.detail",
+    }

@@ -52,7 +52,6 @@ from lieq.weights import (
     _lemma4_image,
     _outer_witness_ok,
     TorusError,
-    is_nondegenerate_pair,
     lemma3_check,
     prop2_check,
     prop3_check,
@@ -60,7 +59,6 @@ from lieq.weights import (
     theorem1_pipeline,
     theorem2_check,
     theorem3_check,
-    weight_decomposition,
 )
 
 from oracles import (
@@ -91,7 +89,7 @@ def grading():
 
 class TestWeightDecomposition:
     def test_empty_torus(self):
-        parts = weight_decomposition(heisenberg(1), [])
+        parts = verify_torus(heisenberg(1), []).parts
         assert len(parts) == 1
         fun, sub = parts[0]
         assert fun == ()
@@ -99,7 +97,7 @@ class TestWeightDecomposition:
         assert any(not any(fun) for fun, _ in parts)
 
     def test_grading_torus_two_parts(self, gp2, grading):
-        parts = weight_decomposition(gp2, [grading])
+        parts = verify_torus(gp2, [grading]).parts
         assert [fun for fun, _ in parts] == [(Q(1),), (Q(2),)]
         assert [sub.dim for _, sub in parts] == [3, 3]
         assert sum(sub.dim for _, sub in parts) == 6
@@ -117,20 +115,21 @@ class TestWeightDecomposition:
         parts2 = refine_eigenspaces(n, [grading, d2], [spec, spec2])
         assert [fun for fun, _ in parts2] == [(Q(1), Q(-1)), (Q(2), Q(0))]
         assert [sub for _, sub in parts1] == [sub for _, sub in parts2]
-        assert weight_decomposition(gp2, [grading]) == tuple(parts1)
+        assert verify_torus(gp2, [grading]).parts == tuple(parts1)
 
     def test_eigenspaces_verified_directly(self, gp2, grading):
         # re-verified by matrix application, independent of the refinement
         d = entries_mat(grading, gp2.dim)
-        for fun, sub in weight_decomposition(gp2, [grading]):
+        for fun, sub in verify_torus(gp2, [grading]).parts:
             for v in sub.vectors():
                 assert mat_vec(d, v) == tuple(fun[0] * x for x in v)
 
     def test_nonderivation_torus_rejected(self, gp2, grading):
         d = entries_mat(grading, gp2.dim)
         bad = mat_comb((1, mat_mul(d, d)), (-2, d))
+        assert verify_torus(gp2, [entries(bad)]).parts is None
         with pytest.raises(TorusError):
-            weight_decomposition(gp2, [entries(bad)])
+            theorem1_pipeline(gp2, [entries(bad)])
 
     def test_bracket_respects_weights(self):
         # [g_a, g_b] inside g_{a+b} (or zero when a+b is not a weight)
@@ -140,7 +139,7 @@ class TestWeightDecomposition:
             (g3, diagonal_derivation_torus(g3)),
         ]
         for g, torus in cases:
-            parts = weight_decomposition(g, torus)
+            parts = verify_torus(g, torus).parts
             funs = {fun: sub for fun, sub in parts}
             for fa, sa in parts:
                 for fb, sb in parts:
@@ -256,28 +255,32 @@ def test_refine_eigenspaces_matches_kernel_lift(name):
 
 
 class TestNondegeneratePair:
+    """A pair (g, torus) is non-degenerate when no weight of the torus on g
+    is zero; theorem 1 refuses a degenerate pair."""
+
     def test_empty_torus_degenerate(self):
-        flag, _ = is_nondegenerate_pair(heisenberg(1), [])
-        assert not flag
+        assert verify_torus(heisenberg(1), []).parts[0][0] == ()
+        with pytest.raises(DegeneratePairError, match="the pair carries a zero weight"):
+            theorem1_pipeline(heisenberg(1), [])
 
     def test_graded_power_nondegenerate(self, gp2, grading):
-        flag, parts = is_nondegenerate_pair(gp2, [grading])
-        assert flag
+        parts = verify_torus(gp2, [grading]).parts
         assert all(any(fun) for fun, _ in parts)
 
     def test_weight_zero_on_center(self):
         g = heisenberg(1)
-        d = Matrix([[1, 0, 0], [0, -1, 0], [0, 0, 0]])
-        flag, parts = is_nondegenerate_pair(g, [entries(d)])
-        assert not flag
+        d = entries(Matrix([[1, 0, 0], [0, -1, 0], [0, 0, 0]]))
+        parts = verify_torus(g, [d]).parts
         zero_part = next(sub for fun, sub in parts if fun == (Q(0),))
         assert zero_part.contains_vector(g.basis_element(2))
+        with pytest.raises(DegeneratePairError):
+            theorem1_pipeline(g, [d])
 
     def test_h3_power2_nondegenerate(self):
         # Proposition-1 style instance on the graded square
         gp = graded_power(heisenberg(1), 2)
-        flag, _ = is_nondegenerate_pair(gp, [grading_derivation(heisenberg(1), 2)])
-        assert flag
+        parts = verify_torus(gp, [grading_derivation(heisenberg(1), 2)]).parts
+        assert all(any(fun) for fun, _ in parts)
 
 
 class TestTheorem1:
@@ -390,7 +393,7 @@ LEMMA2_CASES = {
 
 def lemma2_setting(g, torus):
     h1 = semidirect(abelian(len(torus)), g, torus)
-    return derivations(h1), weight_decomposition(g, torus)
+    return derivations(h1), verify_torus(g, torus).parts
 
 
 def perturbed(dh1, p, rng):
@@ -476,7 +479,7 @@ class TestTheorem2:
             theorem2_check(heisenberg(1))
 
     def test_full_graph_heisenberg(self):
-        rep = theorem2_check(full_graph(heisenberg(1)))
+        rep = theorem2_check(full_graph(derivations(heisenberg(1))))
         assert rep.ok
         assert rep.dims["Der(f(g))"] == rep.dims["Der(g)"] + rep.dims["F(g)"]
         law = next(c for c in rep.checks if c.name == "homomorphism_law")
@@ -518,7 +521,7 @@ def dense_bracket_image(dsg, pair1, pair2):
 def theorem2_setting(g):
     dsg = derivations(g)
     fsub = f_s_subspace(dsg, dsg.space.rows.values())
-    return dsg, fsub, full_graph(g, dsg)
+    return dsg, fsub, full_graph(dsg)
 
 
 def pipeline_basis(dsg, fsub, fg):
@@ -535,7 +538,7 @@ class TestLemma4Oracle:
     def mixed(self):
         # theorem 2's setting on g = f(h3), with h-tilde elements (s, D)
         # whose parts are both nonzero, unlike the pipeline's basis
-        dsg, fsub, fg = theorem2_setting(full_graph(heisenberg(1)))
+        dsg, fsub, fg = theorem2_setting(full_graph(derivations(heisenberg(1))))
         rng = random.Random(11)
 
         def combo(vecs):
@@ -555,7 +558,7 @@ class TestLemma4Oracle:
     def pipeline(self, request):
         # theorem 2's setting on g = f(nonabelian2) and f(h3), on the
         # pipeline's basis
-        dsg, fsub, fg = theorem2_setting(full_graph(request.param()))
+        dsg, fsub, fg = theorem2_setting(full_graph(derivations(request.param())))
         return (dsg, fsub, *pipeline_basis(dsg, fsub, fg))
 
     def test_image_matches_dense(self, mixed):
@@ -605,7 +608,7 @@ class TestTheorem3AndProps:
         # oracle: [Der, Der] as the span of the dense commutators in Q^(n^2)
         fn = heisenberg(1)
         for _ in range(n):
-            fn = full_graph(fn)
+            fn = full_graph(derivations(fn))
         ds = derivations(fn)
         mats = der_mats(ds)
         dense = Subspace.from_vectors(
@@ -693,27 +696,27 @@ class TestPlantedFailures:
     dimension of Der but is not Der."""
 
     def test_inner_witness_is_rejected(self):
-        fg = full_graph(heisenberg(1))
+        fg = full_graph(derivations(heisenberg(1)))
         ds = derivations(fg)
         cert = is_complete(ds)
-        assert _outer_witness_ok(fg, ds, cert)
+        assert _outer_witness_ok(ds, cert)
         # ad(e0) passes the Leibniz check, but it is inner
         inner = entries(fg.ad_matrix(fg.basis_element(0)))
         assert is_derivation(fg, inner) and inner
-        assert not _outer_witness_ok(fg, ds, cert._replace(witness=("outer", inner)))
+        assert not _outer_witness_ok(ds, cert._replace(witness=("outer", inner)))
 
     def test_swapped_image_fails_span(self):
         g = heisenberg(1)
         ds = derivations(g)
         images = list(ds.space.rows.values())
         report = PipelineReport("planted")
-        _add_image_checks(report, g, ds, images, "g", "Der(g)")
+        _add_image_checks(report, ds, images, "g", "Der(g)")
         assert report.ok
         # a matrix unit outside Der(g): images 1.. and it still span dim Der(g)
         units = ({3 * r + c: Q(1)} for r, c in itertools.product(range(3), repeat=2))
         images[0] = next(m for m in units if not is_derivation(g, m))
         report = PipelineReport("planted")
-        span = _add_image_checks(report, g, ds, images, "g", "Der(g)")
+        span = _add_image_checks(report, ds, images, "g", "Der(g)")
         assert span.dim == ds.dim
         assert [(c.name, c.passed, c.detail) for c in report.checks] == [
             ("images_are_derivations", False, "image 0 fails the Leibniz identity"),
